@@ -1,6 +1,6 @@
 """Exact synthesis and verification of CSS codes under diagonal gates."""
 
-from .csscode import CssCode, encode_basis_state, new_css
+from .csscode import CssCode, encode_basis_state
 from .cyclo import Cyclo
 from .gates import (
     BlockProductGate,
@@ -43,7 +43,6 @@ __all__ = [
     "induced_logical",
     "is_preserved",
     "lift",
-    "new_css",
     "pauli_coeff",
     "qfd_gate",
     "remove_z",

@@ -161,8 +161,13 @@ class CssCode:
             b &= b - 1
         return BitVec(self.n, acc)
 
-    def syndrome_reps(self, budget: int = 1 << 16) -> list[BitVec]:
-        """Canonical representatives of the X-syndrome quotient."""
+    def syndrome_reps(self, budget: int = gf2.DEFAULT_BUDGET) -> list[BitVec]:
+        """Canonical representatives of the X-syndrome quotient, one per
+        X-stabilizer pattern (2^dim C2 of them, refused above budget)."""
+        if 1 << self.dim_c2 > budget:
+            raise BudgetExceeded(
+                f"2^{self.dim_c2} coset representatives", required_log2=self.dim_c2
+            )
         if "syndromes" not in self._caches:
             self._caches["syndromes"] = gf2.coset_reps(
                 BitMat.identity(self.n), self.c2perp, budget=budget
@@ -199,10 +204,6 @@ class CssCode:
 
     def __repr__(self) -> str:
         return f"CssCode(n={self.n}, k={self.k}, |x_stab|={self.dim_c2}, |z_stab|={self.dim_c1perp})"
-
-
-def new_css(n: int, x_stab: BitMat, z_stab: BitMat, y: BitVec | None = None) -> CssCode:
-    return CssCode(n, x_stab, z_stab, y)
 
 
 # ----------------------------------------------------------------------

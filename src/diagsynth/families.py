@@ -19,6 +19,7 @@ from .csscode import CssCode
 from .cyclo import Cyclo
 from .gates import DiagonalGate, transversal_zrot
 from .gf2 import BitMat, BitVec
+from .hierarchy import rotation_name
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,9 @@ def triorthogonal_2(l: int, budget: int = gf2.DEFAULT_BUDGET) -> FamilyBuild:
     spec = FamilySpec(
         "tri2", (l,), (1 << (l + 2)) - 2, 2, 2,
         f"transversal_zrot({(1 << (l + 2)) - 2},{l + 1})",
-        f"({_rot_name(l + 1)} dagger) pair",
+        f"({rotation_name(l + 1, False)} dagger) pair",
     )
     return FamilyBuild(spec, code, gate, [])
-
-
-def _rot_name(l: int) -> str:
-    return {1: "Z", 2: "P", 3: "T", 4: "sqrtT"}.get(l, f"Z^(1/{1 << (l - 1)})")
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +360,7 @@ def _build_pqrm(l: int) -> FamilyBuild:
     spec = FamilySpec(
         "pqrm", (l,), code.n, 1, 3,
         f"transversal_zrot({code.n},{l})",
-        f"{_rot_name(l)} dagger",
+        f"{rotation_name(l, False)} dagger",
     )
     return FamilyBuild(spec, code, transversal_zrot(code.n, l))
 

@@ -14,7 +14,7 @@ transversal rotation constructor uses exp(-i pi/2^l Z) per qubit, so no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -70,10 +70,15 @@ def elementary_ckz(controls: int, root: int, dagger: bool = False) -> LocalDiag:
 
 @dataclass(frozen=True)
 class BlockProductGate:
-    """Tensor product of local diagonal blocks on disjoint qubit sets."""
+    """Tensor product of local diagonal blocks on disjoint qubit sets.
+
+    ``level`` and ``weight_affine`` (see weight_affine_form) are derived
+    once, at construction."""
 
     n: int
     blocks: tuple[tuple[tuple[int, ...], LocalDiag], ...]
+    level: int = field(init=False, repr=False, compare=False)
+    weight_affine: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -86,10 +91,24 @@ class BlockProductGate:
                 if q in seen:
                     raise ValueError(f"qubit {q} covered twice")
                 seen.add(q)
+        level = max([1] + [local.level for _, local in self.blocks])
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "weight_affine", self._weight_affine())
 
-    @property
-    def level(self) -> int:
-        return max([1] + [local.level for _, local in self.blocks])
+    def _weight_affine(self) -> tuple[int, int, int] | None:
+        # a full cover by identical one-qubit blocks
+        if len(self.blocks) != self.n:
+            return None
+        first = self.blocks[0][1]
+        if first.b != 1:
+            return None
+        for _, local in self.blocks:
+            if local != first:
+                return None
+        L = self.level
+        a0 = first.exps[0] << (L - first.level)
+        a1 = first.exps[1] << (L - first.level)
+        return (self.n * a0) % (1 << L), (a1 - a0) % (1 << L), L
 
 
 @dataclass(frozen=True)
@@ -99,6 +118,7 @@ class QfdGate:
     n: int
     level: int
     rows: tuple[tuple[int, ...], ...]
+    weight_affine: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.level <= LEVEL_CAP:
@@ -112,6 +132,19 @@ class QfdGate:
                 if reduced[i][j] != reduced[j][i]:
                     raise ValueError("R must be symmetric")
         object.__setattr__(self, "rows", reduced)
+        object.__setattr__(self, "weight_affine", self._weight_affine())
+
+    def _weight_affine(self) -> tuple[int, int, int] | None:
+        # R = c*I
+        diag = self.rows[0][0] if self.n else 0
+        for i in range(self.n):
+            for j in range(self.n):
+                if i == j:
+                    if self.rows[i][i] != diag:
+                        return None
+                elif self.rows[i][j] != 0:
+                    return None
+        return 0, diag % (1 << self.level), self.level
 
 
 DiagonalGate = Union[BlockProductGate, QfdGate]
@@ -175,30 +208,10 @@ def weight_affine_form(gate: DiagonalGate) -> tuple[int, int, int] | None:
     (offset, slope, level); else None.
 
     Holds for any full cover by identical single-qubit blocks (transversal
-    rotations) and for quadratic forms c*I.
+    rotations) and for quadratic forms c*I.  Computed once, when the gate
+    is built.
     """
-    if isinstance(gate, BlockProductGate):
-        if len(gate.blocks) != gate.n:
-            return None
-        first = gate.blocks[0][1]
-        if first.b != 1:
-            return None
-        for _, local in gate.blocks:
-            if local != first:
-                return None
-        L = gate.level
-        a0 = first.exps[0] << (L - first.level)
-        a1 = first.exps[1] << (L - first.level)
-        return (gate.n * a0) % (1 << L), (a1 - a0) % (1 << L), L
-    diag = gate.rows[0][0] if gate.n else 0
-    for i in range(gate.n):
-        for j in range(gate.n):
-            if i == j:
-                if gate.rows[i][i] != diag:
-                    return None
-            elif gate.rows[i][j] != 0:
-                return None
-    return 0, diag % (1 << gate.level), gate.level
+    return gate.weight_affine
 
 
 # ----------------------------------------------------------------------

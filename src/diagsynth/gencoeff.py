@@ -8,10 +8,19 @@ attached to X-syndrome mu and Z-logical gamma is the signed coset sum
                  = |C1|^-1 sum_{u in C1 + y} (-1)^((mu^gamma).(y^u)) d_u.
 
 Both forms are implemented; the engine enumerates whichever side is
-smaller.  Transversal rotations (and any gate whose entry exponent is
-affine in the Hamming weight) get a vectorized kernel that reduces a coset
-walk to a signed weight enumerator; everything else falls back to a plain
-Python walk with a budget guard.  All results are exact ring elements.
+smaller.  Gates whose entry exponent is affine in the Hamming weight
+(transversal rotations and quadratic forms c*I) on n <= 64 qubits get one
+table per code: C1 is enumerated once, with the X-stabilizer rows as the
+low basis bits and the X-logical rows above them, into the exponent array
+e_j of the gate at y ^ c_j.  Reshaped to (2^k, 2^dim C2) that array is the
+induced-diagonal scan, and with t(s)_i = b_i . s every coefficient is
+
+    A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
+
+one Walsh-Hadamard transform per residue channel, read by lookup.  The
+Z side keeps its signed weight enumerator as the independent check, and
+every other gate takes a plain Python walk with a budget guard.  All
+results are exact ring elements.
 """
 
 from __future__ import annotations
@@ -38,11 +47,10 @@ from .gf2 import BitVec
 
 _PY_SPAN_CAP = 1 << 16  # generic Python walks beyond this are refused
 _ROW_CAP = 1 << 12  # full rows/tables above this need explicit sampling
-_SCAN_CHUNK = 1 << 22  # words per numpy chunk in the codeword scan
 
 
 # ----------------------------------------------------------------------
-# coset-sum kernels
+# cached spans and powers
 
 
 def _span_cache(code: CssCode, key: str, basis_ints: list[int]) -> list[int]:
@@ -66,28 +74,124 @@ def _rot_powers(local, n: int) -> tuple[tuple[Cyclo, ...], tuple[Cyclo, ...]]:
     return tuple(p0), tuple(p1)
 
 
+# ----------------------------------------------------------------------
+# the C1-span table (weight-affine gates, n <= 64)
+
+
+def _table_form(gate: DiagonalGate, n: int) -> tuple[int, int, int] | None:
+    """The weight-affine form when the span table serves the gate."""
+    return weight_affine_form(gate) if n <= 64 else None
+
+
+def _span_exponents(basis: list[int], y: int, lut: np.ndarray, n: int) -> np.ndarray:
+    """lut[wt(y ^ c_j)] for every span element c_j, in binary order.  The
+    span is built in rows of at most 2^16 words to bound the memory."""
+    cut = min(len(basis), 16)
+    low = gf2.span_array(basis[:cut], n) ^ np.uint64(y)
+    high = gf2.span_array(basis[cut:], n)
+    out = np.empty((high.size, low.size), dtype=np.uint8)
+    for row, word in zip(out, high):
+        np.take(lut, np.bitwise_count(low ^ word), out=row)
+    return out.reshape(-1)
+
+
+def _wht_rows(a: np.ndarray) -> None:
+    """In-place Walsh-Hadamard transform of every row of a (C, 2^d) array:
+    a[:, t] <- sum_j (-1)^(j . t) a[:, j]."""
+    h = 1
+    while h < a.shape[1]:
+        v = a.reshape(a.shape[0], -1, 2, h)
+        lo = v[:, :, 0].copy()
+        v[:, :, 0] += v[:, :, 1]
+        np.subtract(lo, v[:, :, 1], out=v[:, :, 1])
+        h <<= 1
+
+
+class _SpanTable:
+    """One weight-affine gate over the C1 span of one code.
+
+    ``exps[j]`` is the gate's exponent at y ^ c_j, where c_j combines the
+    basis rows named by the bits of j: first the X-stabilizer rows, then
+    the X-logical rows, so ``exps.reshape(2^k, 2^dim C2)[beta]`` is the
+    coset x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed
+    channel of zeta^j; the channels' Walsh-Hadamard transforms give every
+    coefficient.  They are built on the first coefficient request when
+    (channels x 2^dim) fits the budget; otherwise each coefficient is a
+    direct signed sum over ``exps``.
+    """
+
+    def __init__(self, code: CssCode, form: tuple[int, int, int]):
+        off, slope, level = form
+        mod = 1 << level
+        self.level = level
+        self.basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
+        self.dim = len(self.basis)
+        lut = np.array([(off + slope * w) % mod for w in range(code.n + 1)], dtype=np.uint8)
+        self.exps = _span_exponents(self.basis, code.y.bits, lut, code.n)
+        half = mod >> 1
+        present = np.flatnonzero(np.bincount(self.exps, minlength=mod))
+        self.channels = sorted({int(r) % half for r in present})
+        self.wht: np.ndarray | None = None
+
+    def _build_wht(self) -> np.ndarray:
+        half = 1 << (self.level - 1)
+        dtype = np.int32 if self.dim < 31 else np.int64
+        chans = np.empty((len(self.channels), self.exps.size), dtype=dtype)
+        for row, j in zip(chans, self.channels):
+            row[:] = self.exps == j
+            row -= self.exps == j + half
+        _wht_rows(chans)
+        return chans
+
+    def coefficient(self, s: int, budget: int) -> Cyclo:
+        """|C1|^-1 sum_{c in C1} (-1)^(c.s) d_(y ^ c)."""
+        t = 0
+        for i, b in enumerate(self.basis):
+            t |= ((b & s).bit_count() & 1) << i
+        half = 1 << (self.level - 1)
+        if self.wht is None and len(self.channels) << self.dim <= budget:
+            self.wht = self._build_wht()
+        if self.wht is not None:
+            coeffs = [0] * half
+            for j, col in zip(self.channels, self.wht[:, t].tolist()):
+                coeffs[j] = col
+        else:
+            odd = np.zeros(1, dtype=bool)  # parity of j . t, built like the span
+            for i in range(self.dim):
+                odd = np.concatenate([odd, odd ^ bool((t >> i) & 1)])
+            counts = np.bincount(self.exps[~odd], minlength=2 * half)
+            counts -= np.bincount(self.exps[odd], minlength=2 * half)
+            coeffs = (counts[:half] - counts[half:]).tolist()
+        return Cyclo(self.level, coeffs, self.dim)
+
+
+def _span_table(code: CssCode, form: tuple[int, int, int]) -> _SpanTable:
+    cache = code._caches.setdefault("span_table", {})
+    if form not in cache:
+        cache[form] = _SpanTable(code, form)
+    return cache[form]
+
+
+# ----------------------------------------------------------------------
+# coset-sum kernels
+
+
 def _sum_x_side(
     code: CssCode, gate: DiagonalGate, sign_mask: int, budget: int
 ) -> Cyclo:
     """|C1|^-1 sum_{c in C1} (-1)^(c.sign) d_(y ^ c), exact."""
-    basis = code.c1.row_ints()
-    dim = len(basis)
-    n, y = code.n, code.y.bits
-    affine = weight_affine_form(gate)
-    if affine is not None and n <= 64:
-        off, slope, level = affine
-        mod = 1 << level
-        counts_w = gf2.signed_weight_counts(basis, y, sign_mask, n, budget)
-        counts = [0] * mod
-        for w, c in enumerate(counts_w):
-            if c:
-                counts[(off + slope * w) % mod] += c
-        return Cyclo.from_root_counts(level, counts, dim)
+    dim = code.dim_c1
+    form = _table_form(gate, code.n)
+    if form is not None:
+        if 1 << dim > budget:
+            raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
+        return _span_table(code, form).coefficient(sign_mask, budget)
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} X-side walk", required_log2=dim)
+    y = code.y.bits
     mod = 1 << gate.level
     counts = [0] * mod
-    for c in _span_cache(code, "c1", basis):
+    for c in _span_cache(code, "c1", code.c1.row_ints()):
         k = entry_exponent_int(gate, y ^ c)
         if (c & sign_mask).bit_count() & 1:
             counts[k] -= 1
@@ -183,6 +287,16 @@ def _check_gate(code: CssCode, gate: DiagonalGate) -> None:
         raise ValueError(f"gate on {gate.n} qubits vs code on {code.n}")
 
 
+def _all_gammas(code: CssCode) -> list[BitVec]:
+    """Every Z-logical in frame order, refused above the row cap."""
+    if 1 << code.k > _ROW_CAP:
+        raise BudgetExceeded(
+            f"full row has 2^{code.k} entries; pass an explicit gamma subset",
+            required_log2=code.k,
+        )
+    return [code.z_logical(a) for a in range(1 << code.k)]
+
+
 def coefficient(
     code: CssCode,
     gate: DiagonalGate,
@@ -209,23 +323,10 @@ def trivial_row(
     """All coefficients for the trivial syndrome, or a sampled subset when
     an explicit gamma list is supplied."""
     _check_gate(code, gate)
-    if gammas is None:
-        if 1 << code.k > _ROW_CAP:
-            raise BudgetExceeded(
-                f"full row has 2^{code.k} entries; pass an explicit gamma subset",
-                required_log2=code.k,
-            )
-        gammas = [code.z_logical(a) for a in range(1 << code.k)]
-        exactness = "exact-full"
-    else:
-        exactness = "exact-sampled"
-        for g in gammas:
-            if not code.c2perp_reducer.contains(g):
-                raise ValueError(f"gamma {g.to01()} is not in C2-perp")
-    entries = {
-        g: _coefficient_int(code, gate, g.bits, budget) for g in gammas
-    }
-    return GenCoeffRow(code, BitVec.zeros(code.n), entries, exactness)
+    for g in gammas or ():
+        if not code.c2perp_reducer.contains(g):
+            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
+    return syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
 
 
 def syndrome_row(
@@ -238,11 +339,7 @@ def syndrome_row(
     """Like trivial_row but for an arbitrary syndrome representative."""
     _check_gate(code, gate)
     if gammas is None:
-        if 1 << code.k > _ROW_CAP:
-            raise BudgetExceeded(
-                f"full row has 2^{code.k} entries", required_log2=code.k
-            )
-        gammas = [code.z_logical(a) for a in range(1 << code.k)]
+        gammas = _all_gammas(code)
         exactness = "exact-full"
     else:
         exactness = "exact-sampled"
@@ -266,7 +363,7 @@ def full_table(
         )
     return {
         mu: syndrome_row(code, gate, mu, budget=budget)
-        for mu in code.syndrome_reps()
+        for mu in code.syndrome_reps(budget)
     }
 
 
@@ -324,71 +421,40 @@ class LogicalDiagonal:
     frame: LogicalFrame
 
 
-def _entry_from_counts(level: int, counts: Sequence[int], m: int) -> Cyclo:
-    return Cyclo.from_root_counts(level, counts, m)
-
-
 def _codeword_diagonal(
     code: CssCode, gate: DiagonalGate, budget: int
 ) -> tuple[bool, list[int] | None, tuple[int, Cyclo] | None]:
     """Induced-diagonal scan via codeword sums:
     entry(beta) = 2^-m sum_{x in C2} d(beta.Gx ^ x ^ y).
 
+    A mean of 2^m roots of unity has modulus one only when all its terms
+    are equal (triangle inequality), so the span table decides each row by
+    comparing it with its first column.
     Returns (all_unimodular, exponents at gate level or None, witness).
     """
-    k, m, n = code.k, code.dim_c2, code.n
+    k, m = code.k, code.dim_c2
     if k + m > 26 or (1 << (k + m)) > budget * 4:
         raise BudgetExceeded(
             f"2^{k + m} codeword scan", required_log2=k + m
         )
-    affine = weight_affine_form(gate)
     level = gate.level
     mod = 1 << level
-    half = mod >> 1
-    y = code.y.bits
-    if affine is not None and n <= 64:
-        off, slope, _ = affine
-        c2 = gf2.span_array(code.x_stab.row_ints(), n)
-        xspan = gf2.span_array(code.frame.x_logical_basis.row_ints(), n)
-        exps: list[int] = []
-        rows_per_chunk = max(1, _SCAN_CHUNK // max(1, c2.size))
-        for start in range(0, xspan.size, rows_per_chunk):
-            chunk = xspan[start : start + rows_per_chunk]
-            words = chunk[:, None] ^ c2[None, :] ^ np.uint64(y)
-            w = np.bitwise_count(words).astype(np.int64)
-            r = (off + slope * w) % mod
-            coefs = np.zeros((chunk.size, half), dtype=np.int64)
-            for j in range(half):
-                coefs[:, j] = (r == j).sum(axis=1) - (r == j + half).sum(axis=1)
-            hits = np.abs(coefs) == (1 << m)
-            ok_rows = (hits.sum(axis=1) == 1) & (
-                np.abs(coefs).sum(axis=1) == (1 << m)
-            )
-            for i in range(chunk.size):
-                if not ok_rows[i]:
-                    # exact fallback: non-root pattern, decide by |entry|^2
-                    counts = [0] * mod
-                    for j in range(half):
-                        c = int(coefs[i, j])
-                        if c >= 0:
-                            counts[j] = c
-                        else:
-                            counts[j + half] = -c
-                    val = _entry_from_counts(level, counts, m)
-                    if val.abs_sq() != ONE:
-                        return False, None, (start + i, val)
-                    raise NonUnimodularEntry(
-                        "diagonal entry is unimodular but not a root of unity",
-                        witness=(start + i, val),
-                    )
-                j = int(np.argmax(hits[i]))
-                exps.append(j if coefs[i, j] > 0 else j + half)
-        return True, exps, None
+    form = _table_form(gate, code.n)
+    if form is not None:
+        rows = _span_table(code, form).exps.reshape(1 << k, 1 << m)
+        first = rows[:, 0]
+        uneven = np.flatnonzero((rows != first[:, None]).any(axis=1))
+        if not uneven.size:
+            return True, first.tolist(), None
+        beta = int(uneven[0])
+        counts = np.bincount(rows[beta], minlength=mod).tolist()
+        return False, None, (beta, Cyclo.from_root_counts(level, counts, m))
     # generic Python path
     if 1 << (k + m) > _PY_SPAN_CAP:
         raise BudgetExceeded(
             f"2^{k + m} codeword scan (generic gate)", required_log2=k + m
         )
+    y = code.y.bits
     c2_span = _span_cache(code, "c2", code.x_stab.row_ints())
     exps = []
     for beta in range(1 << k):
@@ -396,7 +462,7 @@ def _codeword_diagonal(
         counts = [0] * mod
         for x in c2_span:
             counts[entry_exponent_int(gate, base ^ x)] += 1
-        val = _entry_from_counts(level, counts, m)
+        val = Cyclo.from_root_counts(level, counts, m)
         root = val.promote(level).as_root_of_unity()
         if root is None:
             if val.abs_sq() != ONE:
@@ -496,48 +562,31 @@ def split_values(
     if code.c1_reducer.contains(w0):
         raise ValueError("w0 lies in C1: removal would not create a new logical")
     if gammas is None:
-        if 1 << code.k > _ROW_CAP:
-            raise BudgetExceeded(
-                f"full split with 2^{code.k} entries", required_log2=code.k
-            )
-        gammas = [code.z_logical(a) for a in range(1 << code.k)]
+        gammas = _all_gammas(code)
     basis = code.c1.row_ints()
-    dim = len(basis)
-    n, y = code.n, code.y.bits
-    shift = w0.bits ^ y
-    affine = weight_affine_form(gate)
-    direct_ok = (affine is not None and n <= 64 and 1 << dim <= budget) or (
-        1 << dim <= min(budget, _PY_SPAN_CAP)
-    )
+    y = code.y.bits
     out: dict[BitVec, Cyclo] = {}
-    if direct_ok:
+    # the span table serves the dual route below; other gates walk C1 + w0
+    # directly when it is small enough
+    if _table_form(gate, code.n) is None and 1 << len(basis) <= min(budget, _PY_SPAN_CAP):
+        shift = w0.bits ^ y
+        mod = 1 << gate.level
         for gamma in gammas:
             s = gamma.bits
-            if affine is not None and n <= 64:
-                off, slope, level = affine
-                mod = 1 << level
-                counts_w = gf2.signed_weight_counts(basis, shift, s, n, budget)
-                counts = [0] * mod
-                for w, c in enumerate(counts_w):
-                    if c:
-                        counts[(off + slope * w) % mod] += c
-                val = Cyclo.from_root_counts(level, counts, dim)
-            else:
-                mod = 1 << gate.level
-                counts = [0] * mod
-                for c in _span_cache(code, "c1", basis):
-                    kexp = entry_exponent_int(gate, shift ^ c)
-                    if (c & s).bit_count() & 1:
-                        counts[kexp] -= 1
-                    else:
-                        counts[kexp] += 1
-                val = Cyclo.from_root_counts(gate.level, counts, dim)
+            counts = [0] * mod
+            for c in _span_cache(code, "c1", basis):
+                kexp = entry_exponent_int(gate, shift ^ c)
+                if (c & s).bit_count() & 1:
+                    counts[kexp] -= 1
+                else:
+                    counts[kexp] += 1
+            val = Cyclo.from_root_counts(gate.level, counts, len(basis))
             if (w0.bits & s).bit_count() & 1:
                 val = -val
             out[gamma] = val
         return out
     # dual route: the difference of the two split halves on the shrunk
-    # code recovers each value from cheaper stabilizer-side walks
+    # code recovers each value from that code's coefficients
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
     split_code = CssCode(code.n, code.x_stab, new_z, BitVec(code.n, y))
     for gamma in gammas:
@@ -574,7 +623,7 @@ def sampled_certificate(
     )
     gammas = [code.z_logical(a) for a in alphas]
     row = trivial_row(code, gate, gammas=gammas, budget=budget)
-    syndromes = code.syndrome_reps()
+    syndromes = code.syndrome_reps(budget)
     pairs = []
     zero_ok = True
     first_nonzero = None

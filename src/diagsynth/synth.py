@@ -64,9 +64,10 @@ def remove_z(
     """Remove the Z-stabilizer paired with the new X-logical w0.
 
     The new code always comes back; ``admissible`` reports whether the gate
-    still preserves it (the split trivial row keeps unit norm).  ``check``
-    is "auto" (skip when the new code has too many logicals), "full", or
-    "skip".
+    still preserves it (the new trivial row keeps unit norm).  Weight-affine
+    gates read that row from the new code's span table; other gates split
+    the old row with ``split_values``.  ``check`` is "auto" (skip when the
+    new code has too many logicals), "full", or "skip".
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
@@ -77,16 +78,23 @@ def remove_z(
     norm: Cyclo | None = None
     if gate is not None and check != "skip":
         if check == "full" or new_code.k <= _ADMISSIBILITY_K_CAP:
-            old_row = gencoeff.trivial_row(code, gate, budget=budget)
-            svals = gencoeff.split_values(
-                code, gate, w0, gammas=list(old_row.entries), budget=budget
-            )
-            norm = Cyclo.zero()
-            for g, a in old_row.entries.items():
-                s = svals[g]
-                plus = (a + s).scaled(1)
-                minus = (a - s).scaled(1)
-                norm = norm + plus.abs_sq() + minus.abs_sq()
+            if gencoeff._table_form(gate, code.n) is not None:
+                # the new logicals are the old ones and their shifts by gamma0;
+                # listing them from the old code keeps its row cap
+                old = gencoeff._all_gammas(code)
+                gammas = old + [g ^ gamma0 for g in old]
+                norm = gencoeff.trivial_row(new_code, gate, gammas, budget).norm()
+            else:
+                old_row = gencoeff.trivial_row(code, gate, budget=budget)
+                svals = gencoeff.split_values(
+                    code, gate, w0, gammas=list(old_row.entries), budget=budget
+                )
+                norm = Cyclo.zero()
+                for g, a in old_row.entries.items():
+                    s = svals[g]
+                    plus = (a + s).scaled(1)
+                    minus = (a - s).scaled(1)
+                    norm = norm + plus.abs_sq() + minus.abs_sq()
             admissible = norm == ONE
     return RemovalResult(new_code, gamma0, admissible, norm)
 

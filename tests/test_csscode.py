@@ -8,7 +8,6 @@ from diagsynth.csscode import (
     code_from_json,
     code_to_json,
     encode_basis_state,
-    new_css,
 )
 from diagsynth.errors import CommutationViolation
 from diagsynth.families import four22_code, steane_code
@@ -31,7 +30,7 @@ class TestConstruction:
 
     def test_commutation_violation(self):
         with pytest.raises(CommutationViolation):
-            new_css(4, BitMat.from_strings(["1100"]), BitMat.from_strings(["1000"]))
+            CssCode(4, BitMat.from_strings(["1100"]), BitMat.from_strings(["1000"]))
 
     @given(css_codes())
     @settings(max_examples=300)
@@ -63,7 +62,7 @@ class TestDistances:
 
     def test_zero_logicals_rejected(self):
         rep = BitMat.from_strings(["11"])
-        code = new_css(2, rep, rep)
+        code = CssCode(2, rep, rep)
         assert code.k == 0
         with pytest.raises(ValueError):
             code.distances()

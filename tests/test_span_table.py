@@ -1,0 +1,202 @@
+"""Differential tests of the C1-span table kernel.
+
+Weight-affine gates (transversal rotations and quadratic forms c*I) on
+n <= 64 qubits read every coefficient, the induced-diagonal scan and the
+removal norm from one enumeration of C1.  Each test here recomputes the
+same quantity with a plain Python sum over ``entry_exponent_int`` written
+in the test, and where it is affordable with the Z-side walk.
+"""
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import assume, given, settings
+
+from diagsynth import gencoeff, gf2
+from diagsynth.csscode import CssCode
+from diagsynth.cyclo import LEVEL_CAP, Cyclo
+from diagsynth.errors import BudgetExceeded
+from diagsynth.families import four22_code, steane_code
+from diagsynth.gates import (
+    BlockProductGate,
+    entry_exponent_int,
+    qfd_gate,
+    transversal_zrot,
+    weight_affine_form,
+)
+from diagsynth.gf2 import BitMat, BitVec
+from diagsynth.synth import remove_z
+
+
+@st.composite
+def codes_with_c1_dim(draw, n, dim):
+    """A code on n qubits whose C1 is spanned by ``dim`` random words, with
+    a random C2 inside it and a nonzero character vector."""
+    rows = [draw(st.integers(1, (1 << n) - 1)) for _ in range(dim)]
+    c1, _ = gf2.rref(BitMat(n, [BitVec(n, r) for r in rows]))
+    x_rows = []
+    for _ in range(draw(st.integers(0, c1.num_rows))):
+        mask = draw(st.integers(0, (1 << c1.num_rows) - 1))
+        acc = 0
+        for j, row in enumerate(c1.row_ints()):
+            if (mask >> j) & 1:
+                acc ^= row
+        x_rows.append(BitVec(n, acc))
+    x_stab, _ = gf2.rref(BitMat(n, x_rows))
+    y = BitVec(n, draw(st.integers(1, (1 << n) - 1)))
+    return CssCode(n, x_stab, gf2.dual_basis(c1), y)
+
+
+@st.composite
+def affine_gates(draw, n):
+    """A transversal rotation (levels 1..LEVEL_CAP-1) or a c*I form."""
+    if draw(st.booleans()):
+        return transversal_zrot(n, draw(st.integers(1, LEVEL_CAP - 1)))
+    level = draw(st.integers(1, LEVEL_CAP))
+    c = draw(st.integers(0, (1 << level) - 1))
+    return qfd_gate(n, level, [[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def wide_cases(draw, max_dim=9):
+    """n in 8..64 with 63 and 64 drawn often; C1 small enough to walk."""
+    n = draw(st.sampled_from([63, 64]) | st.integers(8, 64))
+    code = draw(codes_with_c1_dim(n, draw(st.integers(1, max_dim))))
+    return code, draw(affine_gates(n))
+
+
+def ref_x_sum(code, gate, sign_mask, shift=None):
+    """2^-dim sum over c in C1 of (-1)^(c.sign) zeta^e(shift ^ c), shift = y."""
+    shift = code.y.bits if shift is None else shift
+    counts = [0] * (1 << gate.level)
+    for c in gf2.span_ints(code.c1.row_ints()):
+        k = entry_exponent_int(gate, shift ^ c)
+        counts[k] += -1 if (c & sign_mask).bit_count() & 1 else 1
+    return Cyclo.from_root_counts(gate.level, counts, code.dim_c1)
+
+
+def ref_scan(code, gate):
+    """Per-beta codeword scan: (ok, exps, witness) like _codeword_diagonal."""
+    exps = []
+    c2 = gf2.span_ints(code.x_stab.row_ints())
+    for beta in range(1 << code.k):
+        base = code.x_word(beta).bits ^ code.y.bits
+        counts = [0] * (1 << gate.level)
+        for x in c2:
+            counts[entry_exponent_int(gate, base ^ x)] += 1
+        val = Cyclo.from_root_counts(gate.level, counts, code.dim_c2)
+        root = val.promote(gate.level).as_root_of_unity()
+        if root is None:
+            return False, None, (beta, val)
+        exps.append(root)
+    return True, exps, None
+
+
+def random_sign(draw, code):
+    """mu ^ gamma with a nonzero syndrome representative mu (when any)."""
+    reps = code.syndrome_reps()
+    mu = reps[draw(st.integers(1, len(reps) - 1))] if len(reps) > 1 else reps[0]
+    gamma = code.z_logical(draw(st.integers(0, (1 << code.k) - 1)))
+    return mu.bits ^ gamma.bits
+
+
+class TestCoefficients:
+    @given(wide_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_matches_reference_sum(self, case, data):
+        code, gate = case
+        s = random_sign(data.draw, code)
+        want = ref_x_sum(code, gate, s)
+        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
+        # a budget below the transform's size sums directly over the span
+        fresh = gencoeff._SpanTable(code, weight_affine_form(gate))
+        assert fresh.coefficient(s, budget=1) == want
+        assert fresh.wht is None
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_z_side(self, data):
+        # the Z side walks 2^(n - dim C1) words, so C1 is nearly full here;
+        # c*I forms expand densely over 2^n words and stay below n = 10
+        n = data.draw(st.integers(8, 18))
+        code = data.draw(codes_with_c1_dim(n, data.draw(st.integers(n - 8, n))))
+        gate = data.draw(affine_gates(n))
+        assume(isinstance(gate, BlockProductGate) or n <= 9)
+        s = random_sign(data.draw, code)
+        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == gencoeff._sum_z_side(
+            code, gate, s, 1 << 26
+        )
+
+    @given(wide_cases(max_dim=7))
+    @settings(max_examples=60, deadline=None)
+    def test_trivial_row_and_certificate(self, case):
+        code, gate = case
+        assume(code.k <= 5 and code.dim_c2 > 0)  # the certificate samples syndromes
+        row = gencoeff.trivial_row(code, gate)
+        for g, v in row.entries.items():
+            assert v == ref_x_sum(code, gate, g.bits)
+        cert = gencoeff.sampled_certificate(code, gate, 3, 5, seed=1)
+        for g, v in cert["sampled_row"].entries.items():
+            assert v == ref_x_sum(code, gate, g.bits)
+        if cert["nonzero_witness"] is not None:
+            mu, gamma, val = cert["nonzero_witness"]
+            assert val == ref_x_sum(code, gate, mu.bits ^ gamma.bits)
+
+
+class TestScan:
+    @given(wide_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_reference(self, case):
+        code, gate = case
+        assert gencoeff._codeword_diagonal(code, gate, 1 << 26) == ref_scan(code, gate)
+
+    def test_422_t_negative_control_witness(self):
+        code, gate = four22_code(), transversal_zrot(4, 3)
+        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        assert not ok and exps is None
+        assert (ok, exps, witness) == ref_scan(code, gate)
+        assert witness[1].abs_sq() != Cyclo.one()
+
+
+class TestRemovalNorm:
+    @given(wide_cases(max_dim=7), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_norm_equals_split_identity(self, case, data):
+        code, gate = case
+        assume(code.k <= 5 and code.dim_c1perp > 0)
+        w0 = BitVec(code.n, data.draw(st.integers(1, (1 << code.n) - 1)))
+        assume(not code.c1_reducer.contains(w0))
+        res = remove_z(code, gate, w0, check="full")
+        # split identity: each old coefficient a and its split value s give
+        # the two new coefficients (a + s)/2 and (a - s)/2
+        norm = Cyclo.zero()
+        for a_idx in range(1 << code.k):
+            g = code.z_logical(a_idx).bits
+            a = ref_x_sum(code, gate, g)
+            s = ref_x_sum(code, gate, g, shift=w0.bits ^ code.y.bits)
+            if (w0.bits & g).bit_count() & 1:
+                s = -s
+            norm = norm + (a + s).scaled(1).abs_sq() + (a - s).scaled(1).abs_sq()
+        assert res.new_row_norm == norm
+        assert res.admissible == (norm == Cyclo.one())
+
+
+class TestBudgets:
+    def test_syndrome_reps_refuses_small_budget(self):
+        code = steane_code()
+        with pytest.raises(BudgetExceeded) as exc:
+            code.syndrome_reps(budget=4)
+        assert exc.value.required_log2 == 3
+        assert len(code.syndrome_reps(budget=8)) == 8
+
+    def test_certificate_passes_budget_to_syndromes(self):
+        # no sampled logicals, so the syndrome list is the first enumeration
+        with pytest.raises(BudgetExceeded) as exc:
+            gencoeff.sampled_certificate(
+                steane_code(), transversal_zrot(7, 2), 0, 5, budget=4
+            )
+        assert exc.value.required_log2 == 3
+
+    def test_gate_forms_are_cached(self):
+        gate = transversal_zrot(64, 3)
+        assert weight_affine_form(gate) is weight_affine_form(gate)
+        assert "level" in vars(gate)
