@@ -1,16 +1,21 @@
 """Constructors and pipelines for the built-in code families.
 
 Each family carries its canonical transversal rotation; ``FAMILIES`` maps
-CLI names to builders.  The quantum Reed-Muller pipeline rebuilds the next
-family member from the previous one by concatenating, retargeting the
-physical rotation one level up, removing the Z-stabilizers that grow the
-X-logical code to the next Reed-Muller space, and adding the X-stabilizers
-that complete the smaller one.
+CLI names to builders.  Every family grown from a smaller code emits a
+script in the op vocabulary of ``diagsynth pipeline`` and runs it through
+``synth.run_pipeline``, the one place that applies an operation and
+records its step.  The [[2^l, l, 2]] chain and the triorthogonal family
+repeat concatenation (lifting the rotation to the half angle) followed by
+the half-support Z-stabilizer removal.  The quantum Reed-Muller pipeline
+rebuilds the next family member from the previous one by concatenating,
+retargeting the physical rotation one level up, removing the
+Z-stabilizers that grow the X-logical code to the next Reed-Muller space,
+and adding the X-stabilizers that complete the smaller one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -38,7 +43,6 @@ class FamilyBuild:
     spec: FamilySpec
     code: CssCode
     gate: DiagonalGate
-    steps: list[synth.SynthStep] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -126,27 +130,35 @@ def four22_code() -> CssCode:
     return CssCode(4, rep, rep)
 
 
+def _half_support_growth(
+    code: CssCode, gate: DiagonalGate, times: int, budget: int
+) -> synth.PipelineResult:
+    """Concatenate with the half-angle rotation lift, then remove the
+    Z-stabilizer paired with the word on the whole first half, ``times``
+    times over.  Every step must be admissible."""
+    script = []
+    for i in range(times):
+        n = code.n << i
+        script += [
+            {"op": "concat", "lift": "next_level_rotation"},
+            {"op": "remove_z", "w0": "1" * n + "0" * n},
+        ]
+    return synth.run_pipeline(code, gate, script, strict=True, budget=budget)
+
+
 def family_2l_l_2(l: int, budget: int = gf2.DEFAULT_BUDGET) -> FamilyBuild:
     """The [[2^l, l, 2]] chain built by repeated concatenation (with the
     half-angle rotation lift) and the canonical half-support removal.
     Every removal is admissible and raises the logical level by one."""
     if not 2 <= l <= 6:
         raise ValueError("supported range is 2 <= l <= 6")
-    code = four22_code()
-    gate: DiagonalGate = transversal_zrot(4, 2)
-    steps: list[synth.SynthStep] = []
-    for step_l in range(3, l + 1):
-        code = synth.concatenate(code)
-        gate = transversal_zrot(code.n, step_l)
-        res = synth.half_support_remove_z(code, gate, budget=budget)
-        assert res.admissible, f"half-support removal failed at level {step_l}"
-        code = res.code
+    res = _half_support_growth(four22_code(), transversal_zrot(4, 2), l - 2, budget)
     spec = FamilySpec(
         "two_l", (l,), 1 << l, l, 2,
         f"transversal_zrot({1 << l},{l})",
         f"C^({l - 1})Z up to logical Pauli Z",
     )
-    return FamilyBuild(spec, code, gate, steps)
+    return FamilyBuild(spec, res.code, res.gate)
 
 
 def expected_2l_row(l: int) -> list[Cyclo]:
@@ -174,17 +186,13 @@ def triorthogonal_2(l: int, budget: int = gf2.DEFAULT_BUDGET) -> FamilyBuild:
     """The [[2^(l+2)-2, 2, 2]] code: concatenate the punctured member and
     apply the canonical half-support removal with the half-angle rotation."""
     base = punctured_qrm(l)
-    code = synth.concatenate(base)
-    gate = transversal_zrot(code.n, l + 1)
-    res = synth.half_support_remove_z(code, gate, budget=budget)
-    assert res.admissible
-    code = res.code
+    res = _half_support_growth(base, transversal_zrot(base.n, l), 1, budget)
     spec = FamilySpec(
         "tri2", (l,), (1 << (l + 2)) - 2, 2, 2,
         f"transversal_zrot({(1 << (l + 2)) - 2},{l + 1})",
         f"({rotation_name(l + 1, False)} dagger) pair",
     )
-    return FamilyBuild(spec, code, gate, [])
+    return FamilyBuild(spec, res.code, res.gate)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +202,8 @@ def triorthogonal_2(l: int, budget: int = gf2.DEFAULT_BUDGET) -> FamilyBuild:
 @dataclass
 class QrmPipelineResult:
     start: CssCode
+    pre_removal: CssCode  # after the concatenations
+    pre_addition: CssCode  # after the removals
     final: CssCode
     gate: DiagonalGate
     steps: list[synth.SynthStep]
@@ -203,9 +213,7 @@ class QrmPipelineResult:
 
     def intermediate(self, kind: str) -> CssCode | None:
         """Last code state before the first step of the given kind."""
-        return self._intermediates.get(kind)
-
-    _intermediates: dict = field(default_factory=dict)
+        return {"remove_z": self.pre_removal, "add_x": self.pre_addition}.get(kind)
 
 
 def qrm_pipeline(r: int, m: int, budget: int = gf2.DEFAULT_BUDGET) -> QrmPipelineResult:
@@ -220,67 +228,32 @@ def qrm_pipeline(r: int, m: int, budget: int = gf2.DEFAULT_BUDGET) -> QrmPipelin
     if m % r:
         raise ValueError("need r | m")
     h = r + m // r + 1
-    code = qrm_code(r, m)
-    start = code
-    gate: DiagonalGate = qrm_gate(r, m)
-    steps: list[synth.SynthStep] = []
-    intermediates: dict[str, CssCode] = {}
-    for _ in range(h):
-        before = {"n": code.n, "k": code.k}
-        code = synth.concatenate(code)
-        steps.append(
-            synth.SynthStep("concat", {}, before, {"n": code.n, "k": code.k}, True)
-        )
-    gate = transversal_zrot(code.n, m // r + 1)
-    intermediates["remove_z"] = code
+    start = qrm_code(r, m)
+    grown = synth.run_pipeline(start, None, [{"op": "concat"}] * h, budget=budget)
+    pre = grown.code
+    gate = transversal_zrot(pre.n, m // r + 1)
 
     # complement bases keep each candidate independent of the growing space
-    target_c1 = rm_generator(r + 1, m + h)
-    w0_list = list(gf2.quotient_basis(target_c1, code.c1))
-    for w0 in w0_list:
-        before = {"n": code.n, "k": code.k}
-        res = synth.remove_z(code, gate, w0, check="auto", budget=budget)
-        code = res.code
-        steps.append(
-            synth.SynthStep(
-                "remove_z",
-                {"w0": w0.to01()},
-                before,
-                {"n": code.n, "k": code.k},
-                res.admissible,
-                {"gamma0": res.gamma0.to01()},
-            )
-        )
-    removal_count = len(w0_list)
-    intermediates["add_x"] = code
-
-    target_c2 = rm_generator(r, m + h)
-    x0_list = list(gf2.quotient_basis(target_c2, code.x_stab))
-    for x0 in x0_list:
-        before = {"n": code.n, "k": code.k}
-        res = synth.add_x(code, gate, x0, check="auto", budget=budget)
-        code = res.code
-        steps.append(
-            synth.SynthStep(
-                "add_x",
-                {"x0": x0.to01()},
-                before,
-                {"n": code.n, "k": code.k},
-                res.admissible,
-                {"mu0": res.mu0.to01()},
-            )
-        )
-    addition_count = len(x0_list)
+    w0_list = gf2.quotient_basis(rm_generator(r + 1, m + h), pre.c1)
+    removed = synth.run_pipeline(
+        pre, gate, [{"op": "remove_z", "w0": w0.to01()} for w0 in w0_list], budget=budget
+    )
+    inter = removed.code
+    x0_list = gf2.quotient_basis(rm_generator(r, m + h), inter.x_stab)
+    added = synth.run_pipeline(
+        inter, gate, [{"op": "add_x", "x0": x0.to01()} for x0 in x0_list], budget=budget
+    )
+    code = added.code
 
     direct = qrm_code(r + 1, m + h)
     assert code.x_stab == direct.x_stab and code.z_stab == direct.z_stab, (
         "pipeline result differs from the direct construction"
     )
-    result = QrmPipelineResult(
-        start, code, gate, steps, h, removal_count, addition_count
+    return QrmPipelineResult(
+        start, pre, inter, code, gate,
+        grown.steps + removed.steps + added.steps,
+        h, len(removed.steps), len(added.steps),
     )
-    result._intermediates = intermediates
-    return result
 
 
 def qrm_pipeline_certificate(

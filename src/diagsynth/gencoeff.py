@@ -176,6 +176,19 @@ def _span_table(code: CssCode, form: tuple[int, int, int]) -> _SpanTable:
 # coset-sum kernels
 
 
+def _span_walk(gate: DiagonalGate, span: list[int], base: int, sign_mask: int = 0) -> Cyclo:
+    """|span|^-1 sum_{c in span} (-1)^(c.sign_mask) d_(base ^ c), exact: the
+    plain Python walk for every gate and code the span table does not serve."""
+    counts = [0] * (1 << gate.level)
+    for c in span:
+        e = entry_exponent_int(gate, base ^ c)
+        if (c & sign_mask).bit_count() & 1:
+            counts[e] -= 1
+        else:
+            counts[e] += 1
+    return Cyclo.from_root_counts(gate.level, counts, len(span).bit_length() - 1)
+
+
 def _sum_x_side(
     code: CssCode, gate: DiagonalGate, sign_mask: int, budget: int
 ) -> Cyclo:
@@ -188,16 +201,8 @@ def _sum_x_side(
         return _span_table(code, form).coefficient(sign_mask, budget)
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} X-side walk", required_log2=dim)
-    y = code.y.bits
-    mod = 1 << gate.level
-    counts = [0] * mod
-    for c in _span_cache(code, "c1", code.c1.row_ints()):
-        k = entry_exponent_int(gate, y ^ c)
-        if (c & sign_mask).bit_count() & 1:
-            counts[k] -= 1
-        else:
-            counts[k] += 1
-    return Cyclo.from_root_counts(gate.level, counts, dim)
+    span = _span_cache(code, "c1", code.c1.row_ints())
+    return _span_walk(gate, span, code.y.bits, sign_mask)
 
 
 def _sum_z_side(
@@ -458,11 +463,7 @@ def _codeword_diagonal(
     c2_span = _span_cache(code, "c2", code.x_stab.row_ints())
     exps = []
     for beta in range(1 << k):
-        base = code.x_word(beta).bits ^ y
-        counts = [0] * mod
-        for x in c2_span:
-            counts[entry_exponent_int(gate, base ^ x)] += 1
-        val = Cyclo.from_root_counts(level, counts, m)
+        val = _span_walk(gate, c2_span, code.x_word(beta).bits ^ y)
         root = val.promote(level).as_root_of_unity()
         if root is None:
             if val.abs_sq() != ONE:
@@ -569,21 +570,10 @@ def split_values(
     # the span table serves the dual route below; other gates walk C1 + w0
     # directly when it is small enough
     if _table_form(gate, code.n) is None and 1 << len(basis) <= min(budget, _PY_SPAN_CAP):
-        shift = w0.bits ^ y
-        mod = 1 << gate.level
+        span = _span_cache(code, "c1", basis)
         for gamma in gammas:
-            s = gamma.bits
-            counts = [0] * mod
-            for c in _span_cache(code, "c1", basis):
-                kexp = entry_exponent_int(gate, shift ^ c)
-                if (c & s).bit_count() & 1:
-                    counts[kexp] -= 1
-                else:
-                    counts[kexp] += 1
-            val = Cyclo.from_root_counts(gate.level, counts, len(basis))
-            if (w0.bits & s).bit_count() & 1:
-                val = -val
-            out[gamma] = val
+            val = _span_walk(gate, span, w0.bits ^ y, gamma.bits)
+            out[gamma] = -val if (w0.bits & gamma.bits).bit_count() & 1 else val
         return out
     # dual route: the difference of the two split halves on the shrunk
     # code recovers each value from that code's coefficients

@@ -21,8 +21,6 @@ from .errors import InadmissibleStep, OddComponent
 from .gates import DiagonalGate, gate_from_json, lift, _as_zrot
 from .gf2 import BitMat, BitVec
 
-_ADMISSIBILITY_K_CAP = 12  # auto checks stop once the new code has more logicals
-
 
 def concatenate(code: CssCode) -> CssCode:
     """The doubled code: X-stabilizers repeat each word on both halves,
@@ -67,7 +65,7 @@ def remove_z(
     still preserves it (the new trivial row keeps unit norm).  Weight-affine
     gates read that row from the new code's span table; other gates split
     the old row with ``split_values``.  ``check`` is "auto" (skip when the
-    new code has too many logicals), "full", or "skip".
+    new code's full row exceeds the row cap), "full", or "skip".
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
@@ -77,7 +75,7 @@ def remove_z(
     admissible: bool | None = None
     norm: Cyclo | None = None
     if gate is not None and check != "skip":
-        if check == "full" or new_code.k <= _ADMISSIBILITY_K_CAP:
+        if check == "full" or 1 << new_code.k <= gencoeff._ROW_CAP:
             if gencoeff._table_form(gate, code.n) is not None:
                 # the new logicals are the old ones and their shifts by gamma0;
                 # listing them from the old code keeps its row cap
@@ -148,7 +146,7 @@ def add_x(
     admissible: bool | None = None
     witness = None
     if gate is not None and check != "skip":
-        if check == "full" or code.k <= _ADMISSIBILITY_K_CAP:
+        if check == "full" or 1 << code.k <= gencoeff._ROW_CAP:
             admissible = True
             for a in range(1 << code.k):
                 gamma = code.z_logical(a)

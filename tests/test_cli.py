@@ -5,6 +5,9 @@ import json
 import pytest
 
 from diagsynth.cli import main
+from diagsynth.csscode import code_to_json
+from diagsynth.families import qrm_code
+from diagsynth.gates import gate_to_json, transversal_zrot
 
 
 def run(capsys, *argv):
@@ -40,6 +43,25 @@ class TestFamily:
         assert rc == 0
         parsed = json.loads(text)
         assert (parsed["n"], parsed["k"]) == (16, 4)
+
+    def test_qrm_pipeline(self, tmp_path, capsys):
+        code_path = tmp_path / "q.json"
+        gate_path = tmp_path / "g.json"
+        rc, text = run(
+            capsys, "family", "qrm_pipeline", "1", "2",
+            "--out", str(code_path), "--gate-out", str(gate_path),
+        )
+        assert rc == 0
+        assert json.loads(text) == {
+            "family": "qrm_pipeline",
+            "params": [1, 2],
+            "final": {"n": 64, "k": 15},
+            "concats": 4,
+            "removals": 19,
+            "additions": 6,
+        }
+        assert json.loads(code_path.read_text()) == code_to_json(qrm_code(2, 6))
+        assert json.loads(gate_path.read_text()) == gate_to_json(transversal_zrot(64, 3))
 
     def test_bad_params_exit_2(self, capsys):
         rc, _ = run(capsys, "family", "qrm", "9")

@@ -244,6 +244,17 @@ class TestQrmPipelineSmall:
         )
         inter = res.intermediate("add_x")
         assert (inter.n, inter.k) == (64, 21)
+        assert [s.kind for s in res.steps] == (
+            ["concat"] * 4 + ["remove_z"] * 19 + ["add_x"] * 6
+        )
+        # auto checks run while the full row fits the row cap (k <= 12)
+        assert [s.admissible for s in res.steps] == [True] * 14 + [None] * 15
+        for prev, step in zip(res.steps, res.steps[1:]):
+            assert step.before == prev.after
+        assert res.steps[0].before == {"n": 4, "k": 2}
+        assert res.steps[-1].after == {"n": 64, "k": 15}
+        assert all("gamma0" in s.detail for s in res.steps if s.kind == "remove_z")
+        assert all("mu0" in s.detail for s in res.steps if s.kind == "add_x")
 
     def test_count_formulas(self):
         r, m = 1, 2

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import pytest
 
 from diagsynth.gf2 import BitVec
 from diagsynth.hierarchy import (
@@ -87,6 +88,15 @@ class TestMatch:
     def test_unmatched(self):
         tpl, name = template_ckz(2, 0)
         assert not match([0, 0, 0, 0], 2, 1, tpl, name).matched
+
+    def test_basis_change_refused_above_cap(self):
+        # GL(5, 2) has about 10^7 matrices: the search must refuse, not run
+        tpl, name = template_ckz(5, 0)
+        exps = [1] + [0] * 31  # no template match, so a search would be exhaustive
+        with pytest.raises(ValueError, match="k <= 4"):
+            match(exps, 5, 1, tpl, name, allow_basis_change=True)
+        with pytest.raises(ValueError, match="k <= 4"):
+            identify(exps, 5, 1, allow_basis_change=True)
 
     def test_identity_first_in_enumeration(self):
         first = next(iter(_invertible_matrices(3)))
