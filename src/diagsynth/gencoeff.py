@@ -9,11 +9,12 @@ attached to X-syndrome mu and Z-logical gamma is the signed coset sum
 
 Both forms are implemented; the engine enumerates whichever side is
 smaller.  Gates whose entry exponent is affine in the Hamming weight
-(transversal rotations and quadratic forms c*I) on n <= 64 qubits get one
-table per code: C1 is enumerated once, with the X-stabilizer rows as the
-low basis bits and the X-logical rows above them, into the exponent array
-e_j of the gate at y ^ c_j.  Reshaped to (2^k, 2^dim C2) that array is the
-induced-diagonal scan, and with t(s)_i = b_i . s every coefficient is
+(transversal rotations and quadratic forms c*I) get one table per code at
+every n: C1 is enumerated once as ceil(n/64) uint64 words per element, with
+the X-stabilizer rows as the low basis bits and the X-logical rows above
+them, into the exponent array e_j of the gate at y ^ c_j.  Reshaped to
+(2^k, 2^dim C2) that array is the induced-diagonal scan, and with
+t(s)_i = b_i . s every coefficient is
 
     A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
 
@@ -75,23 +76,18 @@ def _rot_powers(local, n: int) -> tuple[tuple[Cyclo, ...], tuple[Cyclo, ...]]:
 
 
 # ----------------------------------------------------------------------
-# the C1-span table (weight-affine gates, n <= 64)
-
-
-def _table_form(gate: DiagonalGate, n: int) -> tuple[int, int, int] | None:
-    """The weight-affine form when the span table serves the gate."""
-    return weight_affine_form(gate) if n <= 64 else None
+# the C1-span table (weight-affine gates)
 
 
 def _span_exponents(basis: list[int], y: int, lut: np.ndarray, n: int) -> np.ndarray:
     """lut[wt(y ^ c_j)] for every span element c_j, in binary order.  The
-    span is built in rows of at most 2^16 words to bound the memory."""
+    span is built in rows of at most 2^16 elements to bound the memory."""
     cut = min(len(basis), 16)
-    low = gf2.span_array(basis[:cut], n) ^ np.uint64(y)
-    high = gf2.span_array(basis[cut:], n)
-    out = np.empty((high.size, low.size), dtype=np.uint8)
+    low = gf2.span_words(basis[:cut], n) ^ gf2.int_words(y, n)
+    high = gf2.span_words(basis[cut:], n)
+    out = np.empty((len(high), len(low)), dtype=np.uint8)
     for row, word in zip(out, high):
-        np.take(lut, np.bitwise_count(low ^ word), out=row)
+        np.take(lut, gf2.word_weights(low ^ word), out=row)
     return out.reshape(-1)
 
 
@@ -194,7 +190,7 @@ def _sum_x_side(
 ) -> Cyclo:
     """|C1|^-1 sum_{c in C1} (-1)^(c.sign) d_(y ^ c), exact."""
     dim = code.dim_c1
-    form = _table_form(gate, code.n)
+    form = weight_affine_form(gate)
     if form is not None:
         if 1 << dim > budget:
             raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
@@ -213,7 +209,7 @@ def _sum_z_side(
     dim = len(basis)
     n, y = code.n, code.y.bits
     affine = weight_affine_form(gate)
-    if affine is not None and n <= 64 and isinstance(gate, BlockProductGate):
+    if affine is not None and isinstance(gate, BlockProductGate):
         counts_w = gf2.signed_weight_counts(basis, shift, y, n, budget)
         p0, p1 = _rot_powers(gate.blocks[0][1], n)
         acc = Cyclo.zero()
@@ -444,7 +440,7 @@ def _codeword_diagonal(
         )
     level = gate.level
     mod = 1 << level
-    form = _table_form(gate, code.n)
+    form = weight_affine_form(gate)
     if form is not None:
         rows = _span_table(code, form).exps.reshape(1 << k, 1 << m)
         first = rows[:, 0]
@@ -569,7 +565,7 @@ def split_values(
     out: dict[BitVec, Cyclo] = {}
     # the span table serves the dual route below; other gates walk C1 + w0
     # directly when it is small enough
-    if _table_form(gate, code.n) is None and 1 << len(basis) <= min(budget, _PY_SPAN_CAP):
+    if weight_affine_form(gate) is None and 1 << len(basis) <= min(budget, _PY_SPAN_CAP):
         span = _span_cache(code, "c1", basis)
         for gamma in gammas:
             val = _span_walk(gate, span, w0.bits ^ y, gamma.bits)

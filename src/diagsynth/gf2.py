@@ -4,7 +4,7 @@ A length-n binary vector is stored as a Python int with bit q holding
 qubit q, so qubit 0 is the lowest bit.  In string form qubit 0 is the
 leftmost character: ``BitVec.from_string("0110")`` has support {1, 2}.
 Python ints give free wide XOR and popcount; enumeration-heavy kernels
-switch to numpy uint64 arrays when n <= 64.
+hold a span as numpy uint64 words, ceil(n/64) per element, at every n.
 """
 
 from __future__ import annotations
@@ -208,12 +208,20 @@ def _rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
                 pivrows[p] = cur
                 break
     pivots = sorted(pivrows)
-    # back-eliminate so each pivot column is zero in every other row
+    # Back-eliminate from the highest pivot down.  Rows above p are already
+    # reduced and have no bits below their own pivot, so adding one clears
+    # exactly its pivot bit in row p: only the set bits of p's row in the
+    # higher pivot columns need a visit.
+    above = 0
     for p in reversed(pivots):
         row = pivrows[p]
-        for q in pivots:
-            if q < p and (pivrows[q] >> p) & 1:
-                pivrows[q] ^= row
+        hits = row & above
+        while hits:
+            low = hits & -hits
+            row ^= pivrows[low.bit_length() - 1]
+            hits ^= low
+        pivrows[p] = row
+        above |= 1 << p
     return [pivrows[p] for p in pivots], pivots
 
 
@@ -330,19 +338,44 @@ def span_ints(basis: Sequence[int], budget: int = DEFAULT_BUDGET) -> list[int]:
     return out
 
 
+def _num_words(n: int) -> int:
+    return max(1, -(-n // 64))
+
+
+def int_words(x: int, n: int) -> np.ndarray:
+    """A length-n vector as ceil(n/64) uint64 words, qubits 0..63 first."""
+    return np.array(
+        [(x >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for i in range(_num_words(n))],
+        dtype=np.uint64,
+    )
+
+
+def word_weights(words: np.ndarray) -> np.ndarray:
+    """Hamming weight of every row of a (rows, words) uint64 array."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
+
+
+def span_words(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Span as a (2^m, ceil(n/64)) uint64 array in binary order: row j
+    combines the basis rows named by the bits of j, and column i holds
+    qubits 64i..64i+63.  Stored column-major, so each word column is one
+    contiguous array."""
+    m = len(basis)
+    if 1 << m > budget:
+        raise BudgetExceeded(f"2^{m} span enumeration", required_log2=m)
+    arr = np.zeros((1 << m, _num_words(n)), dtype=np.uint64, order="F")
+    size = 1
+    for b in basis:
+        arr[size : 2 * size] = arr[:size] ^ int_words(b, n)
+        size *= 2
+    return arr
+
+
 def span_array(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Span as a uint64 numpy array; requires n <= 64."""
     if n > 64:
         raise ValueError("span_array supports n <= 64 only")
-    m = len(basis)
-    if 1 << m > budget:
-        raise BudgetExceeded(f"2^{m} span enumeration", required_log2=m)
-    arr = np.zeros(1 << m, dtype=np.uint64)
-    size = 1
-    for b in basis:
-        arr[size : 2 * size] = arr[:size] ^ np.uint64(b)
-        size *= 2
-    return arr
+    return span_words(basis, n, budget)[:, 0]
 
 
 def signed_weight_counts(
@@ -355,18 +388,24 @@ def signed_weight_counts(
     """Signed weight enumerator of a shifted span.
 
     Returns W[w] = sum over span elements c of (-1)^{parity(c & sign_mask)}
-    restricted to weight(c ^ weight_shift) == w.  Exact integers.
+    restricted to weight(c ^ weight_shift) == w.  Exact integers.  The span
+    is built in rows of at most 2^16 elements to bound the memory.
     """
     m = len(basis)
     if 1 << m > budget:
         raise BudgetExceeded(f"2^{m} coset enumeration", required_log2=m)
-    if n <= 64 and 1 << m >= _NUMPY_SPAN_MIN:
-        span = span_array(basis, n, budget)
-        w = np.bitwise_count(span ^ np.uint64(weight_shift)).astype(np.int64)
-        s = (np.bitwise_count(span & np.uint64(sign_mask)) & np.uint8(1)).astype(bool)
-        pos = np.bincount(w[~s], minlength=n + 1)
-        neg = np.bincount(w[s], minlength=n + 1)
-        return [int(p) - int(q) for p, q in zip(pos, neg)]
+    if 1 << m >= _NUMPY_SPAN_MIN:
+        cut = min(m, 16)
+        low = span_words(basis[:cut], n)
+        shift, mask = int_words(weight_shift, n), int_words(sign_mask, n)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for word in span_words(basis[cut:], n):
+            span = low ^ word
+            w = word_weights(span ^ shift)
+            s = (word_weights(span & mask) & 1).astype(bool)
+            counts += np.bincount(w[~s], minlength=n + 1)
+            counts -= np.bincount(w[s], minlength=n + 1)
+        return counts.tolist()
     counts = [0] * (n + 1)
     for c in span_ints(basis, budget):
         w = (c ^ weight_shift).bit_count()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 
 from diagsynth import gf2
@@ -13,6 +15,13 @@ from diagsynth.gates import (
     transversal_zrot,
 )
 from diagsynth.gf2 import BitMat, BitVec
+
+
+def full_words(n: int) -> st.SearchStrategy[int]:
+    """Nonzero n-bit words with every bit equally likely.  Hypothesis' own
+    wide integers favour small values, which would leave the bits above
+    qubit 63 mostly clear."""
+    return st.integers(0, 1 << 64).map(lambda seed: random.Random(seed).getrandbits(n) or 1)
 
 
 @st.composite

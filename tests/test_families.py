@@ -256,6 +256,14 @@ class TestQrmPipelineSmall:
         assert all("gamma0" in s.detail for s in res.steps if s.kind == "remove_z")
         assert all("mu0" in s.detail for s in res.steps if s.kind == "add_x")
 
+    def test_next_step_past_64_qubits(self):
+        # [[8,3,2]] -> [[256,28,8]]: every removal check the row cap allows
+        # runs on the span table at n = 256
+        res = qrm_pipeline(1, 3)
+        assert (res.concat_count, res.removal_count, res.addition_count) == (5, 33, 8)
+        assert [s.admissible for s in res.steps] == [True] * 14 + [None] * 32
+        assert res.final == qrm_code(2, 8)
+
     def test_count_formulas(self):
         r, m = 1, 2
         h = r + m // r + 1

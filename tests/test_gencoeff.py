@@ -221,8 +221,8 @@ class TestDiagonalRoutes:
 
 class TestBeyondWordSize:
     def test_python_paths_past_64_qubits(self):
-        # vectorized kernels require n <= 64; larger codes take the plain
-        # integer walks and must agree with the small-code identities
+        # past one 64-bit word the span table and the split code's table
+        # must agree with the small-code identities
         n = 66
         rep = BitMat.from_strings(["1" * n])
         code = CssCode(n, rep, rep)

@@ -10,6 +10,7 @@ from diagsynth.gf2 import (
     BitVec,
     Reducer,
     WeightResult,
+    _rref_ints,
     coset_reps,
     contains,
     dual_basis,
@@ -17,10 +18,12 @@ from diagsynth.gf2 import (
     quotient_basis,
     rref,
     signed_weight_counts,
+    span_array,
     span_ints,
+    span_words,
 )
 
-from conftest import bitmats
+from conftest import bitmats, full_words
 
 STEANE_H = ["1111000", "1100110", "1010101"]
 
@@ -74,6 +77,45 @@ class TestRref:
             assert red.contains(row)
         assert len(piv) == len(r.rows)
         assert list(piv) == sorted(piv)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_quadratic_back_elimination(self, data):
+        n = data.draw(st.sampled_from([8, 64, 65, 130, 256]) | st.integers(1, 256))
+        rows = data.draw(st.lists(full_words(n) | st.integers(0, (1 << n) - 1), max_size=min(n, 40)))
+        want = _rref_reference(rows)
+        assert _rref_ints(rows) == want
+        # an already-reduced matrix, also reversed and combined row by row
+        assert _rref_ints(want[0]) == want
+        mixed = [r ^ want[0][0] for r in reversed(want[0][1:])] + want[0][:1]
+        assert _rref_ints(mixed) == want
+
+    def test_dense_upper_triangle_at_256(self):
+        # every row starts at its own pivot and covers all columns above it,
+        # so every back-elimination step has work to do
+        rows = [((1 << 256) - 1) ^ ((1 << p) - 1) for p in range(0, 256, 3)]
+        assert _rref_ints(rows) == _rref_reference(rows)
+
+
+def _rref_reference(rows):
+    """The quadratic back-elimination: for each pivot p from the top, clear
+    column p in every lower-pivot row."""
+    pivrows = {}
+    for r in rows:
+        cur = r
+        while cur:
+            p = (cur & -cur).bit_length() - 1
+            if p in pivrows:
+                cur ^= pivrows[p]
+            else:
+                pivrows[p] = cur
+                break
+    pivots = sorted(pivrows)
+    for p in reversed(pivots):
+        for q in pivots:
+            if q < p and (pivrows[q] >> p) & 1:
+                pivrows[q] ^= pivrows[p]
+    return [pivrows[p] for p in pivots], pivots
 
 
 class TestDual:
@@ -231,6 +273,44 @@ class TestSignedWeightCounts:
             w = (c ^ shift).bit_count()
             direct[w] += -1 if (c & sign).bit_count() & 1 else 1
         assert counts == direct
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_word_arrays_match_direct_enumeration(self, data):
+        # 2^12..2^17 elements take the numpy route, past 2^16 in several rows;
+        # n up to 130 spans up to three words
+        n = data.draw(st.sampled_from([63, 64, 65, 128, 129, 130]) | st.integers(2, 130))
+        m = data.draw(st.integers(12, 17))
+        basis = [data.draw(full_words(n)) for _ in range(m)]
+        shift = data.draw(full_words(n))
+        sign = data.draw(full_words(n))
+        direct = [0] * (n + 1)
+        for c in span_ints(basis):
+            direct[(c ^ shift).bit_count()] += -1 if (c & sign).bit_count() & 1 else 1
+        assert signed_weight_counts(basis, shift, sign, n) == direct
+
+
+class TestSpanWords:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_reassemble_span_ints(self, data):
+        n = data.draw(st.sampled_from([64, 65, 128, 256]) | st.integers(1, 256))
+        basis = data.draw(st.lists(full_words(n), max_size=9))
+        words = span_words(basis, n)
+        assert words.shape == (1 << len(basis), -(-n // 64))
+        for row, want in zip(words.tolist(), span_ints(basis)):
+            assert sum(w << (64 * i) for i, w in enumerate(row)) == want
+        if n <= 64:
+            assert span_array(basis, n).tolist() == span_ints(basis)
+
+    def test_budget_and_width_guards(self):
+        from diagsynth.errors import BudgetExceeded
+
+        with pytest.raises(BudgetExceeded) as exc:
+            span_words([1, 2, 4], 256, budget=4)
+        assert exc.value.required_log2 == 3
+        with pytest.raises(ValueError):
+            span_array([1], 65)
 
 
 def test_exact_mode_at_dimension_12():

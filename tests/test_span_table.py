@@ -1,13 +1,17 @@
 """Differential tests of the C1-span table kernel.
 
-Weight-affine gates (transversal rotations and quadratic forms c*I) on
-n <= 64 qubits read every coefficient, the induced-diagonal scan and the
-removal norm from one enumeration of C1.  Each test here recomputes the
-same quantity with a plain Python sum over ``entry_exponent_int`` written
-in the test, and where it is affordable with the Z-side walk.
+Weight-affine gates (transversal rotations and quadratic forms c*I) read
+every coefficient, the induced-diagonal scan and the removal norm from one
+enumeration of C1, held as ceil(n/64) uint64 words per element.  Each test
+here recomputes the same quantity with a plain Python sum over
+``entry_exponent_int`` written in the test, and where it is affordable with
+the Z-side walk.  From n = 60 up the two sides cannot both be enumerated,
+since dim C1 + dim C1perp = n; there the Z side is checked against its own
+defining sum, written in the test.
 """
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -15,23 +19,28 @@ from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import LEVEL_CAP, Cyclo
 from diagsynth.errors import BudgetExceeded
-from diagsynth.families import four22_code, steane_code
+from diagsynth.families import four22_code, qrm_code, rm_generator, steane_code
 from diagsynth.gates import (
     BlockProductGate,
     entry_exponent_int,
+    pauli_coeff,
     qfd_gate,
     transversal_zrot,
     weight_affine_form,
 )
 from diagsynth.gf2 import BitMat, BitVec
-from diagsynth.synth import remove_z
+from diagsynth.synth import concatenate, remove_z
+
+from conftest import full_words
 
 
 @st.composite
-def codes_with_c1_dim(draw, n, dim):
+def codes_with_c1_dim(draw, n, dim, words=None):
     """A code on n qubits whose C1 is spanned by ``dim`` random words, with
     a random C2 inside it and a nonzero character vector."""
-    rows = [draw(st.integers(1, (1 << n) - 1)) for _ in range(dim)]
+    if words is None:
+        words = st.integers(1, (1 << n) - 1)
+    rows = [draw(words) for _ in range(dim)]
     c1, _ = gf2.rref(BitMat(n, [BitVec(n, r) for r in rows]))
     x_rows = []
     for _ in range(draw(st.integers(0, c1.num_rows))):
@@ -42,7 +51,7 @@ def codes_with_c1_dim(draw, n, dim):
                 acc ^= row
         x_rows.append(BitVec(n, acc))
     x_stab, _ = gf2.rref(BitMat(n, x_rows))
-    y = BitVec(n, draw(st.integers(1, (1 << n) - 1)))
+    y = BitVec(n, draw(words))
     return CssCode(n, x_stab, gf2.dual_basis(c1), y)
 
 
@@ -62,6 +71,23 @@ def wide_cases(draw, max_dim=9):
     n = draw(st.sampled_from([63, 64]) | st.integers(8, 64))
     code = draw(codes_with_c1_dim(n, draw(st.integers(1, max_dim))))
     return code, draw(affine_gates(n))
+
+
+@st.composite
+def past_word_cases(draw, max_dim=9):
+    """n in 60..70 with 64 and 65 drawn often, sometimes 128 or 256; c*I
+    forms, whose reference walk is quadratic in n, stay at n <= 70."""
+    n = draw(
+        st.sampled_from([64, 65])
+        | st.integers(60, 70)
+        | st.sampled_from([64, 65])
+        | st.sampled_from([128, 256])
+    )
+    code = draw(codes_with_c1_dim(n, draw(st.integers(1, max_dim)), full_words(n)))
+    gate = draw(affine_gates(n)) if n <= 70 else transversal_zrot(
+        n, draw(st.integers(1, LEVEL_CAP - 1))
+    )
+    return code, gate
 
 
 def ref_x_sum(code, gate, sign_mask, shift=None):
@@ -89,6 +115,21 @@ def ref_scan(code, gate):
             return False, None, (beta, val)
         exps.append(root)
     return True, exps, None
+
+
+def ref_z_sum(code, gate, shift):
+    """sum over z in C1perp + shift of (-1)^(z.y) f(z), over Python ints.  A
+    transversal rotation's Pauli coefficient depends on the weight only, so
+    each weight's value is computed once, at its first word."""
+    by_weight = {}
+    acc = Cyclo.zero()
+    for c in gf2.span_ints(code.z_stab.row_ints()):
+        z = c ^ shift
+        w = z.bit_count()
+        if w not in by_weight:
+            by_weight[w] = pauli_coeff(gate, BitVec(code.n, z))
+        acc = acc - by_weight[w] if (z & code.y.bits).bit_count() & 1 else acc + by_weight[w]
+    return acc
 
 
 def random_sign(draw, code):
@@ -140,6 +181,93 @@ class TestCoefficients:
         if cert["nonzero_witness"] is not None:
             mu, gamma, val = cert["nonzero_witness"]
             assert val == ref_x_sum(code, gate, mu.bits ^ gamma.bits)
+
+
+class TestPastOneWord:
+    @given(past_word_cases(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_matches_reference_sum(self, case, data):
+        code, gate = case
+        s = random_sign(data.draw, code)
+        want = ref_x_sum(code, gate, s)
+        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
+        fresh = gencoeff._SpanTable(code, weight_affine_form(gate))
+        assert fresh.coefficient(s, budget=1) == want
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_z_side_matches_reference_sum(self, data):
+        # 2^12..2^13 words take the numpy weight enumerator
+        n = data.draw(st.sampled_from([64, 65]) | st.integers(60, 70) | st.just(128))
+        z_rows = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(12, 13)))]
+        z_stab, _ = gf2.rref(BitMat(n, [BitVec(n, r) for r in z_rows]))
+        y = BitVec(n, data.draw(full_words(n)))
+        code = CssCode(n, BitMat.empty(n), z_stab, y)
+        gate = transversal_zrot(n, data.draw(st.integers(1, LEVEL_CAP - 1)))
+        shift = data.draw(full_words(n))
+        assert gencoeff._sum_z_side(code, gate, shift, 1 << 26) == ref_z_sum(
+            code, gate, shift
+        )
+
+    @given(past_word_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_scan_matches_reference(self, case):
+        code, gate = case
+        assert gencoeff._codeword_diagonal(code, gate, 1 << 26) == ref_scan(code, gate)
+
+    @given(st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_exponents_past_one_row(self, data):
+        # more than 16 basis rows: the table is built in several rows of
+        # 2^16 words each
+        n = data.draw(st.sampled_from([65, 130, 256]))
+        basis = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(17, 18)))]
+        y = data.draw(full_words(n))
+        lut = np.array([(3 + 5 * w) % 16 for w in range(n + 1)], dtype=np.uint8)
+        want = [int(lut[(y ^ c).bit_count()]) for c in gf2.span_ints(basis)]
+        assert gencoeff._span_exponents(basis, y, lut, n).tolist() == want
+
+    @pytest.mark.parametrize("n", [65, 256])
+    def test_padded_422_t_witness(self, n):
+        # [[4,2,2]] on qubits 0..3, every other qubit fixed by a Z-stabilizer
+        z_rows = [BitVec.from_support(n, range(4))]
+        z_rows += [BitVec.unit(n, q) for q in range(4, n)]
+        code = CssCode(n, BitMat(n, z_rows[:1]), BitMat(n, z_rows))
+        gate = transversal_zrot(n, 3)
+        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        assert not ok and exps is None
+        assert (ok, exps, witness) == ref_scan(code, gate)
+        assert witness[1].abs_sq() != Cyclo.one()
+
+    @given(past_word_cases(max_dim=7), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_removal_norm_equals_split_identity(self, case, data):
+        code, gate = case
+        assume(code.k <= 5 and code.dim_c1perp > 0)
+        w0 = BitVec(code.n, data.draw(full_words(code.n)))
+        assume(not code.c1_reducer.contains(w0))
+        res = remove_z(code, gate, w0, check="full")
+        norm = Cyclo.zero()
+        for a_idx in range(1 << code.k):
+            g = code.z_logical(a_idx).bits
+            a = ref_x_sum(code, gate, g)
+            s = ref_x_sum(code, gate, g, shift=w0.bits ^ code.y.bits)
+            if (w0.bits & g).bit_count() & 1:
+                s = -s
+            norm = norm + (a + s).scaled(1).abs_sq() + (a - s).scaled(1).abs_sq()
+        assert res.new_row_norm == norm
+
+    def test_wide_removal_reads_the_span_table(self):
+        # [[256,3]] after five concatenations: the removal check must come
+        # from the new code's table, not from a per-entry Python walk
+        code = qrm_code(1, 3)
+        for _ in range(5):
+            code = concatenate(code)
+        w0 = gf2.quotient_basis(rm_generator(2, 8), code.c1).rows[0]
+        res = remove_z(code, transversal_zrot(256, 4), w0)
+        assert (res.code.n, res.code.k) == (256, 4)
+        assert res.admissible is True
+        assert res.code._caches.get("span_table")
 
 
 class TestScan:
