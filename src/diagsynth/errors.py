@@ -29,17 +29,6 @@ class NotPreserved(DiagSynthError, RuntimeError):
     that does not preserve the code."""
 
 
-class NonUnimodularEntry(DiagSynthError, RuntimeError):
-    """A diagonal entry expected to be a root of unity is not one.
-
-    ``witness`` holds the offending (index, value) pair.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class OddComponent(DiagSynthError, ValueError):
     """A qubit-graph component has odd size, so no sign-balanced character
     vector exists."""

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
+import numpy as np
+
+from . import gf2
 from .cyclo import LEVEL_CAP, Cyclo
 from .errors import LengthMismatch
 from .gf2 import BitVec
@@ -193,6 +196,71 @@ def entry_exponent_int(gate: DiagonalGate, u: int) -> int:
     return acc % mod
 
 
+def _unpacked_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) uint8 array whose column q is qubit q of each word row."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def _word_exponents(gate: DiagonalGate) -> Callable[[np.ndarray], np.ndarray]:
+    """The gate's exponent as a function of a (rows, ceil(n/64)) uint64
+    word array, returning uint8.  Sums are taken in uint8 and so wrap mod
+    256, a multiple of 2^level."""
+    n, mask = gate.n, (1 << gate.level) - 1
+    if gate.weight_affine is not None:
+        off, slope, _ = gate.weight_affine
+        lut = np.array([(off + slope * w) & mask for w in range(n + 1)], dtype=np.uint8)
+        return lambda words: lut[gf2.word_weights(words)]
+    if isinstance(gate, BlockProductGate):
+        tables = [
+            np.array([e << (gate.level - local.level) for e in local.exps], dtype=np.uint8)
+            for _, local in gate.blocks
+        ]
+
+        def block_exps(words: np.ndarray) -> np.ndarray:
+            bits = _unpacked_bits(words, n)
+            total = np.zeros(len(bits), dtype=np.uint8)
+            for (qubits, _), table in zip(gate.blocks, tables):
+                idx = bits[:, qubits[0]]
+                for q in qubits[1:]:
+                    idx = (idx << 1) | bits[:, q]
+                total += table[idx]
+            return total & mask
+
+        return block_exps
+    # u R through BLAS in slices of 2^12 rows; float32 is exact, since each
+    # sum is at most 255 n < 2^24 (n < 65,794: no larger n x n form fits
+    # in memory)
+    rows = np.array(gate.rows, dtype=np.float32)
+
+    def form_exps(words: np.ndarray) -> np.ndarray:
+        bits = _unpacked_bits(words, n)
+        out = np.empty(len(bits), dtype=np.uint8)
+        for lo in range(0, len(bits), 1 << 12):
+            b = bits[lo : lo + (1 << 12)]
+            ur = (b.astype(np.float32) @ rows).astype(np.int64)
+            out[lo : lo + len(b)] = (ur * b).sum(axis=1) & mask
+        return out
+
+    return form_exps
+
+
+def span_exponents(gate: DiagonalGate, basis: Sequence[int], y: int) -> np.ndarray:
+    """The gate's exponent at y ^ c_j for every element c_j of the span of
+    ``basis``, in binary order (c_j combines the basis rows named by the
+    bits of j), as uint8.  The span is built in rows of at most 2^16
+    elements to bound the memory."""
+    n = gate.n
+    exps = _word_exponents(gate)
+    cut = min(len(basis), 16)
+    low = gf2.span_words(basis[:cut], n) ^ gf2.int_words(y, n)
+    high = gf2.span_words(basis[cut:], n)
+    out = np.empty((len(high), len(low)), dtype=np.uint8)
+    for row, word in zip(out, high):
+        row[:] = exps(low ^ word)
+    return out.reshape(-1)
+
+
 def entry_exponent(gate: DiagonalGate, u: BitVec) -> int:
     if u.n != gate.n:
         raise LengthMismatch(f"length {u.n} vs gate on {gate.n}")
@@ -256,14 +324,12 @@ def pauli_coeff(gate: DiagonalGate, v: BitVec) -> Cyclo:
         return acc
     if gate.n > 20:
         raise ValueError("dense Pauli expansion limited to n <= 20")
+    # the 2^n cube is the span of the unit vectors, in binary order
     mod = 1 << gate.level
-    counts = [0] * mod
-    for u in range(1 << gate.n):
-        k = entry_exponent_int(gate, u)
-        if (u & v.bits).bit_count() & 1:
-            k = (k + (mod >> 1)) % mod
-        counts[k] += 1
-    return Cyclo.from_root_counts(gate.level, counts, gate.n)
+    exps = span_exponents(gate, [1 << q for q in range(gate.n)], 0).astype(np.intp)
+    odd = np.bitwise_count(np.arange(1 << gate.n, dtype=np.uint64) & np.uint64(v.bits)) & 1
+    counts = np.bincount((exps + odd * (mod >> 1)) % mod, minlength=mod)
+    return Cyclo.from_root_counts(gate.level, counts.tolist(), gate.n)
 
 
 # ----------------------------------------------------------------------

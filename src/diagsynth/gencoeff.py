@@ -8,20 +8,19 @@ attached to X-syndrome mu and Z-logical gamma is the signed coset sum
                  = |C1|^-1 sum_{u in C1 + y} (-1)^((mu^gamma).(y^u)) d_u.
 
 Both forms are implemented; the engine enumerates whichever side is
-smaller.  Gates whose entry exponent is affine in the Hamming weight
-(transversal rotations and quadratic forms c*I) get one table per code at
-every n: C1 is enumerated once as ceil(n/64) uint64 words per element, with
-the X-stabilizer rows as the low basis bits and the X-logical rows above
-them, into the exponent array e_j of the gate at y ^ c_j.  Reshaped to
+smaller.  Every gate gets one table per code at every n: C1 is enumerated
+once as ceil(n/64) uint64 words per element, with the X-stabilizer rows as
+the low basis bits and the X-logical rows above them, into the exponent
+array e_j of the gate at y ^ c_j (``gates.span_exponents``).  Reshaped to
 (2^k, 2^dim C2) that array is the induced-diagonal scan, and with
 t(s)_i = b_i . s every coefficient is
 
     A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
 
 one Walsh-Hadamard transform per residue channel, read by lookup.  The
-Z side keeps its signed weight enumerator as the independent check, and
-every other gate takes a plain Python walk with a budget guard.  All
-results are exact ring elements.
+Z side is the independent check: a signed weight enumerator for
+transversal rotations, and a plain Python walk with a budget guard for
+every other gate.  All results are exact ring elements.
 """
 
 from __future__ import annotations
@@ -35,18 +34,18 @@ import numpy as np
 from . import gf2
 from .csscode import CssCode, LogicalFrame
 from .cyclo import ONE, Cyclo
-from .errors import BudgetExceeded, NonUnimodularEntry, NotPreserved
+from .errors import BudgetExceeded, NotPreserved
 from .gates import (
     BlockProductGate,
     DiagonalGate,
-    entry_exponent_int,
     pauli_coeff,
+    span_exponents,
     weight_affine_form,
     _block_pauli_table,
 )
 from .gf2 import BitVec
 
-_PY_SPAN_CAP = 1 << 16  # generic Python walks beyond this are refused
+_PY_SPAN_CAP = 1 << 16  # generic Z-side Python walks beyond this are refused
 _ROW_CAP = 1 << 12  # full rows/tables above this need explicit sampling
 
 
@@ -76,19 +75,7 @@ def _rot_powers(local, n: int) -> tuple[tuple[Cyclo, ...], tuple[Cyclo, ...]]:
 
 
 # ----------------------------------------------------------------------
-# the C1-span table (weight-affine gates)
-
-
-def _span_exponents(basis: list[int], y: int, lut: np.ndarray, n: int) -> np.ndarray:
-    """lut[wt(y ^ c_j)] for every span element c_j, in binary order.  The
-    span is built in rows of at most 2^16 elements to bound the memory."""
-    cut = min(len(basis), 16)
-    low = gf2.span_words(basis[:cut], n) ^ gf2.int_words(y, n)
-    high = gf2.span_words(basis[cut:], n)
-    out = np.empty((len(high), len(low)), dtype=np.uint8)
-    for row, word in zip(out, high):
-        np.take(lut, gf2.word_weights(low ^ word), out=row)
-    return out.reshape(-1)
+# the C1-span table
 
 
 def _wht_rows(a: np.ndarray) -> None:
@@ -104,7 +91,7 @@ def _wht_rows(a: np.ndarray) -> None:
 
 
 class _SpanTable:
-    """One weight-affine gate over the C1 span of one code.
+    """One diagonal gate over the C1 span of one code.
 
     ``exps[j]`` is the gate's exponent at y ^ c_j, where c_j combines the
     basis rows named by the bits of j: first the X-stabilizer rows, then
@@ -116,14 +103,12 @@ class _SpanTable:
     direct signed sum over ``exps``.
     """
 
-    def __init__(self, code: CssCode, form: tuple[int, int, int]):
-        off, slope, level = form
-        mod = 1 << level
-        self.level = level
+    def __init__(self, code: CssCode, gate: DiagonalGate):
+        self.level = gate.level
         self.basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
         self.dim = len(self.basis)
-        lut = np.array([(off + slope * w) % mod for w in range(code.n + 1)], dtype=np.uint8)
-        self.exps = _span_exponents(self.basis, code.y.bits, lut, code.n)
+        self.exps = span_exponents(gate, self.basis, code.y.bits)
+        mod = 1 << self.level
         half = mod >> 1
         present = np.flatnonzero(np.bincount(self.exps, minlength=mod))
         self.channels = sorted({int(r) % half for r in present})
@@ -161,28 +146,19 @@ class _SpanTable:
         return Cyclo(self.level, coeffs, self.dim)
 
 
-def _span_table(code: CssCode, form: tuple[int, int, int]) -> _SpanTable:
+def _span_table(code: CssCode, gate: DiagonalGate) -> _SpanTable:
+    """The code's table for the gate.  Weight-affine gates share one table
+    per form, so the lookup never hashes a gate's blocks on that route."""
     cache = code._caches.setdefault("span_table", {})
-    if form not in cache:
-        cache[form] = _SpanTable(code, form)
-    return cache[form]
+    key = gate.weight_affine or gate
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = _SpanTable(code, gate)
+    return table
 
 
 # ----------------------------------------------------------------------
 # coset-sum kernels
-
-
-def _span_walk(gate: DiagonalGate, span: list[int], base: int, sign_mask: int = 0) -> Cyclo:
-    """|span|^-1 sum_{c in span} (-1)^(c.sign_mask) d_(base ^ c), exact: the
-    plain Python walk for every gate and code the span table does not serve."""
-    counts = [0] * (1 << gate.level)
-    for c in span:
-        e = entry_exponent_int(gate, base ^ c)
-        if (c & sign_mask).bit_count() & 1:
-            counts[e] -= 1
-        else:
-            counts[e] += 1
-    return Cyclo.from_root_counts(gate.level, counts, len(span).bit_length() - 1)
 
 
 def _sum_x_side(
@@ -190,15 +166,9 @@ def _sum_x_side(
 ) -> Cyclo:
     """|C1|^-1 sum_{c in C1} (-1)^(c.sign) d_(y ^ c), exact."""
     dim = code.dim_c1
-    form = weight_affine_form(gate)
-    if form is not None:
-        if 1 << dim > budget:
-            raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
-        return _span_table(code, form).coefficient(sign_mask, budget)
-    if 1 << dim > min(budget, _PY_SPAN_CAP):
-        raise BudgetExceeded(f"2^{dim} X-side walk", required_log2=dim)
-    span = _span_cache(code, "c1", code.c1.row_ints())
-    return _span_walk(gate, span, code.y.bits, sign_mask)
+    if 1 << dim > budget:
+        raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
+    return _span_table(code, gate).coefficient(sign_mask, budget)
 
 
 def _sum_z_side(
@@ -221,6 +191,9 @@ def _sum_z_side(
         return acc
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} Z-side walk", required_log2=dim)
+    if n > 20 and not isinstance(gate, BlockProductGate):
+        # pauli_coeff expands a quadratic form densely over 2^n inputs
+        raise BudgetExceeded(f"2^{n} dense Pauli expansion", required_log2=n)
     acc = Cyclo.zero()
     for c in _span_cache(code, "c1perp", basis):
         z = c ^ shift
@@ -438,38 +411,14 @@ def _codeword_diagonal(
         raise BudgetExceeded(
             f"2^{k + m} codeword scan", required_log2=k + m
         )
-    level = gate.level
-    mod = 1 << level
-    form = weight_affine_form(gate)
-    if form is not None:
-        rows = _span_table(code, form).exps.reshape(1 << k, 1 << m)
-        first = rows[:, 0]
-        uneven = np.flatnonzero((rows != first[:, None]).any(axis=1))
-        if not uneven.size:
-            return True, first.tolist(), None
-        beta = int(uneven[0])
-        counts = np.bincount(rows[beta], minlength=mod).tolist()
-        return False, None, (beta, Cyclo.from_root_counts(level, counts, m))
-    # generic Python path
-    if 1 << (k + m) > _PY_SPAN_CAP:
-        raise BudgetExceeded(
-            f"2^{k + m} codeword scan (generic gate)", required_log2=k + m
-        )
-    y = code.y.bits
-    c2_span = _span_cache(code, "c2", code.x_stab.row_ints())
-    exps = []
-    for beta in range(1 << k):
-        val = _span_walk(gate, c2_span, code.x_word(beta).bits ^ y)
-        root = val.promote(level).as_root_of_unity()
-        if root is None:
-            if val.abs_sq() != ONE:
-                return False, None, (beta, val)
-            raise NonUnimodularEntry(
-                "diagonal entry is unimodular but not a root of unity",
-                witness=(beta, val),
-            )
-        exps.append(root)
-    return True, exps, None
+    rows = _span_table(code, gate).exps.reshape(1 << k, 1 << m)
+    first = rows[:, 0]
+    uneven = np.flatnonzero((rows != first[:, None]).any(axis=1))
+    if not uneven.size:
+        return True, first.tolist(), None
+    beta = int(uneven[0])
+    counts = np.bincount(rows[beta], minlength=1 << gate.level).tolist()
+    return False, None, (beta, Cyclo.from_root_counts(gate.level, counts, m))
 
 
 def logical_diagonal_exponents(
@@ -551,7 +500,9 @@ def split_values(
         s(gamma) = |C1|^-1 sum_{u in C1 + w0} (-1)^(gamma.u) d(u ^ y).
 
     Splitting a coefficient A into the two coefficients of the code with w0
-    adjoined gives (A + s)/2 and (A - s)/2.
+    adjoined gives (A + s)/2 and (A - s)/2, so each value is read as the
+    difference of those two coefficients on the split code (one dimension
+    more of C1), from its span table or its Z side.
     """
     _check_gate(code, gate)
     if w0.n != code.n:
@@ -560,28 +511,13 @@ def split_values(
         raise ValueError("w0 lies in C1: removal would not create a new logical")
     if gammas is None:
         gammas = _all_gammas(code)
-    basis = code.c1.row_ints()
-    y = code.y.bits
-    out: dict[BitVec, Cyclo] = {}
-    # the span table serves the dual route below; other gates walk C1 + w0
-    # directly when it is small enough
-    if weight_affine_form(gate) is None and 1 << len(basis) <= min(budget, _PY_SPAN_CAP):
-        span = _span_cache(code, "c1", basis)
-        for gamma in gammas:
-            val = _span_walk(gate, span, w0.bits ^ y, gamma.bits)
-            out[gamma] = -val if (w0.bits & gamma.bits).bit_count() & 1 else val
-        return out
-    # dual route: the difference of the two split halves on the shrunk
-    # code recovers each value from that code's coefficients
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
-    split_code = CssCode(code.n, code.x_stab, new_z, BitVec(code.n, y))
-    for gamma in gammas:
-        a_plus = _coefficient_int(split_code, gate, gamma.bits, budget)
-        a_minus = _coefficient_int(
-            split_code, gate, gamma.bits ^ gamma0.bits, budget
-        )
-        out[gamma] = a_plus - a_minus
-    return out
+    split_code = CssCode(code.n, code.x_stab, new_z, code.y)
+    return {
+        gamma: _coefficient_int(split_code, gate, gamma.bits, budget)
+        - _coefficient_int(split_code, gate, gamma.bits ^ gamma0.bits, budget)
+        for gamma in gammas
+    }
 
 
 # ----------------------------------------------------------------------

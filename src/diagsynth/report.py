@@ -6,7 +6,7 @@ from typing import Any
 
 from . import gencoeff, gf2, hierarchy, oracle
 from .csscode import CssCode, code_to_json
-from .errors import BudgetExceeded, NonUnimodularEntry
+from .errors import BudgetExceeded
 from .gates import DiagonalGate, gate_to_json
 
 
@@ -25,7 +25,7 @@ def code_summary(code: CssCode, w_max: int, budget: int) -> dict[str, Any]:
 def logical_summary(code: CssCode, gate: DiagonalGate, budget: int) -> dict[str, Any]:
     try:
         diag = gencoeff.induced_logical(code, gate, budget=budget)
-    except (BudgetExceeded, NonUnimodularEntry) as exc:
+    except BudgetExceeded as exc:
         return {"available": False, "reason": str(exc)}
     poly = hierarchy.phase_polynomial(list(diag.exps), diag.k, diag.level)
     out: dict[str, Any] = {

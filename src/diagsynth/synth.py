@@ -18,7 +18,7 @@ from . import gencoeff, gf2
 from .csscode import CssCode
 from .cyclo import ONE, Cyclo
 from .errors import InadmissibleStep, OddComponent
-from .gates import DiagonalGate, gate_from_json, lift, weight_affine_form, _as_zrot
+from .gates import DiagonalGate, gate_from_json, lift, _as_zrot
 from .gf2 import BitMat, BitVec
 
 
@@ -62,9 +62,8 @@ def remove_z(
     """Remove the Z-stabilizer paired with the new X-logical w0.
 
     The new code always comes back; ``admissible`` reports whether the gate
-    still preserves it (the new trivial row keeps unit norm).  Weight-affine
-    gates read that row from the new code's span table at every n; other
-    gates split the old row with ``split_values``.  ``check`` is "auto"
+    still preserves it (the new trivial row keeps unit norm), read from the
+    new code's span table or its Z side.  ``check`` is "auto"
     (skip when the new code's full row exceeds the row cap), "full", or
     "skip".
     """
@@ -77,25 +76,13 @@ def remove_z(
     norm: Cyclo | None = None
     if gate is not None and check != "skip":
         if check == "full" or 1 << new_code.k <= gencoeff._ROW_CAP:
-            if weight_affine_form(gate) is not None:
-                # the new logicals are the old ones and their shifts by gamma0,
-                # all in C2-perp by construction; listing them from the old
-                # code keeps its row cap
-                old = gencoeff._all_gammas(code)
-                gammas = old + [g ^ gamma0 for g in old]
-                zero = BitVec.zeros(code.n)
-                norm = gencoeff.syndrome_row(new_code, gate, zero, gammas, budget).norm()
-            else:
-                old_row = gencoeff.trivial_row(code, gate, budget=budget)
-                svals = gencoeff.split_values(
-                    code, gate, w0, gammas=list(old_row.entries), budget=budget
-                )
-                norm = Cyclo.zero()
-                for g, a in old_row.entries.items():
-                    s = svals[g]
-                    plus = (a + s).scaled(1)
-                    minus = (a - s).scaled(1)
-                    norm = norm + plus.abs_sq() + minus.abs_sq()
+            # the new logicals are the old ones and their shifts by gamma0,
+            # all in C2-perp by construction; listing them from the old
+            # code keeps its row cap
+            old = gencoeff._all_gammas(code)
+            gammas = old + [g ^ gamma0 for g in old]
+            zero = BitVec.zeros(code.n)
+            norm = gencoeff.syndrome_row(new_code, gate, zero, gammas, budget).norm()
             admissible = norm == ONE
     return RemovalResult(new_code, gamma0, admissible, norm)
 

@@ -8,10 +8,14 @@ import hypothesis.strategies as st
 
 from diagsynth import gf2
 from diagsynth.csscode import CssCode
+from diagsynth.cyclo import LEVEL_CAP
 from diagsynth.gates import (
+    BLOCK_CAP,
     BlockProductGate,
     LocalDiag,
     QfdGate,
+    block_gate,
+    qfd_gate,
     transversal_zrot,
 )
 from diagsynth.gf2 import BitMat, BitVec
@@ -128,3 +132,46 @@ def codes_with_gates(draw, max_n: int = 8, min_k: int = 0):
     code = draw(css_codes(max_n=max_n, min_k=min_k))
     gate = draw(diagonal_gates(code.n))
     return code, gate
+
+
+@st.composite
+def seeded_gates(draw, n: int, kinds=("block", "qfd", "rot", "scalar")):
+    """A gate of one of four kinds, built from one drawn seed so that wide
+    gates cost few draws: a block product of 1..BLOCK_CAP-qubit blocks with
+    some qubits left uncovered (past 64 qubits a block always straddles
+    qubits 63 and 64), a general quadratic form, a transversal rotation or
+    a quadratic form c*I.  Levels reach LEVEL_CAP."""
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 1 << 64)))
+    if kind == "rot":
+        return transversal_zrot(n, rng.randint(1, LEVEL_CAP - 1))
+    level = rng.randint(1, LEVEL_CAP)
+    mod = 1 << level
+    if kind == "scalar":
+        c = rng.randrange(mod)
+        return qfd_gate(n, level, [[c if i == j else 0 for j in range(n)] for i in range(n)])
+    if kind == "qfd":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(mod)
+        return qfd_gate(n, level, rows)
+    qubits = rng.sample(range(n), n)
+    groups = []
+    if n > 64:
+        qubits.remove(63)
+        qubits.remove(64)
+        groups.append([63, 64] + qubits[: rng.randint(0, BLOCK_CAP - 2)])
+        qubits = qubits[len(groups[0]) - 2 :]
+        rng.shuffle(groups[0])
+    while qubits:
+        b = rng.randint(1, BLOCK_CAP)
+        if rng.random() < 0.75:
+            groups.append(qubits[:b])
+        qubits = qubits[b:]
+    blocks = []
+    for qs in groups:
+        lvl = rng.randint(1, level)
+        exps = tuple(rng.randrange(1 << lvl) for _ in range(1 << len(qs)))
+        blocks.append((qs, LocalDiag(len(qs), lvl, exps)))
+    return block_gate(n, blocks)

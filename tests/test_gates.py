@@ -2,6 +2,9 @@
 
 import cmath
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,12 +23,13 @@ from diagsynth.gates import (
     lift,
     pauli_coeff,
     qfd_gate,
+    span_exponents,
     transversal_zrot,
     weight_affine_form,
 )
 from diagsynth.gf2 import BitVec
 
-from conftest import block_gates, qfd_gates
+from conftest import block_gates, full_words, qfd_gates, seeded_gates
 
 
 class TestConstructors:
@@ -198,6 +202,65 @@ class TestAffineForm:
     def test_uniform_qfd_affine(self):
         g = qfd_gate(3, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert weight_affine_form(g) == (0, 1, 2)
+
+
+def span_element(basis, j):
+    """The span element c_j: the basis rows named by the bits of j."""
+    c = 0
+    for i, b in enumerate(basis):
+        if (j >> i) & 1:
+            c ^= b
+    return c
+
+
+def check_span_exponents(gate, basis, y, positions):
+    got = span_exponents(gate, basis, y)
+    assert got.dtype == np.uint8 and got.shape == (1 << len(basis),)
+    for j in positions:
+        assert int(got[j]) == entry_exponent_int(gate, y ^ span_element(basis, j)), j
+
+
+class TestSpanExponents:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_entry_exponent(self, data):
+        # every element of spans up to 2^8; n in 1..70, 128 or 256
+        n = data.draw(st.integers(1, 70) | st.sampled_from([63, 64, 65, 128, 256]))
+        gate = data.draw(seeded_gates(n))
+        basis = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(0, 8)))]
+        y = data.draw(full_words(n))
+        check_span_exponents(gate, basis, y, range(1 << len(basis)))
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_past_one_row(self, data):
+        # more than 16 basis rows: sampled positions, with both sides of
+        # every 2^16-element row boundary; quadratic forms stay at n <= 70
+        n = data.draw(st.sampled_from([5, 20, 64, 65, 70, 128]))
+        kinds = ("block", "qfd", "rot", "scalar") if n <= 70 else ("block", "rot")
+        gate = data.draw(seeded_gates(n, kinds))
+        basis = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(17, 18)))]
+        y = data.draw(full_words(n))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        size = 1 << len(basis)
+        edges = [e for r in range(1, size >> 16) for e in ((r << 16) - 1, r << 16)]
+        check_span_exponents(gate, basis, y, edges + [size - 1] + rng.sample(range(size), 64))
+
+    def test_block_straddling_the_word_boundary(self):
+        # one 3-qubit block across words 0 and 1, the first listed qubit most
+        # significant, a level-2 block lifted to level 3 and uncovered qubits
+        local = LocalDiag(3, 3, (0, 1, 2, 3, 4, 5, 6, 7))
+        gate = block_gate(130, [((64, 63, 129), local), ((0,), elementary_ckz(0, 1))])
+        basis = [1 << 63, 1 << 64, 1 << 129, 1, 1 << 100]
+        got = span_exponents(gate, basis, 0).tolist()
+        for j, e in enumerate(got):
+            idx = ((j >> 1) & 1) << 2 | (j & 1) << 1 | (j >> 2) & 1
+            assert e == (local.exps[idx] + 2 * ((j >> 3) & 1)) % 8
+
+    def test_quadratic_form_off_diagonal_doubled(self):
+        # u R u^T counts each off-diagonal pair twice
+        gate = qfd_gate(66, 3, [[1 if {i, j} == {0, 65} else 0 for j in range(66)] for i in range(66)])
+        assert span_exponents(gate, [1, 1 << 65], 0).tolist() == [0, 0, 0, 2]
 
 
 class TestJson:

@@ -137,8 +137,9 @@ class TestSplitValues:
             split_values(code, transversal_zrot(4, 2), BitVec.from_string("1100"))
 
     def test_dual_route_matches_direct(self):
-        # a tight budget refuses the direct walk but leaves the shrunk
-        # code's stabilizer side affordable; both routes must agree
+        # a tight budget refuses the split code's X side (2^5 words) but
+        # leaves its stabilizer side (2^2 words) affordable; both budgets
+        # must give the same values
         code, gate = steane_code(), transversal_zrot(7, 2)
         w0 = BitVec.from_string("1000000")
         gammas = [code.z_logical(a) for a in range(2)]
@@ -221,8 +222,9 @@ class TestDiagonalRoutes:
 
 class TestBeyondWordSize:
     def test_python_paths_past_64_qubits(self):
-        # past one 64-bit word the span table and the split code's table
-        # must agree with the small-code identities
+        # past one 64-bit word the split code's table, read by split_values,
+        # and the removed code's table must agree with the small-code
+        # identities
         n = 66
         rep = BitMat.from_strings(["1" * n])
         code = CssCode(n, rep, rep)

@@ -1,17 +1,20 @@
 """Differential tests of the C1-span table kernel.
 
-Weight-affine gates (transversal rotations and quadratic forms c*I) read
-every coefficient, the induced-diagonal scan and the removal norm from one
-enumeration of C1, held as ceil(n/64) uint64 words per element.  Each test
-here recomputes the same quantity with a plain Python sum over
-``entry_exponent_int`` written in the test, and where it is affordable with
-the Z-side walk.  From n = 60 up the two sides cannot both be enumerated,
+Every gate reads each X-side coefficient, the induced-diagonal scan and the
+removal norm from one enumeration of C1, held as ceil(n/64) uint64 words
+per element.  Weight-affine gates (transversal rotations and quadratic
+forms c*I) and the rest (block products, general quadratic forms) are
+drawn by separate strategies, and the coefficient, scan and removal
+checks take both.  Each test here recomputes the same quantity with a
+plain Python sum over ``entry_exponent_int`` written in the test, and
+where it is affordable with the Z-side walk.  From n = 60 up the two sides cannot both be enumerated,
 since dim C1 + dim C1perp = n; there the Z side is checked against its own
 defining sum, written in the test.
 """
 
+import random
+
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -22,16 +25,20 @@ from diagsynth.errors import BudgetExceeded
 from diagsynth.families import four22_code, qrm_code, rm_generator, steane_code
 from diagsynth.gates import (
     BlockProductGate,
+    LocalDiag,
+    block_gate,
+    elementary_ckz,
     entry_exponent_int,
     pauli_coeff,
     qfd_gate,
+    span_exponents,
     transversal_zrot,
     weight_affine_form,
 )
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate, remove_z
 
-from conftest import full_words
+from conftest import full_words, seeded_gates
 
 
 @st.composite
@@ -90,6 +97,16 @@ def past_word_cases(draw, max_dim=9):
     return code, gate
 
 
+@st.composite
+def generic_cases(draw, max_dim=9):
+    """n in 1..70 with 63, 64 and 65 drawn often, sometimes 128; a block
+    product or a general quadratic form, which stays at n <= 70."""
+    n = draw(st.sampled_from([63, 64, 65]) | st.integers(2, 70) | st.just(128))
+    code = draw(codes_with_c1_dim(n, draw(st.integers(1, max_dim)), full_words(n)))
+    gate = draw(seeded_gates(n, ("block", "qfd") if n <= 70 else ("block",)))
+    return code, gate
+
+
 def ref_x_sum(code, gate, sign_mask, shift=None):
     """2^-dim sum over c in C1 of (-1)^(c.sign) zeta^e(shift ^ c), shift = y."""
     shift = code.y.bits if shift is None else shift
@@ -141,15 +158,15 @@ def random_sign(draw, code):
 
 
 class TestCoefficients:
-    @given(wide_cases(), st.data())
-    @settings(max_examples=150, deadline=None)
+    @given(wide_cases() | generic_cases(), st.data())
+    @settings(max_examples=270, deadline=None)
     def test_table_matches_reference_sum(self, case, data):
         code, gate = case
         s = random_sign(data.draw, code)
         want = ref_x_sum(code, gate, s)
         assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
         # a budget below the transform's size sums directly over the span
-        fresh = gencoeff._SpanTable(code, weight_affine_form(gate))
+        fresh = gencoeff._SpanTable(code, gate)
         assert fresh.coefficient(s, budget=1) == want
         assert fresh.wht is None
 
@@ -191,7 +208,7 @@ class TestPastOneWord:
         s = random_sign(data.draw, code)
         want = ref_x_sum(code, gate, s)
         assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
-        fresh = gencoeff._SpanTable(code, weight_affine_form(gate))
+        fresh = gencoeff._SpanTable(code, gate)
         assert fresh.coefficient(s, budget=1) == want
 
     @given(st.data())
@@ -223,9 +240,10 @@ class TestPastOneWord:
         n = data.draw(st.sampled_from([65, 130, 256]))
         basis = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(17, 18)))]
         y = data.draw(full_words(n))
-        lut = np.array([(3 + 5 * w) % 16 for w in range(n + 1)], dtype=np.uint8)
-        want = [int(lut[(y ^ c).bit_count()]) for c in gf2.span_ints(basis)]
-        assert gencoeff._span_exponents(basis, y, lut, n).tolist() == want
+        gate = block_gate(n, [((q,), LocalDiag(1, 4, (3, 8))) for q in range(n)])
+        off, slope, _ = weight_affine_form(gate)
+        want = [(off + slope * (y ^ c).bit_count()) % 16 for c in gf2.span_ints(basis)]
+        assert span_exponents(gate, basis, y).tolist() == want
 
     @pytest.mark.parametrize("n", [65, 256])
     def test_padded_422_t_witness(self, n):
@@ -271,8 +289,8 @@ class TestPastOneWord:
 
 
 class TestScan:
-    @given(wide_cases())
-    @settings(max_examples=150, deadline=None)
+    @given(wide_cases() | generic_cases())
+    @settings(max_examples=270, deadline=None)
     def test_scan_matches_reference(self, case):
         code, gate = case
         assert gencoeff._codeword_diagonal(code, gate, 1 << 26) == ref_scan(code, gate)
@@ -286,8 +304,8 @@ class TestScan:
 
 
 class TestRemovalNorm:
-    @given(wide_cases(max_dim=7), st.data())
-    @settings(max_examples=50, deadline=None)
+    @given(wide_cases(max_dim=7) | generic_cases(max_dim=7), st.data())
+    @settings(max_examples=90, deadline=None)
     def test_norm_equals_split_identity(self, case, data):
         code, gate = case
         assume(code.k <= 5 and code.dim_c1perp > 0)
@@ -306,6 +324,83 @@ class TestRemovalNorm:
             norm = norm + (a + s).scaled(1).abs_sq() + (a - s).scaled(1).abs_sq()
         assert res.new_row_norm == norm
         assert res.admissible == (norm == Cyclo.one())
+
+
+class TestGenericGates:
+    @pytest.mark.parametrize("n", [4, 66])
+    def test_block_gate_negative_control_witness(self, n):
+        # [[4,2,2]] on qubits n-4..n-1, every other qubit fixed by a
+        # Z-stabilizer; CS on its middle qubits (63 and 64 at n = 66, across
+        # the words' boundary) and, at n = 66, a CZ on two fixed qubits
+        q = list(range(n - 4, n))
+        z_rows = [BitVec.from_support(n, q)] + [BitVec.unit(n, i) for i in range(n - 4)]
+        code = CssCode(n, BitMat(n, z_rows[:1]), BitMat(n, z_rows))
+        blocks = [((q[1], q[2]), elementary_ckz(1, 1))]
+        if n > 4:
+            blocks.append(((60, 61), elementary_ckz(1, 0)))
+        gate = block_gate(n, blocks)
+        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        assert not ok and exps is None
+        assert (ok, exps, witness) == ref_scan(code, gate)
+        assert witness[1].abs_sq() != Cyclo.one()
+
+    def test_block_gate_removal_reads_the_span_table(self):
+        # the removal check reads the new code's table, as for rotations
+        n = 65
+        z_rows = [BitVec.from_support(n, range(4))] + [BitVec.unit(n, q) for q in range(4, n)]
+        code = CssCode(n, BitMat(n, z_rows[:1]), BitMat(n, z_rows))
+        gate = block_gate(n, [((0, 1, 2), elementary_ckz(2, 0)), ((63, 64), elementary_ckz(1, 1))])
+        res = remove_z(code, gate, BitVec.unit(n, 64), check="full")
+        assert res.code.k == 3 and res.admissible is not None
+        assert res.code._caches.get("span_table")
+
+    def test_qfd_removal_past_the_dense_expansion(self):
+        # a general quadratic form on 24 qubits with dim C1 = dim C1perp = 12:
+        # the new and the split code have dim C1 = 13 > dim C1perp, and their
+        # Z side, which would expand the form over 2^24 inputs, gives way
+        # to the span table
+        rng = random.Random(24)
+        n = 24
+        c1 = BitMat.empty(n)
+        while c1.num_rows < 12:
+            c1, _ = gf2.rref(BitMat(n, c1.rows + (BitVec(n, rng.getrandbits(n)),)))
+        code = CssCode(n, BitMat(n, c1.rows[:10]), gf2.dual_basis(c1), BitVec(n, rng.getrandbits(n)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(8)
+        gate = qfd_gate(n, 3, rows)
+        w0 = BitVec(n, rng.getrandbits(n))
+        assert (code.dim_c1, code.dim_c1perp, code.k) == (12, 12, 2)
+        assert not code.c1_reducer.contains(w0)
+        res = remove_z(code, gate, w0, check="full")
+        svals = gencoeff.split_values(code, gate, w0)
+        assert res.code.dim_c1 == 13
+        norm = Cyclo.zero()
+        for a_idx in range(1 << code.k):
+            g = code.z_logical(a_idx)
+            a = ref_x_sum(code, gate, g.bits)
+            s = ref_x_sum(code, gate, g.bits, shift=w0.bits ^ code.y.bits)
+            if (w0.bits & g.bits).bit_count() & 1:
+                s = -s
+            assert svals[g] == s
+            norm = norm + (a + s).scaled(1).abs_sq() + (a - s).scaled(1).abs_sq()
+        assert res.new_row_norm == norm
+        assert gencoeff.is_preserved(res.code, gate).norm == norm
+
+    def test_x_side_past_the_python_walk_cap(self):
+        # 2^17 X-side words for a block product with uncovered qubits,
+        # checked against the Z side (2^3 words)
+        n = 20
+        c1 = [BitVec.unit(n, q) for q in range(17)]
+        code = CssCode(n, BitMat(n, c1[:15]), gf2.dual_basis(BitMat(n, c1)), BitVec(n, 0b1011))
+        local = LocalDiag(3, 3, (0, 1, 3, 5, 7, 2, 6, 4))
+        gate = block_gate(n, [((16, 2, 9), local), ((5,), elementary_ckz(0, 1))])
+        assert code.dim_c1 == 17
+        s = code.z_logical(3).bits
+        assert gencoeff._sum_x_side(code, gate, s, 1 << 17) == gencoeff._sum_z_side(
+            code, gate, s, 1 << 17
+        )
 
 
 class TestBudgets:
