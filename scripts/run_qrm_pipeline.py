@@ -35,7 +35,7 @@ def main() -> int:
         print(f"  checkpoint before {tag}: [[{inter.n},{inter.k}]] preserved={pres.preserved}")
     final = res.final
     pres = is_preserved(final, res.gate)
-    d_x, d_z = final.distances(w_max=4)
+    d_x, d_z = final.distances()
     print(f"final [[{final.n},{final.k}]]: preserved={pres.preserved}, d_x={d_x}, d_z={d_z}")
 
     t0 = time.perf_counter()

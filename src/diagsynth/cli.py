@@ -217,7 +217,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=gf2.DEFAULT_BUDGET,
                    help="enumeration budget in vectors (default 2^26)")
     p.add_argument("--wmax", type=int, default=6,
-                   help="bounded-weight cutoff for distance search")
+                   help="distances up to this are always exact")
 
 
 def make_parser() -> argparse.ArgumentParser:

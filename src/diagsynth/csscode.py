@@ -180,7 +180,8 @@ class CssCode:
         self, w_max: int = 6, budget: int = gf2.DEFAULT_BUDGET
     ) -> tuple[WeightResult, WeightResult]:
         """(X-distance over C1 minus C2, Z-distance over C2-perp minus
-        C1-perp)."""
+        C1-perp).  Distances up to ``w_max`` are exact; a larger one is
+        exact if ``budget`` words settle it or hold the span, else bounded."""
         if self.k == 0:
             raise ValueError("code has no logical qubits")
         d_x = gf2.min_weight_excluding(self.c1, self.x_stab, w_max, budget)

@@ -5,12 +5,15 @@ qubit q, so qubit 0 is the lowest bit.  In string form qubit 0 is the
 leftmost character: ``BitVec.from_string("0110")`` has support {1, 2}.
 Python ints give free wide XOR and popcount; enumeration-heavy kernels
 hold a span as numpy uint64 words, ceil(n/64) per element, at every n.
+The distance search is one Brouwer-Zimmermann enumeration on such arrays
+at every n: rounds raise a lower bound until the lightest word meets it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -371,13 +374,6 @@ def span_words(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np
     return arr
 
 
-def span_array(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Span as a uint64 numpy array; requires n <= 64."""
-    if n > 64:
-        raise ValueError("span_array supports n <= 64 only")
-    return span_words(basis, n, budget)[:, 0]
-
-
 def signed_weight_counts(
     basis: Sequence[int],
     weight_shift: int,
@@ -460,59 +456,44 @@ class WeightResult:
         return str(self.value) if self.exact else f">={self.value}"
 
 
-def _combo_ints(n: int, w: int) -> Iterator[int]:
-    for positions in itertools.combinations(range(n), w):
-        v = 0
-        for q in positions:
-            v |= 1 << q
-        yield v
+def _information_sets(rows: Sequence[int], n: int) -> list[tuple[list[int], int]]:
+    """Generators (gen, r) of span(rows), each the identity on r pivot
+    columns no other entry uses and with gen[r:] zero there.  Used columns
+    are shifted above bit n, so the row reduction pivots on unused ones."""
+    sets, free = [], (1 << n) - 1
+    while True:
+        moved, pivots = _rref_ints([g & free | (g & ~free) << n for g in rows])
+        r = sum(p < n for p in pivots)
+        if not r:
+            return sets
+        sets.append(([x & free | x >> n for x in moved], r))
+        free ^= sum(1 << p for p in pivots[:r])
 
 
-def _vector_reduce(arr: np.ndarray, red: Reducer) -> np.ndarray:
-    out = arr.copy()
-    for row, p in zip(red.rows, red.pivots):
-        mask = (out >> np.uint64(p)) & np.uint64(1)
-        out ^= mask * np.uint64(row)
-    return out
-
-
-def _exact_min_weight(red_big: Reducer, red_small: Reducer, n: int, budget: int) -> int:
-    if n <= 64 and 1 << red_big.dim >= _NUMPY_SPAN_MIN:
-        span = span_array(red_big.rows, n, budget)
-        reduced = _vector_reduce(span, red_small)
-        weights = np.bitwise_count(span[reduced != 0])
-        return int(weights.min())
-    best = None
-    for v in span_ints(red_big.rows, budget):
-        if red_small.contains_int(v):
-            continue
-        w = v.bit_count()
-        if best is None or w < best:
-            best = w
-    assert best is not None
-    return best
-
-
-def _bounded_min_weight(
-    red_big: Reducer, red_small: Reducer, n: int, w_max: int
-) -> int | None:
-    use_numpy = n <= 64
-    for w in range(1, w_max + 1):
-        if use_numpy:
-            combos = np.fromiter(_combo_ints(n, w), dtype=np.uint64)
-            if combos.size == 0:
-                continue
-            in_big = _vector_reduce(combos, red_big) == 0
-            cands = combos[in_big]
-            if cands.size:
-                in_small = _vector_reduce(cands, red_small) == 0
-                if bool(np.any(~in_small)):
-                    return w
-        else:
-            for v in _combo_ints(n, w):
-                if red_big.contains_int(v) and not red_small.contains_int(v):
-                    return w
-    return None
+def _weight_class(head: list[int], tail: list[int], s: int, bits: int) -> Iterator[np.ndarray]:
+    """XORs of each s-subset of ``head`` with each subset of ``tail``, as
+    word arrays of at most 2^16 rows.  A block adds an (s - q)-subset prefix
+    and a Gray-code step in tail[c:] to a table of the q-subsets of head
+    times span(tail[:c]); ordered by falling first index, the table's
+    subsets past head row a are its first comb(r - a, q) << c rows."""
+    r, c = len(head), min(len(tail), 16)
+    table = span_words(tail[:c], bits)
+    q = 0
+    while q < s and comb(r, q + 1) << c <= 1 << 16:
+        q += 1
+        table = np.concatenate([
+            int_words(head[i], bits) ^ table[: comb(r - 1 - i, q - 1) << c]
+            for i in range(r - 1, -1, -1)
+        ])
+    for prefix in itertools.combinations(range(r - q), s - q):
+        part = table[: comb(r - 1 - prefix[-1], q) << c] if prefix else table
+        base = 0
+        for i in prefix:
+            base ^= head[i]
+        for i in range(1 << (len(tail) - c)):
+            if i:
+                base ^= tail[c + (i & -i).bit_length() - 1]
+            yield part ^ int_words(base, bits)
 
 
 def min_weight_excluding(
@@ -523,27 +504,49 @@ def min_weight_excluding(
 ) -> WeightResult:
     """Minimum Hamming weight over rowspace(big) \\ rowspace(small).
 
-    A witness found by the bounded search over all length-n vectors of
-    weight <= w_max is already the exact minimum; tiny spans are enumerated
-    directly, and when neither finds the answer a full span enumeration
-    runs if it fits the budget, else the lower-bound flag comes back.
+    Brouwer-Zimmermann enumeration (Grassl, "Searching for linear codes
+    with large minimum distance", 2006): big, of dimension K, gets
+    generators systematic on disjoint column sets, set j of rank r_j.
+    Round t lists, on each set with t >= K - r_j, the words of weight
+    t - (K - r_j) on its pivot columns; every word not yet listed then
+    weighs at least ``sum_j max(0, t + 1 - (K - r_j))``, and the search
+    stops, exact, once the lightest word outside small meets that bound.
+    Words carry their parities against dual(small) modulo dual(big), which
+    all vanish iff the word lies in small.  A round whose entering bound is
+    at most ``w_max`` always runs; a later one runs if it fits ``budget``
+    with the words listed so far.  If not, the first set is listed to
+    weight K (the whole span) when 2^K fits the budget; else the entering
+    bound, above w_max, comes back with ``exact=False``.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
     red_big = Reducer(big)
-    red_small = Reducer(small)
-    for r in small.row_ints():
-        if not red_big.contains_int(r):
-            raise ValueError("small is not contained in big")
-    if red_big.dim == red_small.dim:
+    if not all(red_big.contains_int(r) for r in small.row_ints()):
+        raise ValueError("small is not contained in big")
+    checks = quotient_basis(dual_basis(small), dual_basis(big)).row_ints()
+    if not checks:
         raise ValueError("empty difference: big and small span the same space")
-    n = big.n
-    dim = red_big.dim
-    if 1 << dim <= min(_NUMPY_SPAN_MIN, budget):
-        return WeightResult(_exact_min_weight(red_big, red_small, n, budget), True)
-    found = _bounded_min_weight(red_big, red_small, n, w_max)
-    if found is not None:
-        return WeightResult(found, True)
-    if 1 << dim <= budget:
-        return WeightResult(_exact_min_weight(red_big, red_small, n, budget), True)
-    return WeightResult(w_max + 1, False)
+    n, dim = big.n, red_big.dim
+    shift = 64 * _num_words(n)  # a word's parities against checks sit above it
+    sets = [
+        ([g | sum(((g & h).bit_count() & 1) << i for i, h in enumerate(checks)) << shift
+          for g in gen], r)
+        for gen, r in _information_sets(red_big.rows, n)
+    ]
+    best, bound, spent = n + 1, 0, 0
+    for t in itertools.count():
+        steps = [(gen, r, t - dim + r) for gen, r in sets if t >= dim - r]
+        words = sum(comb(r, s) << (dim - r) for _, r, s in steps)
+        if bound > w_max and spent + words > budget:
+            if 1 << dim > budget:
+                return WeightResult(bound, False)
+            # list the whole span on the first set, whatever it costs
+            sets, steps, budget = sets[:1], steps[:1], float("inf")
+        spent += words
+        for gen, r, s in steps:
+            for block in _weight_class(gen[:r], gen[r:], s, shift + len(checks)):
+                outside = block[:, shift // 64:].any(axis=1)
+                best = int(word_weights(block[outside, : shift // 64]).min(initial=best))
+            bound += 1
+            if best <= bound or s == r:  # s == r: this set listed all of big
+                return WeightResult(best, True)

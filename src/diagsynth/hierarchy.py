@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 
 from .gf2 import BitVec
 
-_SUBSCRIPTS = "0123456789"
 # the basis-change search enumerates GL(k, 2): an exhaustive miss takes
 # about 0.5 s at k = 4, while GL(5, 2) alone has 9,999,360 matrices
 # (minutes at about 40k matrices/s)

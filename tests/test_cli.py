@@ -287,6 +287,22 @@ class TestLargeVerify:
         assert rep["code"]["d_z"] == {"value": 4, "exact": True}
         assert rep["logical"]["level"] == 3
 
+    def test_default_wmax_distances_exact(self, tmp_path, capsys):
+        code_path = tmp_path / "q26.json"
+        gate_path = tmp_path / "t64.json"
+        rc, _ = run(
+            capsys, "family", "qrm", "2", "6",
+            "--out", str(code_path), "--gate-out", str(gate_path),
+        )
+        assert rc == 0
+        rc, text = run(
+            capsys, "verify", "--code", str(code_path), "--gate", str(gate_path), "--no-row",
+        )
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep["code"]["d_x"] == {"value": 16, "exact": True}
+        assert rep["code"]["d_z"] == {"value": 4, "exact": True}
+
 
 class TestOracleCommand:
     def test_oracle(self, steane_files, capsys):

@@ -208,7 +208,7 @@ class TestQrmPipelineSmall:
         for v in basis:
             assert inter.c1_reducer.contains(v)
             assert not inter.c2_reducer.contains(v)
-        span = gf2.span_array([v.bits for v in basis], 64)
+        span = gf2.span_words([v.bits for v in basis], 64)[:, 0]
         allones = np.uint64((1 << 64) - 1)
         w0 = np.bitwise_count(span).astype(np.int64)
         w1 = np.bitwise_count(span ^ allones).astype(np.int64)

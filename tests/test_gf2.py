@@ -1,5 +1,6 @@
-"""GF(2) core: row reduction, duals, cosets, bounded minimum weight."""
+"""GF(2) core: row reduction, duals, cosets, minimum weight."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -18,7 +19,6 @@ from diagsynth.gf2 import (
     quotient_basis,
     rref,
     signed_weight_counts,
-    span_array,
     span_ints,
     span_words,
 )
@@ -222,19 +222,27 @@ class TestMinWeight:
             min_weight_excluding(m, m)
 
     def test_bounded_mode_flag(self):
-        # force the bounded path with a tiny budget
+        # a tiny budget leaves only the rounds that w_max guarantees
         big = BitMat.identity(10)
         small = BitMat.from_strings(["1111111111"])
         res = min_weight_excluding(big, small, w_max=1, budget=4)
         assert res == WeightResult(1, True)
-        # parity code minus the repetition code has minimum weight 2, so a
-        # w_max=1 bounded search can only report the lower bound
+        # parity code minus the repetition code has minimum weight 2: the
+        # round that w_max=1 guarantees already lifts the bound to 2
         par = dual_basis(BitMat.from_strings(["1111111111"]))
         rep = BitMat.from_strings(["1111111111"])
         res2 = min_weight_excluding(par, rep, w_max=1, budget=4)
-        assert res2 == WeightResult(2, False)
+        assert res2 == WeightResult(2, True)
         res3 = min_weight_excluding(par, rep, w_max=3, budget=4)
         assert res3 == WeightResult(2, True)
+        # first-order Reed-Muller minus the repetition code has minimum
+        # weight 8; the budget stops the search after the rounds w_max=1
+        # guarantees, so only the lower bound comes back
+        from diagsynth.families import rm_generator
+
+        res4 = min_weight_excluding(rm_generator(1, 4), BitMat.from_strings(["1" * 16]),
+                                    w_max=1, budget=2)
+        assert res4 == WeightResult(2, False)
 
     @given(bitmats(n=8, max_rows=8), st.integers(0, 3))
     @settings(max_examples=150)
@@ -251,6 +259,99 @@ class TestMinWeight:
             if not red.contains_int(v)
         )
         assert res == WeightResult(brute, True)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bruteforce_around_word_size(self, data):
+        # n <= 20, and 60..70 where one word turns into two; an exact
+        # result is the minimum, a bound lies above w_max and below it
+        n = data.draw(st.sampled_from([64, 65]) | st.integers(1, 20) | st.integers(60, 70))
+        dim = data.draw(st.integers(1, 14))
+        rows = data.draw(st.lists(full_words(n), min_size=dim, max_size=dim))
+        big, _ = rref(BitMat(n, [BitVec(n, r) for r in rows]))
+        combos = data.draw(st.lists(st.integers(0, (1 << big.num_rows) - 1),
+                                    max_size=big.num_rows - 1))
+        small = BitMat(n, [
+            BitVec(n, sum_rows(big.row_ints(), mask)) for mask in combos
+        ])
+        w_max = data.draw(st.integers(1, 6))
+        budget = data.draw(st.sampled_from([1, 4, 64, 1 << 10, 1 << 26]))
+        res = min_weight_excluding(big, small, w_max, budget)
+        red = Reducer(small)
+        brute = min(
+            v.bit_count() for v in span_ints(big.row_ints()) if not red.contains_int(v)
+        )
+        if res.exact:
+            assert res.value == brute
+        else:
+            assert w_max < res.value <= brute
+
+    def test_rank_deficient_set_wider_than_a_block(self):
+        # columns 18..47 all copy message bit 0, so each is an information
+        # set of rank 1 whose 17 other rows span 2^17 words, more than one
+        # block; the bound reaches the minimum 31 only through them
+        n = 48
+        rows = [1 | (((1 << 30) - 1) << 18)] + [1 << i for i in range(1, 18)]
+        big = BitMat(n, [BitVec(n, r) for r in rows])
+        small = BitMat(n, [BitVec(n, r) for r in rows[1:]])
+        assert min_weight_excluding(big, small) == WeightResult(31, True)
+
+
+@pytest.mark.parametrize("r, d, s", [(1, 0, 1), (6, 0, 3), (5, 3, 2), (1, 17, 0), (2, 18, 2)])
+def test_weight_class_lists_each_word_once(r, d, s):
+    # every XOR of an s-subset of head with a subset of tail, once; past
+    # 16 tail rows the blocks step through the rest in Gray-code order
+    import itertools
+    import random
+
+    from diagsynth.gf2 import _weight_class, int_words
+
+    rng = random.Random(r * 100 + d)
+    bits = 70
+    head = [rng.getrandbits(bits) for _ in range(r)]
+    tail = [rng.getrandbits(bits) for _ in range(d)]
+    got = np.concatenate(list(_weight_class(head, tail, s, bits)))
+    want = np.concatenate([
+        span_words(tail, bits) ^ int_words(sum_rows(head, sum(1 << i for i in combo)), bits)
+        for combo in itertools.combinations(range(r), s)
+    ])
+    assert all(len(block) <= 1 << 16 for block in _weight_class(head, tail, s, bits))
+    assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
+def sum_rows(rows: list[int], mask: int) -> int:
+    out = 0
+    for i, r in enumerate(rows):
+        if (mask >> i) & 1:
+            out ^= r
+    return out
+
+
+class TestQrmDistances:
+    """Quantum Reed-Muller codes have d_X = 2^(m-r) and d_Z = 2^r."""
+
+    @pytest.mark.parametrize("r, m", [(1, 7), (6, 7), (1, 8), (7, 8)])
+    def test_both_sides_exact(self, r, m):
+        from diagsynth.families import qrm_code
+
+        d_x, d_z = qrm_code(r, m).distances()
+        assert d_x == WeightResult(1 << (m - r), True)
+        assert d_z == WeightResult(1 << r, True)
+
+    def test_qrm_2_8_z_side(self):
+        from diagsynth.families import qrm_code
+
+        code = qrm_code(2, 8)
+        assert min_weight_excluding(code.c2perp, code.z_stab) == WeightResult(4, True)
+
+    def test_128_qubits_under_a_small_budget(self):
+        # [[128,21]] used to hang in a C(128, w) search; a 2^20 budget
+        # settles d_Z and leaves d_X (32) as a lower bound
+        from diagsynth.families import qrm_code
+
+        d_x, d_z = qrm_code(2, 7).distances(budget=1 << 20)
+        assert d_z == WeightResult(4, True)
+        assert not d_x.exact and 7 <= d_x.value <= 32
 
 
 class TestSignedWeightCounts:
@@ -301,16 +402,14 @@ class TestSpanWords:
         for row, want in zip(words.tolist(), span_ints(basis)):
             assert sum(w << (64 * i) for i, w in enumerate(row)) == want
         if n <= 64:
-            assert span_array(basis, n).tolist() == span_ints(basis)
+            assert span_words(basis, n)[:, 0].tolist() == span_ints(basis)
 
-    def test_budget_and_width_guards(self):
+    def test_budget_guard(self):
         from diagsynth.errors import BudgetExceeded
 
         with pytest.raises(BudgetExceeded) as exc:
             span_words([1, 2, 4], 256, budget=4)
         assert exc.value.required_log2 == 3
-        with pytest.raises(ValueError):
-            span_array([1], 65)
 
 
 def test_exact_mode_at_dimension_12():
@@ -340,7 +439,8 @@ def test_bounded_search_finds_weight_exactly():
     rep = BitMat.from_strings(["1" * 16])
     res = min_weight_excluding(rm24, rep, w_max=6, budget=2)
     assert res == WeightResult(4, True)
-    # and the bounded lower-bound flag on the first-order code (min weight 8)
+    # the first-order code (min weight 8): the rounds w_max=6 guarantees
+    # lift the bound past 8, so the minimum comes back exact
     rm14 = rm_generator(1, 4)
     res2 = min_weight_excluding(rm14, rep, w_max=6, budget=2)
-    assert res2 == WeightResult(7, False)
+    assert res2 == WeightResult(8, True)
