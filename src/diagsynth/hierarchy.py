@@ -13,14 +13,19 @@ the first-principles recursion (repeated twisting by X) in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
+import numpy as np
+
+from .errors import BudgetExceeded
 from .gf2 import BitVec
 
-# the basis-change search enumerates GL(k, 2): an exhaustive miss takes
-# about 0.5 s at k = 4, while GL(5, 2) alone has 9,999,360 matrices
-# (minutes at about 40k matrices/s)
+# the pruned basis-change search in ``match`` still has an |GL(k,2)| worst
+# case on near-misses: with this cap lifted, ``identify`` on the k = 6
+# logical of ``qrm 2 4``, which no template matches, takes about 2 s
+# (GL(5,2) alone has 9,999,360 matrices)
 BASIS_CHANGE_MAX_K = 4
 
 
@@ -73,24 +78,14 @@ def phase_polynomial(exps: Sequence[int], k: int, level: int) -> PhasePolynomial
     if len(exps) != 1 << k:
         raise ValueError("need 2^k exponents")
     mod = 1 << level
-    if k >= 12:
-        import numpy as np
-
-        arr = np.asarray(exps, dtype=np.int64) % mod
-        view = arr.reshape([2] * k)
-        for i in range(k):
-            hi = view.take(1, axis=i) - view.take(0, axis=i)
-            idx = [slice(None)] * k
-            idx[i] = 1
-            view[tuple(idx)] = hi % mod
-        a = arr.tolist()
-    else:
-        a = [e % mod for e in exps]
-        for i in range(k):
-            bit = 1 << i
-            for beta in range(1 << k):
-                if beta & bit:
-                    a[beta] = (a[beta] - a[beta ^ bit]) % mod
+    arr = np.asarray(exps, dtype=np.int64) % mod
+    view = arr.reshape([2] * k)
+    for i in range(k):
+        hi = view.take(1, axis=i) - view.take(0, axis=i)
+        idx = [slice(None)] * k
+        idx[i] = 1
+        view[tuple(idx)] = hi % mod
+    a = arr.tolist()
     return PhasePolynomial.from_dict(k, level, {m: c for m, c in enumerate(a) if c})
 
 
@@ -141,39 +136,6 @@ class GateMatch:
     basis_change: tuple[int, ...] | None = None  # row ints; beta -> beta M
 
 
-def _invertible_matrices(k: int) -> Iterable[tuple[int, ...]]:
-    """All invertible k x k GF(2) matrices as row-int tuples, identity
-    first, then lexicographic by rows."""
-    identity = tuple(1 << i for i in range(k))
-    yield identity
-
-    def rank(rows: tuple[int, ...]) -> int:
-        work = list(rows)
-        r = 0
-        for col in range(k):
-            piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] >> col) & 1:
-                    work[i] ^= work[r]
-            r += 1
-        return r
-
-    def extend(rows: tuple[int, ...]):
-        if len(rows) == k:
-            if rows != identity:
-                yield rows
-            return
-        for v in range(1, 1 << k):
-            cand = rows + (v,)
-            if rank(cand) == len(cand):
-                yield from extend(cand)
-
-    yield from extend(())
-
-
 def _apply_basis_change(beta: int, rows: tuple[int, ...]) -> int:
     out = 0
     b = beta
@@ -195,56 +157,72 @@ def match(
 ) -> GateMatch:
     """Match a diagonal against a template up to global phase, optional
     logical Pauli-Z factors, and optional invertible relabeling of the
-    variables.  The reported transformation reproduces the input exactly
-    (verified before returning); the first match in the documented
-    enumeration order (identity matrix first) wins."""
+    variables.
+
+    A depth-first search fixes the rows of the basis change M one at a
+    time, in lexicographic order (the identity is the least invertible
+    matrix, so it comes first; without basis change row i is ``1 << i``).
+    Fixing row i decides the Pauli-Z bit i and checks the 2^i new inputs
+    ``b | 1 << i`` at once, and a row in the span of the earlier rows is
+    skipped, so every returned transformation reproduces the input exactly
+    and the first match in that order wins."""
     if template.k != k:
         return GateMatch(False)
     if allow_basis_change and k > BASIS_CHANGE_MAX_K:
-        raise ValueError(
-            f"exhaustive basis-change search requires k <= {BASIS_CHANGE_MAX_K}"
+        gl_order = math.prod((1 << k) - (1 << i) for i in range(k))
+        raise BudgetExceeded(
+            f"GL({k},2) basis-change search (searched for k <= {BASIS_CHANGE_MAX_K})",
+            required_log2=(gl_order - 1).bit_length(),
         )
     mod = 1 << lvl
     half = mod >> 1
     tpl = template.promoted(lvl) if template.level < lvl else template
     if tpl.level != lvl:
         return GateMatch(False)
-    t_exps = tpl.exponents()
+    t = tpl.exponents()
     e = [x % mod for x in exps]
-    candidates = _invertible_matrices(k) if allow_basis_change else iter(
-        [tuple(1 << i for i in range(k))]
-    )
-    for rows in candidates:
-        perm = [t_exps[_apply_basis_change(b, rows)] for b in range(1 << k)]
-        c = (e[0] - perm[0]) % mod
-        mask = 0
-        ok = True
-        for i in range(k):
-            d = (e[1 << i] - perm[1 << i] - c) % mod
-            if d == 0:
+    c = (e[0] - t[0]) % mod
+    rows: list[int] = []
+    img = [0]  # img[b] = b M for every b spanned by the rows fixed so far
+
+    def search(mask: int) -> int | None:
+        i = len(rows)
+        if i == k:
+            return mask
+        bit = 1 << i
+        prefix = set(img)
+        for row in range(1, 1 << k) if allow_basis_change else (bit,):
+            if row in prefix:
                 continue
-            if d == half and allow_pauli_z:
-                mask |= 1 << i
+            d = (e[bit] - t[row] - c) % mod
+            if d == 0:
+                m = mask
+            elif d == half and allow_pauli_z:
+                m = mask | bit
             else:
-                ok = False
-                break
-        if not ok:
-            continue
-        for b in range(1 << k):
-            z = half * ((b & mask).bit_count() & 1)
-            if (perm[b] + c + z) % mod != e[b]:
-                ok = False
-                break
-        if ok:
-            return GateMatch(
-                True,
-                template_name,
-                c,
-                lvl,
-                BitVec(k, mask),
-                rows if rows != tuple(1 << i for i in range(k)) else None,
-            )
-    return GateMatch(False)
+                continue
+            new = [x ^ row for x in img]
+            if all(
+                (t[new[b]] + c + half * (((b | bit) & m).bit_count() & 1)) % mod == e[b | bit]
+                for b in range(bit)
+            ):
+                rows.append(row)
+                img.extend(new)
+                found = search(m)
+                if found is not None:
+                    return found
+                rows.pop()
+                del img[bit:]
+        return None
+
+    mask = search(0)
+    if mask is None:
+        return GateMatch(False)
+    identity = [1 << i for i in range(k)]
+    return GateMatch(
+        True, template_name, c, lvl, BitVec(k, mask),
+        tuple(rows) if rows != identity else None,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +277,7 @@ def identify(
     """Try the standard templates, preferring the most structured match:
     plain, then with Pauli-Z factors, then with a basis change, then both.
     Basis change is searched by default up to k = BASIS_CHANGE_MAX_K;
-    requesting it above that raises ValueError (see ``match``)."""
+    requesting it above that raises BudgetExceeded (see ``match``)."""
     if allow_basis_change is None:
         allow_basis_change = k <= BASIS_CHANGE_MAX_K
     own_level = level(phase_polynomial(exps, k, lvl))

@@ -30,7 +30,7 @@ def logical_summary(code: CssCode, gate: DiagonalGate, budget: int) -> dict[str,
         "level": hierarchy.level(poly),
         "description": hierarchy.describe(poly),
     }
-    if diag.k <= 4:
+    if diag.k <= hierarchy.BASIS_CHANGE_MAX_K:
         m = hierarchy.identify(list(diag.exps), diag.k, diag.level)
         if m.matched:
             out["template"] = m.template
@@ -50,31 +50,32 @@ def build_report(
     include_oracle: bool = False,
     tol: float = oracle.DEFAULT_TOL,
 ) -> dict[str, Any]:
-    rep: dict[str, Any] = {
-        "code": code_summary(code, w_max, budget),
-        "code_json": code_to_json(code),
-    }
+    # the verdict comes first, so that a refusal does not wait for the
+    # distance search; the code summary still leads the report
+    rep: dict[str, Any] = {}
+    if gate is not None:
+        rep["gate"] = gate_to_json(gate)
+        certificate = "exact-full"
+        try:
+            pres = gencoeff.is_preserved(code, gate, budget=budget)
+            rep["preserved"] = pres.preserved
+            rep["preservation_method"] = pres.method
+            if pres.norm is not None:
+                rep["norm"] = pres.norm.serialize()
+                rep["norm_pretty"] = pres.norm.pretty()
+        except BudgetExceeded as exc:
+            if not sampled:
+                raise
+            cert = gencoeff.sampled_certificate(code, gate, sampled, sampled, budget=budget)
+            certificate = "exact-sampled"
+            rep["preserved"] = bool(cert["syndrome_pairs_zero"])
+            rep["preservation_method"] = "sampled-certificate"
+            rep["sampled_pairs"] = cert["syndrome_pair_count"]
+            rep["full_check_skipped"] = str(exc)
+        rep["certificate"] = certificate
+    rep = {"code": code_summary(code, w_max, budget), "code_json": code_to_json(code), **rep}
     if gate is None:
         return rep
-    rep["gate"] = gate_to_json(gate)
-    certificate = "exact-full"
-    try:
-        pres = gencoeff.is_preserved(code, gate, budget=budget)
-        rep["preserved"] = pres.preserved
-        rep["preservation_method"] = pres.method
-        if pres.norm is not None:
-            rep["norm"] = pres.norm.serialize()
-            rep["norm_pretty"] = pres.norm.pretty()
-    except BudgetExceeded as exc:
-        if not sampled:
-            raise
-        cert = gencoeff.sampled_certificate(code, gate, sampled, sampled, budget=budget)
-        certificate = "exact-sampled"
-        rep["preserved"] = bool(cert["syndrome_pairs_zero"])
-        rep["preservation_method"] = "sampled-certificate"
-        rep["sampled_pairs"] = cert["syndrome_pair_count"]
-        rep["full_check_skipped"] = str(exc)
-    rep["certificate"] = certificate
     if include_row:
         try:
             row = gencoeff.trivial_row(code, gate, budget=budget)

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from diagsynth.cli import main
-from diagsynth.csscode import code_to_json
-from diagsynth.families import qrm_code
+from diagsynth.csscode import CssCode, code_to_json
+from diagsynth.errors import BudgetExceeded
+from diagsynth.families import qrm_code, qrm_gate
 from diagsynth.gates import gate_to_json, transversal_zrot
+from diagsynth.report import build_report
 
 
 def run(capsys, *argv):
@@ -329,3 +331,13 @@ class TestReportCommand:
         rc, text = run(capsys, "report", "--code", str(code_path))
         assert rc == 0
         assert "gate" not in json.loads(text)
+
+    def test_refusal_precedes_distance_search(self, monkeypatch):
+        # the 2^42 codeword scan of [[64,20,8]] refuses in under a
+        # millisecond; the distance search must not run before it
+        def fail(*args, **kwargs):
+            raise AssertionError("distances computed before the verdict")
+
+        monkeypatch.setattr(CssCode, "distances", fail)
+        with pytest.raises(BudgetExceeded, match="codeword scan"):
+            build_report(qrm_code(3, 6), qrm_gate(3, 6))

@@ -1,20 +1,25 @@
 """Phase polynomials, hierarchy levels, template matching."""
 
+import functools
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
+from diagsynth import gencoeff
+from diagsynth.errors import BudgetExceeded
+from diagsynth.families import build_family
 from diagsynth.gf2 import BitVec
 from diagsynth.hierarchy import (
     GateMatch,
     _apply_basis_change,
-    _invertible_matrices,
     describe,
     identify,
     level,
     level_recursive,
     match,
     phase_polynomial,
+    standard_templates,
     template_ckz,
     template_tensor_rotation,
 )
@@ -26,6 +31,123 @@ def exponent_tables(draw, max_k: int = 4, max_level: int = 4):
     lvl = draw(st.integers(1, max_level))
     exps = [draw(st.integers(0, (1 << lvl) - 1)) for _ in range(1 << k)]
     return exps, k, lvl
+
+
+def _rank(rows, k):
+    work = list(rows)
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        r += 1
+    return r
+
+
+@functools.cache
+def _reference_invertible_matrices(k):
+    """Every invertible k x k GF(2) matrix as row ints, identity first,
+    then lexicographic by rows, each tested by a full rank computation."""
+    return tuple(_enumerate_invertible(k))
+
+
+def _enumerate_invertible(k):
+    identity = tuple(1 << i for i in range(k))
+    yield identity
+
+    def extend(rows):
+        if len(rows) == k:
+            if rows != identity:
+                yield rows
+            return
+        for v in range(1, 1 << k):
+            cand = rows + (v,)
+            if _rank(cand, k) == len(cand):
+                yield from extend(cand)
+
+    yield from extend(())
+
+
+def reference_match(exps, k, lvl, template, template_name, allow_pauli_z, allow_basis_change):
+    """Enumerate-then-verify matching: build the relabeled template table
+    for every candidate matrix, then compare it with the input entry by
+    entry."""
+    if template.k != k:
+        return GateMatch(False)
+    mod = 1 << lvl
+    half = mod >> 1
+    tpl = template.promoted(lvl) if template.level < lvl else template
+    if tpl.level != lvl:
+        return GateMatch(False)
+    t_exps = tpl.exponents()
+    e = [x % mod for x in exps]
+    candidates = _reference_invertible_matrices(k) if allow_basis_change else [
+        tuple(1 << i for i in range(k))
+    ]
+    for rows in candidates:
+        perm = [t_exps[_apply_basis_change(b, rows)] for b in range(1 << k)]
+        c = (e[0] - perm[0]) % mod
+        mask = 0
+        ok = True
+        for i in range(k):
+            d = (e[1 << i] - perm[1 << i] - c) % mod
+            if d == 0:
+                continue
+            if d == half and allow_pauli_z:
+                mask |= 1 << i
+            else:
+                ok = False
+                break
+        if not ok:
+            continue
+        for b in range(1 << k):
+            z = half * ((b & mask).bit_count() & 1)
+            if (perm[b] + c + z) % mod != e[b]:
+                ok = False
+                break
+        if ok:
+            return GateMatch(
+                True,
+                template_name,
+                c,
+                lvl,
+                BitVec(k, mask),
+                rows if rows != tuple(1 << i for i in range(k)) else None,
+            )
+    return GateMatch(False)
+
+
+@st.composite
+def match_cases(draw):
+    """A diagonal built from a standard template under a random basis
+    change, Pauli-Z mask and phase, sometimes with one entry corrupted or
+    replaced by a random table, and a second template to match it against."""
+    k = draw(st.integers(1, 4))
+    templates = standard_templates(k)
+    tpl, _ = draw(st.sampled_from(templates))
+    lvl = draw(st.integers(max(tpl.level, 1), 6))
+    mod = 1 << lvl
+    t = (tpl.promoted(lvl) if tpl.level < lvl else tpl).exponents()
+    rows = tuple(draw(st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=k)))
+    if _rank(rows, k) < k:
+        rows = tuple(1 << i for i in range(k))
+    mask = draw(st.integers(0, (1 << k) - 1))
+    c = draw(st.integers(0, mod - 1))
+    exps = [
+        (t[_apply_basis_change(b, rows)] + c + (mod >> 1) * ((b & mask).bit_count() & 1)) % mod
+        for b in range(1 << k)
+    ]
+    corrupt = draw(st.sampled_from(["none", "entry", "random"]))
+    if corrupt == "entry":
+        b = draw(st.integers(0, (1 << k) - 1))
+        exps[b] = (exps[b] + draw(st.integers(1, mod - 1))) % mod
+    elif corrupt == "random":
+        exps = draw(st.lists(st.integers(0, mod - 1), min_size=1 << k, max_size=1 << k))
+    return exps, k, lvl, [tpl, draw(st.sampled_from(templates))[0]]
 
 
 class TestAnf:
@@ -90,17 +212,35 @@ class TestMatch:
         assert not match([0, 0, 0, 0], 2, 1, tpl, name).matched
 
     def test_basis_change_refused_above_cap(self):
-        # GL(5, 2) has about 10^7 matrices: the search must refuse, not run
+        # GL(5, 2) has 9,999,360 matrices: the search must refuse, not run
         tpl, name = template_ckz(5, 0)
         exps = [1] + [0] * 31  # no template match, so a search would be exhaustive
-        with pytest.raises(ValueError, match="k <= 4"):
+        with pytest.raises(BudgetExceeded, match="k <= 4") as exc:
             match(exps, 5, 1, tpl, name, allow_basis_change=True)
-        with pytest.raises(ValueError, match="k <= 4"):
+        assert exc.value.required_log2 == 24
+        with pytest.raises(BudgetExceeded, match="k <= 4") as exc:
             identify(exps, 5, 1, allow_basis_change=True)
+        assert exc.value.required_log2 == 24
 
     def test_identity_first_in_enumeration(self):
-        first = next(iter(_invertible_matrices(3)))
-        assert first == (1, 2, 4)
+        # CCZ is symmetric, so a relabeling by a non-identity matrix also
+        # reproduces it; the identity must still be the one reported
+        tpl, name = template_ckz(3, 0)
+        exps = tpl.exponents()
+        swap = (2, 1, 4)
+        assert [exps[_apply_basis_change(b, swap)] for b in range(8)] == exps
+        m = match(exps, 3, 1, tpl, name, allow_basis_change=True)
+        assert m.matched and m.basis_change is None
+
+    @given(match_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_search_equals_enumeration(self, case):
+        exps, k, lvl, templates = case
+        for tpl in templates:
+            for allow_pz in (False, True):
+                for allow_bc in (False, True):
+                    args = (exps, k, lvl, tpl, "tpl", allow_pz, allow_bc)
+                    assert match(*args) == reference_match(*args)
 
     def test_match_transformation_reproduces_input(self):
         # self-verifying postcondition, checked here independently
@@ -158,6 +298,13 @@ class TestIdentify:
     def test_unidentified_reports_unmatched(self):
         m = identify([0, 1, 2, 3], 2, 3)
         assert isinstance(m, GateMatch)
+
+    def test_two_l_4_logical_unmatched(self):
+        # no template matches this k = 4 logical under any relabeling
+        fb = build_family("two_l", [4])
+        diag = gencoeff.induced_logical(fb.code, fb.gate)
+        assert diag.k == 4
+        assert identify(list(diag.exps), diag.k, diag.level) == GateMatch(False)
 
 
 class TestDescribe:
