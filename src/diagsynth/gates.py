@@ -22,10 +22,11 @@ import numpy as np
 
 from . import gf2
 from .cyclo import LEVEL_CAP, Cyclo
-from .errors import LengthMismatch
+from .errors import BudgetExceeded, LengthMismatch
 from .gf2 import BitVec
 
 BLOCK_CAP = 3
+DENSE_PAULI_CAP = 20  # a quadratic form's Pauli expansion is dense over 2^n labels
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,16 @@ class BlockProductGate:
     """Tensor product of local diagonal blocks on disjoint qubit sets.
 
     ``level`` and ``weight_affine`` (see weight_affine_form) are derived
-    once, at construction."""
+    once, at construction; the Pauli factor tables (see pauli_factors) on
+    their first use."""
 
     n: int
     blocks: tuple[tuple[tuple[int, ...], LocalDiag], ...]
     level: int = field(init=False, repr=False, compare=False)
     weight_affine: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
+    _pauli_factors: tuple["PauliFactor", ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -122,6 +127,9 @@ class QfdGate:
     level: int
     rows: tuple[tuple[int, ...], ...]
     weight_affine: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
+    _pauli_factors: tuple["PauliFactor", ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not 1 <= self.level <= LEVEL_CAP:
@@ -196,12 +204,6 @@ def entry_exponent_int(gate: DiagonalGate, u: int) -> int:
     return acc % mod
 
 
-def _unpacked_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) uint8 array whose column q is qubit q of each word row."""
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
-
-
 def _word_exponents(gate: DiagonalGate) -> Callable[[np.ndarray], np.ndarray]:
     """The gate's exponent as a function of a (rows, ceil(n/64)) uint64
     word array, returning uint8.  Sums are taken in uint8 and so wrap mod
@@ -218,7 +220,7 @@ def _word_exponents(gate: DiagonalGate) -> Callable[[np.ndarray], np.ndarray]:
         ]
 
         def block_exps(words: np.ndarray) -> np.ndarray:
-            bits = _unpacked_bits(words, n)
+            bits = gf2.word_bits(words, n)
             total = np.zeros(len(bits), dtype=np.uint8)
             for (qubits, _), table in zip(gate.blocks, tables):
                 idx = bits[:, qubits[0]]
@@ -234,7 +236,7 @@ def _word_exponents(gate: DiagonalGate) -> Callable[[np.ndarray], np.ndarray]:
     rows = np.array(gate.rows, dtype=np.float32)
 
     def form_exps(words: np.ndarray) -> np.ndarray:
-        bits = _unpacked_bits(words, n)
+        bits = gf2.word_bits(words, n)
         out = np.empty(len(bits), dtype=np.uint8)
         for lo in range(0, len(bits), 1 << 12):
             b = bits[lo : lo + (1 << 12)]
@@ -259,6 +261,30 @@ def span_exponents(gate: DiagonalGate, basis: Sequence[int], y: int) -> np.ndarr
     for row, word in zip(out, high):
         row[:] = exps(low ^ word)
     return out.reshape(-1)
+
+
+def residue_channels(exps: np.ndarray, level: int) -> list[int]:
+    """The residues j < 2^(L-1) with j or j + 2^(L-1) among the exponents
+    (each below 2^L): the signed channels of zeta^j that they fill."""
+    half = 1 << (level - 1)
+    counts = np.bincount(exps, minlength=2 * half)
+    return np.flatnonzero(counts[:half] + counts[half:]).tolist()
+
+
+def channel_spectrum(
+    exps: np.ndarray, channels: Sequence[int], level: int, dtype
+) -> np.ndarray:
+    """(len(channels), len(exps)) array: row c is the Walsh-Hadamard
+    transform of the signed channel of zeta^j, j = channels[c], so its
+    column t is sum_u (-1)^(u.t) ([exps[u] = j] - [exps[u] = j + 2^(L-1)]).
+    Both the X-side span table and the Pauli factor tables are these."""
+    half = 1 << (level - 1)
+    out = np.empty((len(channels), len(exps)), dtype=dtype)
+    for row, j in zip(out, channels):
+        row[:] = exps == j
+        row -= exps == j + half
+    gf2.wht_rows(out)
+    return out
 
 
 def entry_exponent(gate: DiagonalGate, u: BitVec) -> int:
@@ -322,14 +348,82 @@ def pauli_coeff(gate: DiagonalGate, v: BitVec) -> Cyclo:
                 idx = (idx << 1) | v.bit(q)
             acc = acc * _block_pauli_table(local)[idx]
         return acc
-    if gate.n > 20:
-        raise ValueError("dense Pauli expansion limited to n <= 20")
+    if gate.n > DENSE_PAULI_CAP:
+        raise ValueError(f"dense Pauli expansion limited to n <= {DENSE_PAULI_CAP}")
     # the 2^n cube is the span of the unit vectors, in binary order
     mod = 1 << gate.level
     exps = span_exponents(gate, [1 << q for q in range(gate.n)], 0).astype(np.intp)
     odd = np.bitwise_count(np.arange(1 << gate.n, dtype=np.uint64) & np.uint64(v.bits)) & 1
     counts = np.bincount((exps + odd * (mod >> 1)) % mod, minlength=mod)
     return Cyclo.from_root_counts(gate.level, counts.tolist(), gate.n)
+
+
+@dataclass(frozen=True)
+class PauliFactor:
+    """One tensor factor of a gate's Pauli expansion, on b qubits.
+
+    Bit i of a label index is the label's bit on ``qubits[i]``.  Row v of
+    ``table`` (shape (2^b, len(channels))) holds the integer coefficients,
+    on zeta^j for j in ``channels``, of
+
+        sum_u (-1)^(u.v) zeta^(e(u))
+
+    over the factor's 2^b inputs u, with zeta at the gate's level L; every
+    other coefficient j < 2^(L-1) is zero.  Divided by 2^b it is the
+    factor's Pauli coefficient.  Each entry is at most 2^b in absolute
+    value, and the absolute values of a row sum to at most 2^b.
+    """
+
+    qubits: tuple[int, ...]
+    channels: tuple[int, ...]
+    table: np.ndarray
+
+
+def pauli_factors(
+    gate: DiagonalGate, budget: int = gf2.DEFAULT_BUDGET
+) -> tuple[PauliFactor, ...]:
+    """The gate's Pauli expansion as a product of factor tables:
+    f(v) = prod_F 2^-b_F table_F[v restricted to F], and f(v) = 0 when v
+    has a set bit on a qubit no factor covers.
+
+    A block product has one factor per block.  A quadratic form is one
+    factor on all n qubits, its dense spectrum of channels x 2^n integers:
+    refused past DENSE_PAULI_CAP qubits, and when that size exceeds the
+    budget.  Built on the first call and kept on the gate.
+    """
+    factors = gate._pauli_factors
+    if isinstance(gate, BlockProductGate):
+        if factors is None:
+            built = []
+            for qubits, local in gate.blocks:
+                # the first listed qubit is the block index's top bit
+                exps = np.array(local.exps) << (gate.level - local.level)
+                channels = residue_channels(exps, gate.level)
+                table = channel_spectrum(exps, channels, gate.level, np.int32).T
+                built.append(PauliFactor(tuple(reversed(qubits)), tuple(channels), table))
+            factors = tuple(built)
+            object.__setattr__(gate, "_pauli_factors", factors)
+        return factors
+    n = gate.n
+    if n > DENSE_PAULI_CAP:
+        raise BudgetExceeded(f"2^{n} dense Pauli expansion", required_log2=n)
+    if factors is None:
+        cube = span_exponents(gate, [1 << q for q in range(n)], 0)
+        channels = residue_channels(cube, gate.level)
+    else:
+        channels = factors[0].channels
+    size = len(channels) << n
+    if size > budget:
+        raise BudgetExceeded(
+            f"{len(channels)} x 2^{n} dense Pauli spectrum",
+            required_log2=(size - 1).bit_length(),
+        )
+    if factors is None:
+        # |entry| <= 2^n <= 2^DENSE_PAULI_CAP fits int32
+        table = channel_spectrum(cube, channels, gate.level, np.int32).T
+        factors = (PauliFactor(tuple(range(n)), tuple(channels), table),)
+        object.__setattr__(gate, "_pauli_factors", factors)
+    return factors
 
 
 # ----------------------------------------------------------------------

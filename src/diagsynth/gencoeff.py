@@ -19,13 +19,16 @@ t(s)_i = b_i . s every coefficient is
 
 one Walsh-Hadamard transform per residue channel, read by lookup.  The
 Z side is the independent check: a signed weight enumerator for
-transversal rotations, and a plain Python walk with a budget guard for
-every other gate.  All results are exact ring elements.
+transversal rotations, and for every other gate a walk over C1perp, held
+as a word array once per code, that reads f(z) from the gate's Pauli
+factor tables (``gates.pauli_factors``, built once per gate and apart from
+the X-side table) and multiplies them in Z[zeta] on integer arrays.  All
+results are exact ring elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -38,26 +41,23 @@ from .errors import BudgetExceeded, NotPreserved
 from .gates import (
     BlockProductGate,
     DiagonalGate,
-    pauli_coeff,
+    channel_spectrum,
+    pauli_factors,
+    residue_channels,
     span_exponents,
     weight_affine_form,
     _block_pauli_table,
 )
 from .gf2 import BitVec
 
-_PY_SPAN_CAP = 1 << 16  # generic Z-side Python walks beyond this are refused
+# generic Z-side walks past this many words are refused: each holds a
+# row of 2^(L-1) integers per factor product
+_PY_SPAN_CAP = 1 << 16
 _ROW_CAP = 1 << 12  # full rows/tables above this need explicit sampling
 
 
 # ----------------------------------------------------------------------
-# cached spans and powers
-
-
-def _span_cache(code: CssCode, key: str, basis_ints: list[int]) -> list[int]:
-    cache = code._caches.setdefault("spans", {})
-    if key not in cache:
-        cache[key] = gf2.span_ints(basis_ints)
-    return cache[key]
+# cached powers
 
 
 @lru_cache(maxsize=None)
@@ -78,18 +78,6 @@ def _rot_powers(local, n: int) -> tuple[tuple[Cyclo, ...], tuple[Cyclo, ...]]:
 # the C1-span table
 
 
-def _wht_rows(a: np.ndarray) -> None:
-    """In-place Walsh-Hadamard transform of every row of a (C, 2^d) array:
-    a[:, t] <- sum_j (-1)^(j . t) a[:, j]."""
-    h = 1
-    while h < a.shape[1]:
-        v = a.reshape(a.shape[0], -1, 2, h)
-        lo = v[:, :, 0].copy()
-        v[:, :, 0] += v[:, :, 1]
-        np.subtract(lo, v[:, :, 1], out=v[:, :, 1])
-        h <<= 1
-
-
 class _SpanTable:
     """One diagonal gate over the C1 span of one code.
 
@@ -108,21 +96,8 @@ class _SpanTable:
         self.basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
         self.dim = len(self.basis)
         self.exps = span_exponents(gate, self.basis, code.y.bits)
-        mod = 1 << self.level
-        half = mod >> 1
-        present = np.flatnonzero(np.bincount(self.exps, minlength=mod))
-        self.channels = sorted({int(r) % half for r in present})
+        self.channels = residue_channels(self.exps, self.level)
         self.wht: np.ndarray | None = None
-
-    def _build_wht(self) -> np.ndarray:
-        half = 1 << (self.level - 1)
-        dtype = np.int32 if self.dim < 31 else np.int64
-        chans = np.empty((len(self.channels), self.exps.size), dtype=dtype)
-        for row, j in zip(chans, self.channels):
-            row[:] = self.exps == j
-            row -= self.exps == j + half
-        _wht_rows(chans)
-        return chans
 
     def coefficient(self, s: int, budget: int) -> Cyclo:
         """|C1|^-1 sum_{c in C1} (-1)^(c.s) d_(y ^ c)."""
@@ -131,7 +106,8 @@ class _SpanTable:
             t |= ((b & s).bit_count() & 1) << i
         half = 1 << (self.level - 1)
         if self.wht is None and len(self.channels) << self.dim <= budget:
-            self.wht = self._build_wht()
+            dtype = np.int32 if self.dim < 31 else np.int64
+            self.wht = channel_spectrum(self.exps, self.channels, self.level, dtype)
         if self.wht is not None:
             coeffs = [0] * half
             for j, col in zip(self.channels, self.wht[:, t].tolist()):
@@ -171,10 +147,41 @@ def _sum_x_side(
     return _span_table(code, gate).coefficient(sign_mask, budget)
 
 
+def _c1perp_words(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """C1perp as a word array in binary order, with each word's parity
+    against y; listed once per code."""
+    cache = code._caches
+    if "c1perp_words" not in cache:
+        words = gf2.span_words(code.z_stab.row_ints(), code.n)
+        parity = gf2.word_weights(words & gf2.int_words(code.y.bits, code.n)) & 1
+        cache["c1perp_words"] = words, parity.astype(bool)
+    return cache["c1perp_words"]
+
+
+def _ring_times(acc: np.ndarray, rows: np.ndarray, channels: Sequence[int]) -> np.ndarray:
+    """Row-wise product in Z[zeta] of the (N, 2^(L-1)) coefficient array
+    acc with rows (N, len(channels)) that hold the coefficients on
+    zeta^channels: a negacyclic convolution, since zeta^(2^(L-1)) = -1."""
+    half = acc.shape[1]
+    out = np.zeros_like(acc)
+    for col, j in zip(rows.T, channels):
+        prod = acc * col[:, None]
+        out[:, j:] += prod[:, : half - j]
+        out[:, :j] -= prod[:, half - j :]
+    return out
+
+
 def _sum_z_side(
     code: CssCode, gate: DiagonalGate, shift: int, budget: int
 ) -> Cyclo:
-    """sum_{z in C1perp + shift} (-1)^(z.y) f(z), exact."""
+    """sum_{z in C1perp + shift} (-1)^(z.y) f(z), exact.
+
+    Transversal rotations sum their per-weight Pauli coefficients against
+    the signed weight enumerator.  Every other gate reads f from its Pauli
+    factor tables (``gates.pauli_factors``): the words of C1perp + shift
+    gather each factor's rows by their bits, the rows multiply in Z[zeta]
+    on integer arrays, and the signed sum becomes one ring element.
+    """
     basis = code.z_stab.row_ints()
     dim = len(basis)
     n, y = code.n, code.y.bits
@@ -191,20 +198,30 @@ def _sum_z_side(
         return acc
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} Z-side walk", required_log2=dim)
-    if n > 20 and not isinstance(gate, BlockProductGate):
-        # pauli_coeff expands a quadratic form densely over 2^n inputs
-        raise BudgetExceeded(f"2^{n} dense Pauli expansion", required_log2=n)
-    acc = Cyclo.zero()
-    for c in _span_cache(code, "c1perp", basis):
-        z = c ^ shift
-        f = pauli_coeff(gate, BitVec(n, z))
-        if f.is_zero():
-            continue
-        if (z & y).bit_count() & 1:
-            acc = acc - f
-        else:
-            acc = acc + f
-    return acc
+    factors = pauli_factors(gate, budget)
+    words, parity = _c1perp_words(code)
+    covered = sum(1 << q for f in factors for q in f.qubits)
+    z = words ^ gf2.int_words(shift, n)
+    # a label with a set bit on an uncovered qubit has f = 0
+    keep = ~(z & gf2.int_words(((1 << n) - 1) ^ covered, n)).any(axis=1)
+    bits = gf2.word_bits(z[keep], n)
+    odd = parity[keep] ^ bool((shift & y).bit_count() & 1)
+    # Bound: a factor row is a sum of 2^b signed powers of zeta, so its
+    # absolute values sum to at most 2^b.  That sum is submultiplicative
+    # under the product in Z[zeta], so a word's product row sums to at most
+    # 2^width.  Every integer formed below, in _ring_times or over the
+    # words, is a signed sum of terms of at most 2^dim such products, so
+    # its absolute value is at most 2^(width + dim): int64 holds it while
+    # width + dim <= 62
+    width = sum(len(f.qubits) for f in factors)
+    dtype = np.int64 if width + dim <= 62 else object
+    acc = np.zeros((len(bits), 1 << (gate.level - 1)), dtype=dtype)
+    acc[:, 0] = 1
+    for f in factors:
+        idx = bits[:, list(f.qubits)] @ (1 << np.arange(len(f.qubits)))
+        acc = _ring_times(acc, f.table[idx].astype(dtype), f.channels)
+    total = acc[~odd].sum(axis=0) - acc[odd].sum(axis=0)
+    return Cyclo(gate.level, total.tolist(), width)
 
 
 def _side_order(code: CssCode) -> list[str]:
@@ -351,6 +368,8 @@ class PreservationResult:
     norm: Cyclo | None  # exact trivial-row norm when computed
     method: str  # "coefficient-norm" | "codeword-diagonal"
     witness: tuple[int, Cyclo] | None = None  # offending (beta, entry)
+    # the exact-full trivial row behind a coefficient-norm verdict
+    row: GenCoeffRow | None = field(default=None, repr=False, compare=False)
 
 
 def is_preserved(
@@ -363,6 +382,8 @@ def is_preserved(
     Small codes get the trivial-row norm (preserved iff it equals one);
     codes with many logicals but a small X-stabilizer group are decided by
     scanning the induced diagonal for unimodularity, which is equivalent.
+    A coefficient-norm result carries the row it summed, so callers need
+    not compute it again.
     """
     _check_gate(code, gate)
     norm_exc: BudgetExceeded | None = None
@@ -370,7 +391,7 @@ def is_preserved(
         try:
             row = trivial_row(code, gate, budget=budget)
             norm = row.norm()
-            return PreservationResult(norm == ONE, norm, "coefficient-norm")
+            return PreservationResult(norm == ONE, norm, "coefficient-norm", row=row)
         except BudgetExceeded as exc:
             norm_exc = exc
     try:

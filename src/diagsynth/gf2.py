@@ -358,6 +358,24 @@ def word_weights(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
 
 
+def word_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) uint8 array whose column q is qubit q of each word row."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def wht_rows(a: np.ndarray) -> None:
+    """In-place Walsh-Hadamard transform of every row of a (C, 2^d) array:
+    a[:, t] <- sum_j (-1)^(j . t) a[:, j]."""
+    h = 1
+    while h < a.shape[1]:
+        v = a.reshape(a.shape[0], -1, 2, h)
+        lo = v[:, :, 0].copy()
+        v[:, :, 0] += v[:, :, 1]
+        np.subtract(lo, v[:, :, 1], out=v[:, :, 1])
+        h <<= 1
+
+
 def span_words(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Span as a (2^m, ceil(n/64)) uint64 array in binary order: row j
     combines the basis rows named by the bits of j, and column i holds

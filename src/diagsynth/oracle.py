@@ -50,7 +50,7 @@ class LogicalBlock:
     matrix: np.ndarray
 
 
-def logical_block(code: CssCode, gate: DiagonalGate) -> LogicalBlock:
+def _check_block_size(code: CssCode, gate: DiagonalGate) -> None:
     if gate.n != code.n:
         raise ValueError("gate and code sizes differ")
     if code.n > 24:
@@ -58,6 +58,11 @@ def logical_block(code: CssCode, gate: DiagonalGate) -> LogicalBlock:
     k, m = code.k, code.dim_c2
     if 2 * k + m > 26:
         raise BudgetExceeded("logical block too large", required_log2=2 * k + m)
+
+
+def logical_block(code: CssCode, gate: DiagonalGate) -> LogicalBlock:
+    _check_block_size(code, gate)
+    k, m = code.k, code.dim_c2
     span = gf2.span_ints(code.x_stab.row_ints())
     norm = 2.0 ** (-m)
     supports = []
@@ -109,20 +114,27 @@ def compare_block_with_row(
     return max_diag, float(np.abs(off).max())
 
 
-def crosscheck(
-    code: CssCode,
-    gate: DiagonalGate,
-    tol: float = DEFAULT_TOL,
-    budget: int = gf2.DEFAULT_BUDGET,
-) -> CrosscheckReport:
-    """Compare the exact engine against the float oracle: the preservation
-    verdicts must agree and the induced diagonal must match entrywise."""
+def float_block(
+    code: CssCode, gate: DiagonalGate, tol: float = DEFAULT_TOL
+) -> tuple[LogicalBlock, bool]:
+    """The float half of the crosscheck: the logical block and whether it
+    is unitary within tol."""
     block = logical_block(code, gate)
     m = block.matrix
     gram = m.conj().T @ m
-    unitary = bool(np.abs(gram - np.eye(1 << block.k)).max() <= tol)
-    pres = gencoeff.is_preserved(code, gate, budget=budget)
-    row = gencoeff.trivial_row(code, gate, budget=budget)
+    return block, bool(np.abs(gram - np.eye(1 << block.k)).max() <= tol)
+
+
+def compare_with_engine(
+    code: CssCode,
+    gate: DiagonalGate,
+    pres: gencoeff.PreservationResult,
+    row: gencoeff.GenCoeffRow,
+    tol: float = DEFAULT_TOL,
+) -> CrosscheckReport:
+    """Build the float half and compare it with the engine's verdict and
+    exact-full trivial row."""
+    block, unitary = float_block(code, gate, tol)
     max_diag, max_off = compare_block_with_row(block, row)
     return CrosscheckReport(
         preserved_exact=pres.preserved,
@@ -132,3 +144,18 @@ def crosscheck(
         max_offdiag=max_off,
         tol=tol,
     )
+
+
+def crosscheck(
+    code: CssCode,
+    gate: DiagonalGate,
+    tol: float = DEFAULT_TOL,
+    budget: int = gf2.DEFAULT_BUDGET,
+) -> CrosscheckReport:
+    """Compare the exact engine against the float oracle: the preservation
+    verdicts must agree and the induced diagonal must match entrywise.
+    The engine answers (or refuses) before the float block is built."""
+    _check_block_size(code, gate)
+    pres = gencoeff.is_preserved(code, gate, budget=budget)
+    row = pres.row or gencoeff.trivial_row(code, gate, budget=budget)
+    return compare_with_engine(code, gate, pres, row, tol)

@@ -51,8 +51,11 @@ def build_report(
     tol: float = oracle.DEFAULT_TOL,
 ) -> dict[str, Any]:
     # the verdict comes first, so that a refusal does not wait for the
-    # distance search; the code summary still leads the report
+    # distance search; the code summary still leads the report.  The
+    # verdict's trivial row, when it has one, is the only row computed:
+    # without it, trivial_row refuses at the same budget.
     rep: dict[str, Any] = {}
+    pres: gencoeff.PreservationResult | None = None
     if gate is not None:
         rep["gate"] = gate_to_json(gate)
         certificate = "exact-full"
@@ -76,17 +79,21 @@ def build_report(
     rep = {"code": code_summary(code, w_max, budget), "code_json": code_to_json(code), **rep}
     if gate is None:
         return rep
+    row = pres.row if pres is not None else None
     if include_row:
-        try:
-            row = gencoeff.trivial_row(code, gate, budget=budget)
+        if row is not None:
             rep["trivial_row"] = row.to_json()
             rep["trivial_row_exactness"] = row.exactness
-        except BudgetExceeded:
+        else:
             rep["trivial_row"] = None
     if rep.get("preserved"):
         rep["logical"] = logical_summary(code, gate, budget)
     if include_oracle and code.n <= 24:
-        chk = oracle.crosscheck(code, gate, tol=tol, budget=budget)
+        if row is None:
+            # the engine refused; crosscheck raises what it always raised
+            chk = oracle.crosscheck(code, gate, tol=tol, budget=budget)
+        else:
+            chk = oracle.compare_with_engine(code, gate, pres, row, tol)
         rep["oracle"] = {
             "verdicts_agree": chk.verdicts_agree,
             "max_row_deviation": chk.max_row_deviation,

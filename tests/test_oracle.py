@@ -3,14 +3,17 @@
 import cmath
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from diagsynth import gencoeff
+from diagsynth import gencoeff, oracle
 from diagsynth.csscode import CssCode
+from diagsynth.errors import BudgetExceeded
 from diagsynth.families import four22_code, steane_code
 from diagsynth.gates import block_gate, transversal_zrot
-from diagsynth.gf2 import BitVec
+from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.oracle import compare_block_with_row, crosscheck, logical_block
+from diagsynth.report import build_report
 from diagsynth.synth import concatenate, half_support_remove_z
 
 from conftest import codes_with_gates
@@ -75,3 +78,39 @@ class TestCrosscheck:
         if chk.preserved_exact:
             assert chk.max_row_deviation < 1e-9
             assert chk.max_offdiag < 1e-9
+
+    def test_engine_refuses_before_the_float_block(self, monkeypatch):
+        # k = 13 and no X-stabilizers: 2k + m = 26 passes the block's size
+        # guard, but the full row (2^13 entries) is past the row cap, so the
+        # 8192 x 8192 block must never be built
+        n = 14
+        code = CssCode(n, BitMat.empty(n), BitMat(n, [BitVec.ones(n)]))
+
+        def fail(*args):
+            raise AssertionError("float block built")
+
+        monkeypatch.setattr(oracle, "logical_block", fail)
+        with pytest.raises(BudgetExceeded) as exc:
+            crosscheck(code, transversal_zrot(n, 2))
+        assert exc.value.required_log2 == 13
+
+    def test_report_computes_one_row(self, monkeypatch):
+        # the report's verdict, row and crosscheck share one trivial row
+        calls = []
+        real = gencoeff.trivial_row
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        code, gate = steane_code(), transversal_zrot(7, 2)
+        want = crosscheck(code, gate)
+        monkeypatch.setattr(gencoeff, "trivial_row", counting)
+        rep = build_report(code, gate, include_oracle=True)
+        assert len(calls) == 1
+        assert rep["oracle"] == {
+            "verdicts_agree": want.verdicts_agree,
+            "max_row_deviation": want.max_row_deviation,
+            "max_offdiag": want.max_offdiag,
+            "tol": want.tol,
+        }

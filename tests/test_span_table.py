@@ -174,11 +174,14 @@ class TestCoefficients:
     @settings(max_examples=100, deadline=None)
     def test_table_matches_z_side(self, data):
         # the Z side walks 2^(n - dim C1) words, so C1 is nearly full here;
-        # c*I forms expand densely over 2^n words and stay below n = 10
+        # past transversal rotations the walk stops at 2^16 words, and a
+        # quadratic form's dense spectrum stays at 2^22 entries or fewer
         n = data.draw(st.integers(8, 18))
         code = data.draw(codes_with_c1_dim(n, data.draw(st.integers(n - 8, n))))
-        gate = data.draw(affine_gates(n))
-        assume(isinstance(gate, BlockProductGate) or n <= 9)
+        gate = data.draw(affine_gates(n) | seeded_gates(n, ("block", "qfd")))
+        rotation = isinstance(gate, BlockProductGate) and gate.weight_affine
+        assume(rotation or code.dim_c1perp <= 16)
+        assume(gate.weight_affine or isinstance(gate, BlockProductGate) or n + gate.level <= 23)
         s = random_sign(data.draw, code)
         assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == gencoeff._sum_z_side(
             code, gate, s, 1 << 26
