@@ -17,19 +17,24 @@ t(s)_i = b_i . s every coefficient is
 
     A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
 
-one Walsh-Hadamard transform per residue channel, read by lookup.  The
-Z side is the independent check: a signed weight enumerator for
-transversal rotations, and for every other gate a walk over C1perp, held
-as a word array once per code, that reads f(z) from the gate's Pauli
-factor tables (``gates.pauli_factors``, built once per gate and apart from
-the X-side table) and multiplies them in Z[zeta] on integer arrays.  All
-results are exact ring elements.
+one Walsh-Hadamard transform per residue channel, read a whole row at a
+time by one gather.  The Z side is the independent check: a signed weight
+enumerator for transversal rotations, and for every other gate a walk over
+C1perp, held as a word array once per code, that reads f(z) from the
+gate's Pauli factor tables (``gates.pauli_factors``, built once per gate
+and apart from the X-side table) and multiplies them in Z[zeta] on integer
+arrays.
+
+Rows are integer arrays first: both sides hand back the coefficient
+vectors on zeta^0..zeta^(2^(L-1)-1) over one power-of-two denominator, a
+row's norm folds their Gram matrix into one ring element, and an entry
+becomes an exact ring element only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -86,40 +91,43 @@ class _SpanTable:
     the X-logical rows, so ``exps.reshape(2^k, 2^dim C2)[beta]`` is the
     coset x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed
     channel of zeta^j; the channels' Walsh-Hadamard transforms give every
-    coefficient.  They are built on the first coefficient request when
+    coefficient.  They are built on the first row request when
     (channels x 2^dim) fits the budget; otherwise each coefficient is a
     direct signed sum over ``exps``.
     """
 
     def __init__(self, code: CssCode, gate: DiagonalGate):
         self.level = gate.level
-        self.basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
-        self.dim = len(self.basis)
-        self.exps = span_exponents(gate, self.basis, code.y.bits)
+        self.n = code.n
+        basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
+        self.t_map = gf2.parity_map(basis, code.n)
+        self.dim = len(basis)
+        self.exps = span_exponents(gate, basis, code.y.bits)
         self.channels = residue_channels(self.exps, self.level)
         self.wht: np.ndarray | None = None
 
-    def coefficient(self, s: int, budget: int) -> Cyclo:
-        """|C1|^-1 sum_{c in C1} (-1)^(c.s) d_(y ^ c)."""
-        t = 0
-        for i, b in enumerate(self.basis):
-            t |= ((b & s).bit_count() & 1) << i
+    def row(self, svals: Sequence[int], budget: int) -> np.ndarray:
+        """(N, 2^(L-1)) int64 array whose row r holds the coefficients on
+        zeta^0..zeta^(2^(L-1)-1) of 2^dim A(s) for s = svals[r], that is
+        of sum_{c in C1} (-1)^(c.s) d_(y ^ c)."""
+        # t(s)_i = b_i . s names the column of s in the transform
+        t = gf2.apply_parity_map(self.t_map, gf2.int_rows(svals, self.n))
         half = 1 << (self.level - 1)
         if self.wht is None and len(self.channels) << self.dim <= budget:
             dtype = np.int32 if self.dim < 31 else np.int64
             self.wht = channel_spectrum(self.exps, self.channels, self.level, dtype)
+        out = np.zeros((len(svals), half), dtype=np.int64)
         if self.wht is not None:
-            coeffs = [0] * half
-            for j, col in zip(self.channels, self.wht[:, t].tolist()):
-                coeffs[j] = col
-        else:
+            out[:, self.channels] = self.wht[:, t].T
+            return out
+        for r, tr in zip(out, t.tolist()):
             odd = np.zeros(1, dtype=bool)  # parity of j . t, built like the span
             for i in range(self.dim):
-                odd = np.concatenate([odd, odd ^ bool((t >> i) & 1)])
+                odd = np.concatenate([odd, odd ^ bool((tr >> i) & 1)])
             counts = np.bincount(self.exps[~odd], minlength=2 * half)
             counts -= np.bincount(self.exps[odd], minlength=2 * half)
-            coeffs = (counts[:half] - counts[half:]).tolist()
-        return Cyclo(self.level, coeffs, self.dim)
+            r[:] = counts[:half] - counts[half:]
+        return out
 
 
 def _span_table(code: CssCode, gate: DiagonalGate) -> _SpanTable:
@@ -138,13 +146,14 @@ def _span_table(code: CssCode, gate: DiagonalGate) -> _SpanTable:
 
 
 def _sum_x_side(
-    code: CssCode, gate: DiagonalGate, sign_mask: int, budget: int
-) -> Cyclo:
-    """|C1|^-1 sum_{c in C1} (-1)^(c.sign) d_(y ^ c), exact."""
+    code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
+) -> tuple[np.ndarray, int]:
+    """|C1|^-1 sum_{c in C1} (-1)^(c.s) d_(y ^ c) for every s in svals, as
+    one span-table row over the denominator 2^dim C1."""
     dim = code.dim_c1
     if 1 << dim > budget:
         raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
-    return _span_table(code, gate).coefficient(sign_mask, budget)
+    return _span_table(code, gate).row(svals, budget), dim
 
 
 def _c1perp_words(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
@@ -173,14 +182,16 @@ def _ring_times(acc: np.ndarray, rows: np.ndarray, channels: Sequence[int]) -> n
 
 def _sum_z_side(
     code: CssCode, gate: DiagonalGate, shift: int, budget: int
-) -> Cyclo:
-    """sum_{z in C1perp + shift} (-1)^(z.y) f(z), exact.
+) -> tuple[np.ndarray, int]:
+    """sum_{z in C1perp + shift} (-1)^(z.y) f(z), exact, as its integer
+    coefficients on zeta^0..zeta^(2^(L-1)-1) and their denominator
+    exponent.
 
     Transversal rotations sum their per-weight Pauli coefficients against
     the signed weight enumerator.  Every other gate reads f from its Pauli
     factor tables (``gates.pauli_factors``): the words of C1perp + shift
     gather each factor's rows by their bits, the rows multiply in Z[zeta]
-    on integer arrays, and the signed sum becomes one ring element.
+    on integer arrays, and the signed sum is one integer vector.
     """
     basis = code.z_stab.row_ints()
     dim = len(basis)
@@ -195,7 +206,7 @@ def _sum_z_side(
                 acc = acc + p0[n - w] * p1[w] * c
         if (shift & y).bit_count() & 1:
             acc = -acc
-        return acc
+        return np.array(acc.promote(gate.level).coeffs, dtype=object), acc.denom_exp
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} Z-side walk", required_log2=dim)
     factors = pauli_factors(gate, budget)
@@ -220,51 +231,114 @@ def _sum_z_side(
     for f in factors:
         idx = bits[:, list(f.qubits)] @ (1 << np.arange(len(f.qubits)))
         acc = _ring_times(acc, f.table[idx].astype(dtype), f.channels)
-    total = acc[~odd].sum(axis=0) - acc[odd].sum(axis=0)
-    return Cyclo(gate.level, total.tolist(), width)
+    return acc[~odd].sum(axis=0) - acc[odd].sum(axis=0), width
+
+
+def _sum_z_rows(
+    code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
+) -> tuple[np.ndarray, int]:
+    """The Z side for every s in svals, on the largest of their
+    denominators.  A coefficient over 2^d has absolute values summing to at
+    most 2^d (it is 2^-dim C1 times a signed sum of 2^dim C1 roots of unity,
+    and the power basis represents it uniquely), so int64 holds the rows
+    while d <= 62."""
+    parts = [_sum_z_side(code, gate, s, budget) for s in svals]
+    denom = max((d for _, d in parts), default=0)
+    rows = [[x << (denom - d) for x in v.tolist()] for v, d in parts]
+    dtype = np.int64 if denom <= 62 else object
+    return np.array(rows, dtype=dtype).reshape(len(rows), 1 << (gate.level - 1)), denom
 
 
 def _side_order(code: CssCode) -> list[str]:
     return ["x", "z"] if code.dim_c1 <= code.dim_c1perp else ["z", "x"]
 
 
-def _coefficient_int(
-    code: CssCode, gate: DiagonalGate, s: int, budget: int
-) -> Cyclo:
-    """A for mu ^ gamma = s, trying the cheaper side first."""
+def _row_ints(
+    code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
+) -> tuple[np.ndarray, int]:
+    """The coefficients A at every s = mu ^ gamma in svals as an
+    (N, 2^(L-1)) integer array over one denominator 2^denom, returned with
+    denom; the cheaper side first."""
+    if not svals:
+        return np.zeros((0, 1 << (gate.level - 1)), dtype=np.int64), 0
     last_exc: BudgetExceeded | None = None
     for side in _side_order(code):
         try:
             if side == "x":
-                return _sum_x_side(code, gate, s, budget)
-            return _sum_z_side(code, gate, s, budget)
+                return _sum_x_side(code, gate, svals, budget)
+            return _sum_z_rows(code, gate, svals, budget)
         except BudgetExceeded as exc:
             last_exc = exc
     assert last_exc is not None
     raise last_exc
 
 
+def _coefficient_int(
+    code: CssCode, gate: DiagonalGate, s: int, budget: int
+) -> Cyclo:
+    """A for mu ^ gamma = s: the one-entry row."""
+    ints, denom = _row_ints(code, gate, [s], budget)
+    return Cyclo(gate.level, ints[0].tolist(), denom)
+
+
 # ----------------------------------------------------------------------
 # public coefficient API
 
 
-@dataclass
+@dataclass(eq=False)
 class GenCoeffRow:
-    """Trivial-syndrome (or fixed-syndrome) coefficient row."""
+    """Trivial-syndrome (or fixed-syndrome) coefficient row, integers
+    first.
+
+    Row i of ``ints`` holds the coefficients on zeta^0..zeta^(2^(L-1)-1)
+    of 2^denom A(mu ^ gammas[i]), L = ``level``.  ``entries``, ``values()``
+    and ``to_json()`` build the ring elements when first read; ``norm()``
+    builds one.
+    """
 
     code: CssCode
     mu: BitVec
-    entries: dict[BitVec, Cyclo]
+    gammas: list[BitVec]
+    ints: np.ndarray = field(repr=False)
+    denom: int
+    level: int
     exactness: str  # "exact-full" | "exact-sampled"
+
+    @cached_property
+    def entries(self) -> dict[BitVec, Cyclo]:
+        return {
+            g: Cyclo(self.level, v, self.denom)
+            for g, v in zip(self.gammas, self.ints.tolist())
+        }
 
     def values(self) -> list[Cyclo]:
         return list(self.entries.values())
 
     def norm(self) -> Cyclo:
-        acc = Cyclo.zero()
-        for v in self.entries.values():
-            acc = acc + v.abs_sq()
-        return acc
+        """sum_gamma |A(gamma)|^2 as one ring element.
+
+        With a_g the integer rows, the sum is 2^-2denom sum_{i,j} G[i,j]
+        zeta^(i-j) for the Gram matrix G = ints^T ints; zeta^(i-j) is
+        -zeta^(i-j+2^(L-1)) when i < j, since zeta^(2^(L-1)) = -1.  Only the
+        columns that hold a nonzero entry take part.
+        """
+        # Bound: each row's absolute values sum to at most 2^denom (see
+        # _sum_z_rows), so the absolute values of G, and every partial sum
+        # of the product, sum to at most N 2^(2 denom): int64 holds them
+        # while 2 denom + ceil(log2 N) <= 62.  The fold runs on Python ints.
+        log_rows = (len(self.ints) - 1).bit_length()
+        dtype = np.int64 if 2 * self.denom + log_rows <= 62 else object
+        cols = np.flatnonzero(self.ints.any(axis=0)).tolist()
+        sub = self.ints[:, cols].astype(dtype, copy=False)
+        half = self.ints.shape[1]
+        out = [0] * half
+        for i, gram_row in zip(cols, (sub.T @ sub).tolist()):
+            for j, g in zip(cols, gram_row):
+                if i >= j:
+                    out[i - j] += g
+                else:
+                    out[i - j + half] -= g
+        return Cyclo(self.level, out, 2 * self.denom)
 
     def to_json(self) -> list[dict]:
         return [
@@ -285,7 +359,9 @@ def _all_gammas(code: CssCode) -> list[BitVec]:
             f"full row has 2^{code.k} entries; pass an explicit gamma subset",
             required_log2=code.k,
         )
-    return [code.z_logical(a) for a in range(1 << code.k)]
+    # binary order is frame order: bit a of the index selects basis row a
+    basis = code.frame.z_logical_basis.row_ints()
+    return [BitVec(code.n, g) for g in gf2.span_ints(basis)]
 
 
 def coefficient(
@@ -334,10 +410,9 @@ def syndrome_row(
         exactness = "exact-full"
     else:
         exactness = "exact-sampled"
-    entries = {
-        g: _coefficient_int(code, gate, mu.bits ^ g.bits, budget) for g in gammas
-    }
-    return GenCoeffRow(code, mu, entries, exactness)
+    gammas = list(dict.fromkeys(gammas))
+    ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for g in gammas], budget)
+    return GenCoeffRow(code, mu, gammas, ints, denom, gate.level, exactness)
 
 
 def full_table(
@@ -471,20 +546,14 @@ def diagonal_from_row(row: GenCoeffRow, level: int) -> list[Cyclo]:
     """Hadamard resynthesis: entry(beta) = sum_alpha A(g(alpha)) (-1)^(alpha.beta).
 
     Requires an exact-full row in frame order.  Used to cross-check the
-    codeword-sum route."""
+    codeword-sum route; one transform runs over each coefficient column."""
     k = row.code.k
-    values = row.values()
-    assert len(values) == 1 << k
-    out = []
-    for beta in range(1 << k):
-        acc = Cyclo.zero()
-        for alpha, v in enumerate(values):
-            if (alpha & beta).bit_count() & 1:
-                acc = acc - v
-            else:
-                acc = acc + v
-        out.append(acc)
-    return out
+    assert len(row.gammas) == 1 << k
+    # a sum of 2^k rows whose absolute values sum to at most 2^denom
+    dtype = np.int64 if row.denom + k <= 62 else object
+    spec = row.ints.T.astype(dtype)
+    gf2.wht_rows(spec)
+    return [Cyclo(row.level, col, row.denom) for col in spec.T.tolist()]
 
 
 def coefficients_from_diagonal(
@@ -534,11 +603,14 @@ def split_values(
         gammas = _all_gammas(code)
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
     split_code = CssCode(code.n, code.x_stab, new_z, code.y)
-    return {
-        gamma: _coefficient_int(split_code, gate, gamma.bits, budget)
-        - _coefficient_int(split_code, gate, gamma.bits ^ gamma0.bits, budget)
-        for gamma in gammas
-    }
+    svals = [g.bits for g in gammas]
+    ints, denom = _row_ints(
+        split_code, gate, svals + [s ^ gamma0.bits for s in svals], budget
+    )
+    # s is itself 2^-dim C1 times a signed sum of 2^dim C1 roots of unity,
+    # so the difference stays within the rows' bound (see _sum_z_rows)
+    diff = ints[: len(svals)] - ints[len(svals) :]
+    return {g: Cyclo(gate.level, v, denom) for g, v in zip(gammas, diff.tolist())}
 
 
 # ----------------------------------------------------------------------
@@ -568,20 +640,18 @@ def sampled_certificate(
     row = trivial_row(code, gate, gammas=gammas, budget=budget)
     syndromes = code.syndrome_reps(budget)
     pairs = []
-    zero_ok = True
-    first_nonzero = None
     for _ in range(n_syndrome_pairs):
         mu = syndromes[rng.randrange(1, len(syndromes))]
-        gamma = code.z_logical(rng.randrange(0, 1 << k))
-        val = _coefficient_int(code, gate, mu.bits ^ gamma.bits, budget)
-        ok = val.is_zero()
-        zero_ok = zero_ok and ok
-        if not ok and first_nonzero is None:
-            first_nonzero = (mu, gamma, val)
-        pairs.append((mu, gamma, ok))
+        pairs.append((mu, code.z_logical(rng.randrange(0, 1 << k))))
+    ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for mu, g in pairs], budget)
+    nonzero = np.flatnonzero(ints.any(axis=1))
+    first_nonzero = None
+    if nonzero.size:
+        i = int(nonzero[0])
+        first_nonzero = (*pairs[i], Cyclo(gate.level, ints[i].tolist(), denom))
     return {
         "sampled_row": row,
-        "syndrome_pairs_zero": zero_ok,
+        "syndrome_pairs_zero": first_nonzero is None,
         "syndrome_pair_count": len(pairs),
         "nonzero_witness": first_nonzero,
     }

@@ -353,6 +353,15 @@ def int_words(x: int, n: int) -> np.ndarray:
     )
 
 
+def int_rows(xs: Sequence[int], n: int) -> np.ndarray:
+    """Length-n vectors as a (len(xs), ceil(n/64)) uint64 array: row r
+    holds xs[r] in words, qubits 0..63 first."""
+    out = np.empty((len(xs), _num_words(n)), dtype=np.uint64)
+    for i, col in enumerate(out.T):
+        col[:] = [(x >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for x in xs]
+    return out
+
+
 def word_weights(words: np.ndarray) -> np.ndarray:
     """Hamming weight of every row of a (rows, words) uint64 array."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.intp)
@@ -362,6 +371,27 @@ def word_bits(words: np.ndarray, n: int) -> np.ndarray:
     """(rows, n) uint8 array whose column q is qubit q of each word row."""
     raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=1, count=n, bitorder="little")
+
+
+def parity_map(basis: Sequence[int], n: int) -> np.ndarray:
+    """The linear map s -> t with t_i = basis[i] . s as byte lookups: a
+    (8 ceil(n/64), 256) array whose entry [p, v] is t of the byte v placed
+    on qubits 8p..8p+7.  Read it with ``apply_parity_map``."""
+    w = _num_words(n)
+    bits = word_bits(int_rows(basis, n), 64 * w).astype(np.intp)
+    unit = (bits << np.arange(len(basis), dtype=np.intp)[:, None]).sum(axis=0)
+    cols = unit.reshape(8 * w, 8)  # t of each single qubit, by byte
+    table = np.zeros((8 * w, 256), dtype=np.intp)
+    for j in range(8):
+        table[:, 1 << j : 2 << j] = table[:, : 1 << j] ^ cols[:, j : j + 1]
+    return table
+
+
+def apply_parity_map(table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """t for every row of a (rows, ceil(n/64)) word array: the XOR of the
+    lookups of its bytes."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.bitwise_xor.reduce(table[np.arange(table.shape[0]), raw], axis=1)
 
 
 def wht_rows(a: np.ndarray) -> None:

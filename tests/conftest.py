@@ -6,9 +6,9 @@ import random
 
 import hypothesis.strategies as st
 
-from diagsynth import gf2
+from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
-from diagsynth.cyclo import LEVEL_CAP
+from diagsynth.cyclo import LEVEL_CAP, Cyclo
 from diagsynth.gates import (
     BLOCK_CAP,
     BlockProductGate,
@@ -26,6 +26,23 @@ def full_words(n: int) -> st.SearchStrategy[int]:
     wide integers favour small values, which would leave the bits above
     qubit 63 mostly clear."""
     return st.integers(0, 1 << 64).map(lambda seed: random.Random(seed).getrandbits(n) or 1)
+
+
+def x_side(code, gate, s, budget):
+    """One X-side coefficient, read as a one-entry row, as a ring element."""
+    ints, denom = gencoeff._sum_x_side(code, gate, [s], budget)
+    return Cyclo(gate.level, ints[0].tolist(), denom)
+
+
+def z_side(code, gate, shift, budget):
+    """One Z-side coefficient as a ring element."""
+    vec, denom = gencoeff._sum_z_side(code, gate, shift, budget)
+    return Cyclo(gate.level, vec.tolist(), denom)
+
+
+def table_coefficient(table, s, budget):
+    """One coefficient read from a span table's row."""
+    return Cyclo(table.level, table.row([s], budget)[0].tolist(), table.dim)
 
 
 @st.composite

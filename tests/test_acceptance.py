@@ -44,7 +44,7 @@ from diagsynth.hierarchy import (
 from diagsynth.oracle import crosscheck
 from diagsynth.synth import concatenate, dfs_switch, remove_z, half_support_remove_z
 
-from conftest import block_gates, codes_with_gates
+from conftest import block_gates, codes_with_gates, x_side, z_side
 
 
 def row_matches_up_to_phase(values, target):
@@ -296,7 +296,7 @@ def _side_agreement_suite(cg):
     mu = code.syndrome_reps()[-1]
     gamma = code.z_logical((1 << code.k) - 1)
     s = mu.bits ^ gamma.bits
-    assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == gencoeff._sum_z_side(
+    assert x_side(code, gate, s, 1 << 26) == z_side(
         code, gate, s, 1 << 26
     )
 

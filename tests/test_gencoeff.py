@@ -27,7 +27,7 @@ from diagsynth.gencoeff import (
 )
 from diagsynth.gf2 import BitMat, BitVec
 
-from conftest import codes_with_gates
+from conftest import codes_with_gates, x_side, z_side
 
 
 def isin(level):
@@ -156,8 +156,8 @@ class TestSideAgreement:
         mu = code.syndrome_reps()[-1]
         gamma = code.z_logical((1 << code.k) - 1)
         s = mu.bits ^ gamma.bits
-        ax = gencoeff._sum_x_side(code, gate, s, 1 << 26)
-        az = gencoeff._sum_z_side(code, gate, s, 1 << 26)
+        ax = x_side(code, gate, s, 1 << 26)
+        az = z_side(code, gate, s, 1 << 26)
         assert ax == az
 
     def test_sides_agree_exhaustive_steane(self):
@@ -165,7 +165,7 @@ class TestSideAgreement:
         for mu in code.syndrome_reps():
             for a in range(1 << code.k):
                 s = mu.bits ^ code.z_logical(a).bits
-                assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == gencoeff._sum_z_side(
+                assert x_side(code, gate, s, 1 << 26) == z_side(
                     code, gate, s, 1 << 26
                 )
 
@@ -255,6 +255,20 @@ class TestBudget:
                 budget=1,
             )
         assert exc.value.required_log2 is not None
+
+    @given(codes_with_gates(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_all_gammas_in_frame_order(self, cg):
+        code, _ = cg
+        assert gencoeff._all_gammas(code) == [code.z_logical(a) for a in range(1 << code.k)]
+
+    def test_row_cap_refusal(self):
+        # 13 logicals: one past the row cap
+        n = 13
+        code = CssCode(n, BitMat.empty(n), BitMat.empty(n))
+        with pytest.raises(BudgetExceeded, match="full row has 2\\^13 entries") as exc:
+            gencoeff._all_gammas(code)
+        assert exc.value.required_log2 == 13
 
     def test_sampled_row_mode(self):
         code, gate = four22_code(), transversal_zrot(4, 2)

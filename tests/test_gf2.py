@@ -12,10 +12,13 @@ from diagsynth.gf2 import (
     Reducer,
     WeightResult,
     _rref_ints,
+    apply_parity_map,
     coset_reps,
     contains,
     dual_basis,
+    int_rows,
     min_weight_excluding,
+    parity_map,
     quotient_basis,
     rref,
     signed_weight_counts,
@@ -410,6 +413,19 @@ class TestSpanWords:
         with pytest.raises(BudgetExceeded) as exc:
             span_words([1, 2, 4], 256, budget=4)
         assert exc.value.required_log2 == 3
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parity_map_matches_dot_products(self, data):
+        n = data.draw(st.sampled_from([63, 64, 65, 128, 256]) | st.integers(1, 256))
+        basis = data.draw(st.lists(full_words(n), max_size=30))
+        svals = data.draw(st.lists(full_words(n) | st.just(0), max_size=8))
+        got = apply_parity_map(parity_map(basis, n), int_rows(svals, n))
+        want = [
+            sum(((b & s).bit_count() & 1) << i for i, b in enumerate(basis))
+            for s in svals
+        ]
+        assert got.tolist() == want
 
 
 def test_exact_mode_at_dimension_12():

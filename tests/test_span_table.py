@@ -15,6 +15,7 @@ defining sum, written in the test.
 import random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -27,10 +28,12 @@ from diagsynth.gates import (
     BlockProductGate,
     LocalDiag,
     block_gate,
+    channel_spectrum,
     elementary_ckz,
     entry_exponent_int,
     pauli_coeff,
     qfd_gate,
+    residue_channels,
     span_exponents,
     transversal_zrot,
     weight_affine_form,
@@ -38,7 +41,7 @@ from diagsynth.gates import (
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate, remove_z
 
-from conftest import full_words, seeded_gates
+from conftest import full_words, seeded_gates, table_coefficient, x_side, z_side
 
 
 @st.composite
@@ -164,10 +167,10 @@ class TestCoefficients:
         code, gate = case
         s = random_sign(data.draw, code)
         want = ref_x_sum(code, gate, s)
-        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
+        assert x_side(code, gate, s, 1 << 26) == want
         # a budget below the transform's size sums directly over the span
         fresh = gencoeff._SpanTable(code, gate)
-        assert fresh.coefficient(s, budget=1) == want
+        assert table_coefficient(fresh, s, 1) == want
         assert fresh.wht is None
 
     @given(st.data())
@@ -183,7 +186,7 @@ class TestCoefficients:
         assume(rotation or code.dim_c1perp <= 16)
         assume(gate.weight_affine or isinstance(gate, BlockProductGate) or n + gate.level <= 23)
         s = random_sign(data.draw, code)
-        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == gencoeff._sum_z_side(
+        assert x_side(code, gate, s, 1 << 26) == z_side(
             code, gate, s, 1 << 26
         )
 
@@ -210,9 +213,9 @@ class TestPastOneWord:
         code, gate = case
         s = random_sign(data.draw, code)
         want = ref_x_sum(code, gate, s)
-        assert gencoeff._sum_x_side(code, gate, s, 1 << 26) == want
+        assert x_side(code, gate, s, 1 << 26) == want
         fresh = gencoeff._SpanTable(code, gate)
-        assert fresh.coefficient(s, budget=1) == want
+        assert table_coefficient(fresh, s, 1) == want
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
@@ -225,7 +228,7 @@ class TestPastOneWord:
         code = CssCode(n, BitMat.empty(n), z_stab, y)
         gate = transversal_zrot(n, data.draw(st.integers(1, LEVEL_CAP - 1)))
         shift = data.draw(full_words(n))
-        assert gencoeff._sum_z_side(code, gate, shift, 1 << 26) == ref_z_sum(
+        assert z_side(code, gate, shift, 1 << 26) == ref_z_sum(
             code, gate, shift
         )
 
@@ -401,9 +404,154 @@ class TestGenericGates:
         gate = block_gate(n, [((16, 2, 9), local), ((5,), elementary_ckz(0, 1))])
         assert code.dim_c1 == 17
         s = code.z_logical(3).bits
-        assert gencoeff._sum_x_side(code, gate, s, 1 << 17) == gencoeff._sum_z_side(
+        assert x_side(code, gate, s, 1 << 17) == z_side(
             code, gate, s, 1 << 17
         )
+
+
+def old_reader(code, gate):
+    """The span table's per-entry read as it was before whole rows: t by a
+    Python loop over the basis, then one column of the transform, or the
+    direct signed sum when the transform does not fit the budget."""
+    basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
+    dim, level = len(basis), gate.level
+    half = 1 << (level - 1)
+    exps = span_exponents(gate, basis, code.y.bits)
+    channels = residue_channels(exps, level)
+    wht = channel_spectrum(exps, channels, level, np.int64)
+
+    def read(s, budget=1 << 26):
+        t = 0
+        for i, b in enumerate(basis):
+            t |= ((b & s).bit_count() & 1) << i
+        if len(channels) << dim <= budget:
+            coeffs = [0] * half
+            for j, col in zip(channels, wht[:, t].tolist()):
+                coeffs[j] = col
+        else:
+            odd = np.zeros(1, dtype=bool)
+            for i in range(dim):
+                odd = np.concatenate([odd, odd ^ bool((t >> i) & 1)])
+            counts = np.bincount(exps[~odd], minlength=2 * half)
+            counts -= np.bincount(exps[odd], minlength=2 * half)
+            coeffs = (counts[:half] - counts[half:]).tolist()
+        return Cyclo(level, coeffs, dim)
+
+    return read
+
+
+def old_norm(values):
+    """The row norm as it was summed before: one abs_sq and one add per
+    entry."""
+    acc = Cyclo.zero()
+    for v in values:
+        acc = acc + v.abs_sq()
+    return acc
+
+
+@st.composite
+def row_cases(draw):
+    """n in 2..8 or one of 63, 64, 65 and 128, with every row short enough
+    to list.  At n <= 8 either side may come first; above it C1 is small,
+    so the X side does."""
+    n = draw(st.integers(2, 8) | st.sampled_from([63, 64, 65, 128]))
+    code = draw(codes_with_c1_dim(n, draw(st.integers(1, min(n, 8))), full_words(n)))
+    assume(code.k <= 6)
+    kinds = ("block", "qfd") if n <= 70 else ("block",)
+    return code, draw(affine_gates(n) | seeded_gates(n, kinds))
+
+
+class TestRowReads:
+    @given(row_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_matches_per_entry_reads(self, case, data):
+        code, gate = case
+        reps = code.syndrome_reps()
+        mu = reps[data.draw(st.integers(0, len(reps) - 1))]
+        # a budget that only just admits the cheaper side
+        budget = data.draw(st.sampled_from([1 << 26, 1 << max(code.dim_c1, code.dim_c1perp)]))
+        read = old_reader(code, gate)
+        gammas = [code.z_logical(a) for a in range(1 << code.k)]
+        want = [read(mu.bits ^ g.bits) for g in gammas]
+        row = gencoeff.syndrome_row(code, gate, mu, budget=budget)
+        assert list(row.entries) == gammas
+        assert row.values() == want
+        assert row.to_json() == [
+            {"gamma": g.to01(), "value": v.serialize()} for g, v in zip(gammas, want)
+        ]
+        assert row.norm() == old_norm(want)
+        # the table alone, without its transform and with it
+        svals = [mu.bits ^ g.bits for g in gammas]
+        fresh = gencoeff._SpanTable(code, gate)
+        direct = fresh.row(svals, budget=1)
+        assert fresh.wht is None
+        assert [read(s, budget=1) for s in svals] == want
+        assert [Cyclo(gate.level, r, fresh.dim) for r in direct.tolist()] == want
+        assert fresh.row(svals, budget=1 << 26).tolist() == direct.tolist()
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_z_side_row_past_one_word(self, data):
+        # dim C1perp <= 10 puts the Z side first; the rows of a rotation
+        # come back over different denominators and share the largest
+        n = data.draw(st.sampled_from([63, 64, 65, 128]))
+        z_rows = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(1, 10)))]
+        z_stab, _ = gf2.rref(BitMat(n, [BitVec(n, r) for r in z_rows]))
+        code = CssCode(n, BitMat.empty(n), z_stab, BitVec(n, data.draw(full_words(n))))
+        gate = transversal_zrot(n, data.draw(st.integers(1, LEVEL_CAP - 1)))
+        gammas = [BitVec(n, data.draw(full_words(n))) for _ in range(data.draw(st.integers(1, 6)))]
+        gammas += [BitVec.zeros(n), gammas[0]]  # a repeat counts once, as in a dict
+        row = gencoeff.trivial_row(code, gate, gammas=gammas)
+        want = [ref_z_sum(code, gate, g.bits) for g in dict.fromkeys(gammas)]
+        assert row.values() == want
+        assert row.norm() == old_norm(want)
+        # the split values subtract two such rows
+        w0 = BitVec(n, data.draw(full_words(n)))
+        assume(not code.c1_reducer.contains(w0))
+        new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
+        split = CssCode(n, code.x_stab, new_z, code.y)
+        assert gencoeff.split_values(code, gate, w0, gammas=gammas) == {
+            g: ref_z_sum(split, gate, g.bits) - ref_z_sum(split, gate, g.bits ^ gamma0.bits)
+            for g in gammas
+        }
+
+    @given(row_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_values_match_per_entry_reads(self, case, data):
+        code, gate = case
+        w0 = BitVec(code.n, data.draw(full_words(code.n)))
+        assume(not code.c1_reducer.contains(w0))
+        new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
+        read = old_reader(CssCode(code.n, code.x_stab, new_z, code.y), gate)
+        gammas = [code.z_logical(a) for a in range(1 << code.k)]
+        want = {g: read(g.bits) - read(g.bits ^ gamma0.bits) for g in gammas}
+        assert gencoeff.split_values(code, gate, w0) == want
+
+
+class TestGramFold:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fold_matches_abs_sq_sum(self, data):
+        # rows whose absolute values sum to 2^denom, the most a coefficient
+        # allows; from denom 31 with two rows or more the fold leaves int64
+        level = data.draw(st.integers(1, LEVEL_CAP))
+        half = 1 << (level - 1)
+        denom = data.draw(st.integers(20, 70) | st.sampled_from([31, 32]))
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            cuts = sorted(rng.randrange(1 << denom) for _ in range(half - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [1 << denom])]
+            rows.append([p if rng.random() < 0.5 else -p for p in parts])
+        ints = np.array(rows, dtype=np.int64 if denom <= 62 else object)
+        code = four22_code()
+        gammas = [BitVec(code.n, i) for i in range(len(rows))]
+        row = gencoeff.GenCoeffRow(
+            code, BitVec.zeros(code.n), gammas, ints, denom, level, "exact-sampled"
+        )
+        want = old_norm(Cyclo(level, r, denom) for r in rows)
+        assert row.norm() == want
+        assert row.values() == [Cyclo(level, r, denom) for r in rows]
 
 
 class TestBudgets:

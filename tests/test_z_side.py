@@ -28,6 +28,8 @@ from diagsynth.gates import (
 )
 from diagsynth.gf2 import BitMat, BitVec
 
+from conftest import x_side, z_side
+
 
 def ref_z_walk(code, gate, shift):
     """The Z side one word at a time: the sum over z in C1perp + shift of
@@ -115,13 +117,13 @@ class TestAgainstWordWalk:
     @settings(max_examples=150, deadline=None)
     def test_block_products(self, case):
         code, gate, shift = case
-        assert gencoeff._sum_z_side(code, gate, shift, 1 << 26) == ref_z_walk(code, gate, shift)
+        assert z_side(code, gate, shift, 1 << 26) == ref_z_walk(code, gate, shift)
 
     @given(form_cases())
     @settings(max_examples=60, deadline=None)
     def test_quadratic_forms(self, case):
         code, gate, shift = case
-        assert gencoeff._sum_z_side(code, gate, shift, 1 << 26) == ref_z_walk(code, gate, shift)
+        assert z_side(code, gate, shift, 1 << 26) == ref_z_walk(code, gate, shift)
 
     @pytest.mark.parametrize("n, dim", [(62, 0), (63, 0), (60, 2), (60, 3), (64, 1), (128, 4)])
     def test_integer_width_boundary(self, n, dim):
@@ -145,15 +147,15 @@ class TestAgainstWordWalk:
         values = []
         for shift in range(8):
             values.append(ref_z_walk(code, gate, shift))
-            assert gencoeff._sum_z_side(code, gate, shift, 1 << 26) == values[-1]
+            assert z_side(code, gate, shift, 1 << 26) == values[-1]
         assert any(not v.is_zero() for v in values)
 
     def test_identity_gate(self):
         # no factors: f(z) is 1 at z = 0 and 0 elsewhere
         code = z_code(6, [0b110000, 0b000011], 0b101010)
         gate = block_gate(6, [])
-        assert gencoeff._sum_z_side(code, gate, 0b110011, 1 << 26) == ONE
-        assert gencoeff._sum_z_side(code, gate, 0b000100, 1 << 26).is_zero()
+        assert z_side(code, gate, 0b110011, 1 << 26) == ONE
+        assert z_side(code, gate, 0b000100, 1 << 26).is_zero()
 
 
 class TestSpectrumBudget:
@@ -173,16 +175,16 @@ class TestSpectrumBudget:
         cube = span_exponents(gate, [1 << q for q in range(n)], 0)
         size = len({int(e) % 4 for e in cube}) << n
         s = code.z_logical(3).bits
-        want = gencoeff._sum_x_side(code, gate, s, 1 << 26)
+        want = x_side(code, gate, s, 1 << 26)
         # refused before the spectrum is built, answered at its size, and
         # refused again once it is kept on the gate
         for budget in (size - 1, size, size - 1):
             if budget < size:
                 with pytest.raises(BudgetExceeded) as exc:
-                    gencoeff._sum_z_side(code, gate, s, budget)
+                    z_side(code, gate, s, budget)
                 assert exc.value.required_log2 == (size - 1).bit_length()
             else:
-                assert gencoeff._sum_z_side(code, gate, s, budget) == want
+                assert z_side(code, gate, s, budget) == want
             # the X side (2^8 words) answers whenever the Z side refuses
             assert gencoeff._coefficient_int(code, gate, s, budget) == want
         # below 2^8 both sides refuse, and the X side's refusal is raised
