@@ -18,7 +18,8 @@ t(s)_i = b_i . s every coefficient is
     A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
 
 one Walsh-Hadamard transform per residue channel, read a whole row at a
-time by one gather.  The Z side is the independent check: a signed weight
+time by one gather, or as the whole table at once (``whole_table_check``).
+The Z side is the independent check: a signed weight
 enumerator for transversal rotations, and for every other gate a walk over
 C1perp, held as a word array once per code, that reads f(z) from the
 gate's Pauli factor tables (``gates.pauli_factors``, built once per gate
@@ -91,9 +92,9 @@ class _SpanTable:
     the X-logical rows, so ``exps.reshape(2^k, 2^dim C2)[beta]`` is the
     coset x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed
     channel of zeta^j; the channels' Walsh-Hadamard transforms give every
-    coefficient.  They are built on the first row request when
-    (channels x 2^dim) fits the budget; otherwise each coefficient is a
-    direct signed sum over ``exps``.
+    coefficient.  They are built on the first request (``transform``) when
+    (channels x 2^dim) fits the budget; otherwise ``row`` reads each
+    coefficient as a direct signed sum over ``exps``.
     """
 
     def __init__(self, code: CssCode, gate: DiagonalGate):
@@ -106,6 +107,15 @@ class _SpanTable:
         self.channels = residue_channels(self.exps, self.level)
         self.wht: np.ndarray | None = None
 
+    def transform(self, budget: int) -> np.ndarray | None:
+        """The (channels, 2^dim) Walsh-Hadamard array, whose column t holds
+        the coefficients of 2^dim A(s) for every s with t(s) = t; built on
+        first request when channels x 2^dim fits the budget, else None."""
+        if self.wht is None and len(self.channels) << self.dim <= budget:
+            dtype = np.int32 if self.dim < 31 else np.int64
+            self.wht = channel_spectrum(self.exps, self.channels, self.level, dtype)
+        return self.wht
+
     def row(self, svals: Sequence[int], budget: int) -> np.ndarray:
         """(N, 2^(L-1)) int64 array whose row r holds the coefficients on
         zeta^0..zeta^(2^(L-1)-1) of 2^dim A(s) for s = svals[r], that is
@@ -113,12 +123,10 @@ class _SpanTable:
         # t(s)_i = b_i . s names the column of s in the transform
         t = gf2.apply_parity_map(self.t_map, gf2.int_rows(svals, self.n))
         half = 1 << (self.level - 1)
-        if self.wht is None and len(self.channels) << self.dim <= budget:
-            dtype = np.int32 if self.dim < 31 else np.int64
-            self.wht = channel_spectrum(self.exps, self.channels, self.level, dtype)
+        wht = self.transform(budget)
         out = np.zeros((len(svals), half), dtype=np.int64)
-        if self.wht is not None:
-            out[:, self.channels] = self.wht[:, t].T
+        if wht is not None:
+            out[:, self.channels] = wht[:, t].T
             return out
         for r, tr in zip(out, t.tolist()):
             odd = np.zeros(1, dtype=bool)  # parity of j . t, built like the span
@@ -415,24 +423,6 @@ def syndrome_row(
     return GenCoeffRow(code, mu, gammas, ints, denom, gate.level, exactness)
 
 
-def full_table(
-    code: CssCode,
-    gate: DiagonalGate,
-    budget: int = gf2.DEFAULT_BUDGET,
-) -> dict[BitVec, GenCoeffRow]:
-    """Complete coefficient table over all syndromes and logicals."""
-    _check_gate(code, gate)
-    if (code.dim_c2 + code.k) > 16:
-        raise BudgetExceeded(
-            f"table has 2^{code.dim_c2 + code.k} entries",
-            required_log2=code.dim_c2 + code.k,
-        )
-    return {
-        mu: syndrome_row(code, gate, mu, budget=budget)
-        for mu in code.syndrome_reps(budget)
-    }
-
-
 # ----------------------------------------------------------------------
 # preservation
 
@@ -542,36 +532,43 @@ def induced_logical(
     return LogicalDiagonal(code.k, gate.level, tuple(exps), code.frame)
 
 
-def diagonal_from_row(row: GenCoeffRow, level: int) -> list[Cyclo]:
-    """Hadamard resynthesis: entry(beta) = sum_alpha A(g(alpha)) (-1)^(alpha.beta).
+def whole_table_check(
+    code: CssCode,
+    gate: DiagonalGate,
+    exps: Sequence[int],
+    budget: int = gf2.DEFAULT_BUDGET,
+) -> tuple[bool, bool]:
+    """(trivial, null) for the whole coefficient table, read in place from
+    the span table's transform against the diagonal zeta^exps[beta].
 
-    Requires an exact-full row in frame order.  Used to cross-check the
-    codeword-sum route; one transform runs over each coefficient column."""
-    k = row.code.k
-    assert len(row.gammas) == 1 << k
-    # a sum of 2^k rows whose absolute values sum to at most 2^denom
-    dtype = np.int64 if row.denom + k <= 62 else object
-    spec = row.ints.T.astype(dtype)
-    gf2.wht_rows(spec)
-    return [Cyclo(row.level, col, row.denom) for col in spec.T.tolist()]
-
-
-def coefficients_from_diagonal(
-    exps: Sequence[int], level: int, k: int, alphas: Sequence[int]
-) -> list[Cyclo]:
-    """Inverse Hadamard: A(g(alpha)) = 2^-k sum_beta (-1)^(alpha.beta)
-    zeta^exps[beta], vectorized over beta."""
-    mod = 1 << level
-    arr = np.asarray(exps, dtype=np.int64)
-    betas = np.arange(1 << k, dtype=np.uint64)
-    out = []
-    for alpha in alphas:
-        signs = (np.bitwise_count(betas & np.uint64(alpha)) & np.uint8(1)).astype(bool)
-        pos = np.bincount(arr[~signs], minlength=mod)
-        neg = np.bincount(arr[signs], minlength=mod)
-        counts = [int(p) - int(q) for p, q in zip(pos, neg)]
-        out.append(Cyclo.from_root_counts(level, counts, k))
-    return out
+    Column t = sigma | alpha << m (m = dim C2) holds 2^dim C1 A(s) for the
+    s of X-syndrome sigma that pair with the X-logicals as alpha, so
+    t(g(alpha)) = alpha << m.  trivial: every A(g(alpha)) equals 2^-k
+    sum_beta (-1)^(alpha.beta) zeta^exps[beta], that is, column alpha << m
+    is 2^m times the channel spectrum of exps.  null: every column with
+    sigma != 0 is zero, which holds iff the code is preserved.  Refused
+    when the table (2^dim C1) or its transform (channels x 2^dim C1) does
+    not fit the budget.
+    """
+    _check_gate(code, gate)
+    k, m, dim = code.k, code.dim_c2, code.dim_c1
+    if len(exps) != 1 << k:
+        raise ValueError(f"need 2^{k} diagonal exponents, got {len(exps)}")
+    if 1 << dim > budget:
+        raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
+    table = _span_table(code, gate)
+    wht = table.transform(budget)
+    if wht is None:
+        need = dim + (len(table.channels) - 1).bit_length()
+        raise BudgetExceeded(f"2^{need} whole-table transform", required_log2=need)
+    cols = wht.reshape(len(table.channels), 1 << k, 1 << m)
+    diag = np.asarray(exps, dtype=np.int64)
+    # a diagonal entry outside the table's channels has no column to match
+    trivial = set(residue_channels(diag, gate.level)) <= set(table.channels)
+    if trivial:
+        spec = channel_spectrum(diag, table.channels, gate.level, np.int64)
+        trivial = np.array_equal(cols[:, :, 0], spec << m)
+    return trivial, not cols[:, :, 1:].any()
 
 
 # ----------------------------------------------------------------------

@@ -137,18 +137,19 @@ def add_x(
     witness = None
     if gate is not None and check != "skip":
         if check == "full" or 1 << code.k <= gencoeff._ROW_CAP:
-            admissible = True
-            for a in range(1 << code.k):
-                gamma = code.z_logical(a)
-                if not gamma.dot(x0):
-                    continue
-                val = gencoeff.coefficient(
-                    code, gate, BitVec.zeros(code.n), gamma, budget=budget
-                )
-                if not val.is_zero():
-                    admissible = False
-                    witness = (gamma, val)
-                    break
+            # the logicals that pair with x0, in frame order
+            basis = code.frame.z_logical_basis.row_ints()
+            gammas = [
+                BitVec(code.n, g)
+                for g in gf2.span_ints(basis, budget)
+                if (g & x0.bits).bit_count() & 1
+            ]
+            row = gencoeff.syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
+            nonzero = row.ints.any(axis=1)
+            admissible = not nonzero.any()
+            if not admissible:
+                i = int(nonzero.argmax())
+                witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
     return AdditionResult(new_code, mu0, admissible, witness)
 
 

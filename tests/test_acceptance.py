@@ -210,6 +210,7 @@ def test_criterion_6_qrm_pipeline_flagship():
     assert cert["sampled_gamma_count"] >= 15 + 100
     assert cert["coefficients_match_prediction"]
     assert cert["syndrome_pairs_zero"] and cert["syndrome_pair_count"] == 100
+    assert cert["exactness"] == "exact-full"
 
     # full exact verification of the in-reach family members
     q24 = qrm_code(2, 4)
@@ -224,7 +225,7 @@ def test_criterion_6_qrm_pipeline_flagship():
     _report(
         6,
         "[[4,2,2]]->[[64,2,2]]->[[64,21,2]]->[[64,15,4]]; 4/19/6 steps; d_z=4; "
-        "15 CCZ factors certified on 115 sampled logicals + 100 null syndromes",
+        "15 CCZ factors; all 2^22 coefficients certified exactly (2^15 trivial, the rest null)",
         t0,
     )
 

@@ -1,5 +1,6 @@
 """Generator-coefficient engine: values, preservation, splits, logicals."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
@@ -9,21 +10,20 @@ from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
 from diagsynth.errors import BudgetExceeded
 from diagsynth.families import four22_code, steane_code
 from diagsynth.gates import (
+    LocalDiag,
     block_gate,
     elementary_ckz,
     transversal_zrot,
 )
 from diagsynth.gencoeff import (
     coefficient,
-    coefficients_from_diagonal,
-    diagonal_from_row,
-    full_table,
     induced_logical,
     is_preserved,
     logical_diagonal_exponents,
     split_values,
     syndrome_row,
     trivial_row,
+    whole_table_check,
 )
 from diagsynth.gf2 import BitMat, BitVec
 
@@ -188,24 +188,49 @@ class TestPreservationEquivalence:
     def test_kraus_completeness_numeric(self, cg):
         code, gate = cg
         total = 0.0
-        for mu, row in full_table(code, gate).items():
-            for v in row.values():
+        for mu in code.syndrome_reps():
+            for v in syndrome_row(code, gate, mu).values():
                 total += abs(v.to_complex()) ** 2
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def inverse_hadamard(exps, level, k):
+    """Reference: A(g(alpha)) = 2^-k sum_beta (-1)^(alpha.beta)
+    zeta^exps[beta], one Python sum per alpha."""
+    out = []
+    for alpha in range(1 << k):
+        counts = [0] * (1 << level)
+        for beta, e in enumerate(exps):
+            counts[e] += -1 if (alpha & beta).bit_count() & 1 else 1
+        out.append(Cyclo.from_root_counts(level, counts, k))
+    return out
+
+
 class TestDiagonalRoutes:
-    @given(codes_with_gates(max_n=6, min_k=1))
+    @given(codes_with_gates(max_n=6, min_k=1), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_codeword_route_matches_row_route(self, cg):
+    def test_codeword_route_matches_row_route(self, cg, data):
+        # trivial_row reads the Z side here, apart from the X-side table
+        # that whole_table_check reads
         code, gate = cg
+        assume(code.dim_c1 > code.dim_c1perp)
         res = is_preserved(code, gate)
-        assume(res.preserved)
-        exps = logical_diagonal_exponents(code, gate)
+        mod = 1 << gate.level
+        if res.preserved:
+            exps = logical_diagonal_exponents(code, gate)
+        else:
+            size = 1 << code.k
+            exps = data.draw(st.lists(st.integers(0, mod - 1), min_size=size, max_size=size))
+        corrupt = data.draw(st.booleans())
+        if corrupt:
+            beta = data.draw(st.integers(0, len(exps) - 1))
+            exps[beta] = (exps[beta] + data.draw(st.integers(1, mod - 1))) % mod
+        trivial, null = whole_table_check(code, gate, exps)
+        assert null == res.preserved
         row = trivial_row(code, gate)
-        diag = diagonal_from_row(row, gate.level)
-        for e, v in zip(exps, diag):
-            assert v.promote(gate.level).as_root_of_unity() == e
+        assert trivial == (row.values() == inverse_hadamard(exps, gate.level, code.k))
+        if res.preserved and not corrupt:
+            assert trivial
 
     @given(codes_with_gates(max_n=6, min_k=1))
     @settings(max_examples=200, deadline=None)
@@ -214,10 +239,38 @@ class TestDiagonalRoutes:
         res = is_preserved(code, gate)
         assume(res.preserved)
         exps = logical_diagonal_exponents(code, gate)
-        alphas = list(range(1 << code.k))
-        back = coefficients_from_diagonal(exps, gate.level, code.k, alphas)
-        row = trivial_row(code, gate)
-        assert back == row.values()
+        assert trivial_row(code, gate).values() == inverse_hadamard(exps, gate.level, code.k)
+        assert whole_table_check(code, gate, exps) == (True, True)
+
+    def test_whole_table_negative_controls(self):
+        # [[4,2,2]] + T leaks into a nontrivial syndrome
+        code = four22_code()
+        _, null = whole_table_check(code, transversal_zrot(4, 3), [0, 0, 0, 0])
+        assert not null
+        # one corrupted diagonal exponent on a preserved code
+        code, gate = four22_code(), transversal_zrot(4, 2)
+        exps = logical_diagonal_exponents(code, gate)
+        assert whole_table_check(code, gate, exps) == (True, True)
+        exps[-1] = (exps[-1] + 1) % 4
+        assert whole_table_check(code, gate, exps) == (False, True)
+        # the coset of beta = 0 holds zeta^0 and zeta^2, which cancel in the
+        # only channel of the table; a diagonal entry zeta^1 there has no
+        # column to match
+        code = CssCode(2, BitMat.from_strings(["11"]), BitMat.empty(2))
+        gate = block_gate(2, [((0, 1), LocalDiag(2, 2, (0, 0, 0, 2)))])
+        assert whole_table_check(code, gate, [1, 0]) == (False, False)
+
+    def test_whole_table_budget(self):
+        # 2^3 table words fit, the 2 channels x 2^3 transform does not
+        code, gate = four22_code(), transversal_zrot(4, 3)
+        with pytest.raises(BudgetExceeded, match="whole-table transform") as exc:
+            whole_table_check(code, gate, [0, 0, 0, 0], budget=8)
+        assert exc.value.required_log2 == 4
+        with pytest.raises(BudgetExceeded) as exc:
+            whole_table_check(code, gate, [0, 0, 0, 0], budget=4)
+        assert exc.value.required_log2 == 3
+        with pytest.raises(ValueError):
+            whole_table_check(code, gate, [0, 0], budget=16)
 
 
 class TestBeyondWordSize:

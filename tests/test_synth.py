@@ -28,6 +28,19 @@ from diagsynth.synth import (
 from conftest import codes_with_gates, css_codes
 
 
+def add_x_reference(code, gate, x0):
+    """Admissibility of adding x0, one coefficient at a time: the first
+    nonzero trivial-row coefficient on a logical that pairs with x0, in
+    frame order."""
+    for a in range(1 << code.k):
+        gamma = code.z_logical(a)
+        if gamma.dot(x0):
+            val = gencoeff.coefficient(code, gate, BitVec.zeros(code.n), gamma)
+            if not val.is_zero():
+                return False, (gamma, val)
+    return True, None
+
+
 def identity_qfd(n, level=2):
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return qfd_gate(n, level, rows)
@@ -226,6 +239,15 @@ class TestAddX:
         assert a_same == gencoeff.coefficient(code, gate, BitVec.zeros(code.n), gamma_new)
         a_shift = gencoeff.coefficient(new_code, gate, mu0, gamma_new)
         assert a_shift == gencoeff.coefficient(code, gate, BitVec.zeros(code.n), gamma_new ^ mu0)
+        # the checked addition reads one row; the reference reads per logical
+        checked = add_x(code, gate, x0, check="full")
+        admissible, witness = add_x_reference(code, gate, x0)
+        assert checked.admissible == admissible
+        if witness is None:
+            assert checked.witness is None
+        else:
+            assert checked.witness[0] == witness[0]
+            assert checked.witness[1].serialize() == witness[1].serialize()
 
 
 class TestAdmissibilityNorm:
