@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success (verify: preserved), 2 bad parameters or parse or
-budget errors, 3 not preserved, 4 preservation certified only by sampling,
-5 inadmissible step under --strict.
+budget errors, 3 not preserved, 5 inadmissible step under --strict.
 """
 
 from __future__ import annotations
@@ -82,13 +81,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gate,
         w_max=args.wmax,
         budget=args.budget,
-        sampled=args.sampled,
         include_row=not args.no_row,
     )
     _dump(rep)
-    if not rep.get("preserved"):
-        return 3
-    return 4 if rep.get("certificate") == "exact-sampled" else 0
+    return 0 if rep["preserved"] else 3
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -99,7 +95,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         gate,
         w_max=args.wmax,
         budget=args.budget,
-        sampled=args.sampled,
         include_oracle=args.oracle,
     )
     _dump(rep)
@@ -238,8 +233,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="decide whether a gate preserves a code")
     p.add_argument("--code", required=True)
     p.add_argument("--gate", required=True)
-    p.add_argument("--sampled", type=int, default=0,
-                   help="fall back to an exact-sampled certificate with this many samples")
     p.add_argument("--no-row", action="store_true", help="omit the coefficient row")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -247,7 +240,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full report: distances, preservation, logical gate")
     p.add_argument("--code", required=True)
     p.add_argument("--gate")
-    p.add_argument("--sampled", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="append the float crosscheck")
     _add_common(p)
     p.set_defaults(func=cmd_report)

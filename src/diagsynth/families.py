@@ -221,9 +221,9 @@ def qrm_pipeline(r: int, m: int, budget: int = gf2.DEFAULT_BUDGET) -> QrmPipelin
 
     Concatenate h times, retarget the rotation one level up, remove the
     Z-stabilizers that extend the X-logical code to RM(r+1, m+h), then add
-    the X-stabilizers that complete RM(r, m+h).  Individual removals are
-    returned flagged but unchecked when the logical count is large; the
-    final code is verified exactly against the direct construction.
+    the X-stabilizers that complete RM(r, m+h).  Every removal and addition
+    step carries its exact admissibility verdict, and the final code is
+    checked against the direct construction.
     """
     if m % r:
         raise ValueError("need r | m")

@@ -30,17 +30,21 @@ Rows are integer arrays first: both sides hand back the coefficient
 vectors on zeta^0..zeta^(2^(L-1)-1) over one power-of-two denominator, a
 row's norm folds their Gram matrix into one ring element, and an entry
 becomes an exact ring element only when it is read.
+
+Preservation is the trivial row's norm while the row fits the row cap and
+the budget, and otherwise the low-degree test (``_low_degree``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
 
-from . import gf2
+from . import gf2, hierarchy
 from .csscode import CssCode, LogicalFrame
 from .cyclo import ONE, Cyclo
 from .errors import BudgetExceeded, NotPreserved
@@ -53,13 +57,14 @@ from .gates import (
     span_exponents,
     weight_affine_form,
     _block_pauli_table,
+    _word_exponents,
 )
 from .gf2 import BitVec
 
 # generic Z-side walks past this many words are refused: each holds a
 # row of 2^(L-1) integers per factor product
 _PY_SPAN_CAP = 1 << 16
-_ROW_CAP = 1 << 12  # full rows/tables above this need explicit sampling
+_ROW_CAP = 1 << 12  # above this, preservation comes from the low-degree test
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +436,66 @@ def syndrome_row(
 class PreservationResult:
     preserved: bool
     norm: Cyclo | None  # exact trivial-row norm when computed
-    method: str  # "coefficient-norm" | "codeword-diagonal"
-    witness: tuple[int, Cyclo] | None = None  # offending (beta, entry)
+    method: str  # "coefficient-norm" | "low-degree"
     # the exact-full trivial row behind a coefficient-norm verdict
     row: GenCoeffRow | None = field(default=None, repr=False, compare=False)
+
+
+def low_degree_bound(gate: DiagonalGate) -> int:
+    """D of ``_low_degree``: L - v2(slope) for a weight-affine gate, the
+    highest block level for a block product, L for other quadratic forms."""
+    if gate.weight_affine is not None:
+        _, slope, level = gate.weight_affine
+        return level - hierarchy._v2(slope, level)
+    if isinstance(gate, BlockProductGate):
+        polys = (hierarchy.phase_polynomial(d.exps, d.b, d.level) for _, d in gate.blocks)
+        return max(map(hierarchy.level, polys), default=0)
+    return gate.level
+
+
+def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
+    """Exact preservation test on the span points of weight at most D.
+
+    With C1 words y ^ sum_i a_i b_i over the span table's basis
+    (X-stabilizer rows, then X-logical rows) and e(a) the gate's exponent
+    mod 2^L, the code is preserved iff e is constant on every coset
+    x_beta + C2 + y, that is iff F(a) = e(a) - e(a') vanishes, where a'
+    keeps only the logical bits of a.
+
+    Degree: in a monomial c u_S of the gate's phase polynomial put
+    u_q = (1 - s_q)/2 with s_q = +-prod_{i : b_iq = 1} (1 - 2 a_i).  Then
+    c u_S = c 2^-|S| sum_{R in S} (-1)^|R| prod_{q in R} s_q, whose
+    coefficient on a_U is c 2^(|U| - |S|) times an integer and vanishes
+    mod 2^L once |U| > |S| + L - 1 - v2(c), the monomial's level in
+    ``hierarchy.level``.  So F has degree at most D (``low_degree_bound``;
+    u R u^T has the monomials R_ii u_i and 2 R_ij u_i u_j, of level <= L).
+
+    Moebius step: F = sum_U f_U a_U over Z/2^L with
+    f_U = sum_{T in U} (-1)^(|U| - |T|) F(1_T), so if F vanishes on the
+    points of weight <= D, so does every f_U with |U| <= D, the degree
+    bound removes the rest, and F vanishes everywhere.
+
+    The points are the XORs of s-subsets of the basis rows, s = 1..D
+    (``gf2._weight_class``); each logical row carries a copy of itself
+    above the word, so a point holds the word and its logical part.
+    Refused when sum_{s <= D} C(dim C1, s) exceeds the budget.
+    """
+    dim, top = code.dim_c1, low_degree_bound(gate)
+    points = sum(comb(dim, s) for s in range(1, top + 1))
+    if points > budget:
+        raise BudgetExceeded(
+            f"low-degree certificate: {points} points of weight <= {top}",
+            required_log2=(points - 1).bit_length(),
+        )
+    words = gf2._num_words(code.n)
+    rows = code.x_stab.row_ints()
+    rows += [b | b << 64 * words for b in code.frame.x_logical_basis.row_ints()]
+    exps, y = _word_exponents(gate), gf2.int_words(code.y.bits, code.n)
+    for s in range(1, min(top, dim) + 1):
+        for block in gf2._weight_class(rows, [], s, 64 * words + code.n):
+            if (exps(block[:, :words] ^ y) != exps(block[:, words:] ^ y)).any():
+                return False
+    return True
 
 
 def is_preserved(
@@ -444,11 +505,10 @@ def is_preserved(
 ) -> PreservationResult:
     """Exact preservation decision.
 
-    Small codes get the trivial-row norm (preserved iff it equals one);
-    codes with many logicals but a small X-stabilizer group are decided by
-    scanning the induced diagonal for unimodularity, which is equivalent.
-    A coefficient-norm result carries the row it summed, so callers need
-    not compute it again.
+    Codes whose full trivial row fits the row cap and the budget get its
+    norm (preserved iff it equals one), and the result carries the row it
+    summed, so callers need not compute it again.  Every other code is
+    decided by the low-degree test (``_low_degree``), which is equivalent.
     """
     _check_gate(code, gate)
     norm_exc: BudgetExceeded | None = None
@@ -460,8 +520,7 @@ def is_preserved(
         except BudgetExceeded as exc:
             norm_exc = exc
     try:
-        ok, _, witness = _codeword_diagonal(code, gate, budget)
-        return PreservationResult(ok, None, "codeword-diagonal", witness)
+        return PreservationResult(_low_degree(code, gate, budget), None, "low-degree")
     except BudgetExceeded as exc:
         raise norm_exc or exc
 
@@ -608,47 +667,3 @@ def split_values(
     # so the difference stays within the rows' bound (see _sum_z_rows)
     diff = ints[: len(svals)] - ints[len(svals) :]
     return {g: Cyclo(gate.level, v, denom) for g, v in zip(gammas, diff.tolist())}
-
-
-# ----------------------------------------------------------------------
-# sampled certificates
-
-
-def sampled_certificate(
-    code: CssCode,
-    gate: DiagonalGate,
-    n_gamma: int,
-    n_syndrome_pairs: int,
-    seed: int = 0,
-    budget: int = gf2.DEFAULT_BUDGET,
-) -> dict:
-    """Exact-sampled preservation evidence for codes whose full row is out
-    of reach: sampled trivial-row values plus sampled nontrivial-syndrome
-    coefficients that must vanish on a preserved code."""
-    import random
-
-    _check_gate(code, gate)
-    rng = random.Random(seed)
-    k = code.k
-    alphas = (
-        sorted({rng.randrange(1, 1 << k) for _ in range(n_gamma)}) if k else []
-    )
-    gammas = [code.z_logical(a) for a in alphas]
-    row = trivial_row(code, gate, gammas=gammas, budget=budget)
-    syndromes = code.syndrome_reps(budget)
-    pairs = []
-    for _ in range(n_syndrome_pairs):
-        mu = syndromes[rng.randrange(1, len(syndromes))]
-        pairs.append((mu, code.z_logical(rng.randrange(0, 1 << k))))
-    ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for mu, g in pairs], budget)
-    nonzero = np.flatnonzero(ints.any(axis=1))
-    first_nonzero = None
-    if nonzero.size:
-        i = int(nonzero[0])
-        first_nonzero = (*pairs[i], Cyclo(gate.level, ints[i].tolist(), denom))
-    return {
-        "sampled_row": row,
-        "syndrome_pairs_zero": first_nonzero is None,
-        "syndrome_pair_count": len(pairs),
-        "nonzero_witness": first_nonzero,
-    }

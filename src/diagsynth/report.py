@@ -45,7 +45,6 @@ def build_report(
     gate: DiagonalGate | None,
     w_max: int = 6,
     budget: int = gf2.DEFAULT_BUDGET,
-    sampled: int = 0,
     include_row: bool = True,
     include_oracle: bool = False,
     tol: float = oracle.DEFAULT_TOL,
@@ -58,28 +57,17 @@ def build_report(
     pres: gencoeff.PreservationResult | None = None
     if gate is not None:
         rep["gate"] = gate_to_json(gate)
-        certificate = "exact-full"
-        try:
-            pres = gencoeff.is_preserved(code, gate, budget=budget)
-            rep["preserved"] = pres.preserved
-            rep["preservation_method"] = pres.method
-            if pres.norm is not None:
-                rep["norm"] = pres.norm.serialize()
-                rep["norm_pretty"] = pres.norm.pretty()
-        except BudgetExceeded as exc:
-            if not sampled:
-                raise
-            cert = gencoeff.sampled_certificate(code, gate, sampled, sampled, budget=budget)
-            certificate = "exact-sampled"
-            rep["preserved"] = bool(cert["syndrome_pairs_zero"])
-            rep["preservation_method"] = "sampled-certificate"
-            rep["sampled_pairs"] = cert["syndrome_pair_count"]
-            rep["full_check_skipped"] = str(exc)
-        rep["certificate"] = certificate
+        pres = gencoeff.is_preserved(code, gate, budget=budget)
+        rep["preserved"] = pres.preserved
+        rep["preservation_method"] = pres.method
+        if pres.norm is not None:
+            rep["norm"] = pres.norm.serialize()
+            rep["norm_pretty"] = pres.norm.pretty()
+        rep["certificate"] = "exact-full"
     rep = {"code": code_summary(code, w_max, budget), "code_json": code_to_json(code), **rep}
     if gate is None:
         return rep
-    row = pres.row if pres is not None else None
+    row = pres.row
     if include_row:
         if row is not None:
             rep["trivial_row"] = row.to_json()
@@ -90,7 +78,8 @@ def build_report(
         rep["logical"] = logical_summary(code, gate, budget)
     if include_oracle and code.n <= 24:
         if row is None:
-            # the engine refused; crosscheck raises what it always raised
+            # no trivial row (past the row cap or the budget): crosscheck
+            # raises what it always raised
             chk = oracle.crosscheck(code, gate, tol=tol, budget=budget)
         else:
             chk = oracle.compare_with_engine(code, gate, pres, row, tol)

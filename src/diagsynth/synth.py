@@ -5,8 +5,8 @@ admissible for any gate whose doubled diagonal restricts correctly on the
 pairs.  Removing a Z-stabilizer adjoins a new X-logical w0 and splits every
 coefficient in two; adding an X-stabilizer halves the logicals and reshapes
 the coefficient table.  Either may break preservation, so both return the
-new code together with an admissibility verdict (or None when the check is
-deferred for size).
+new code together with an exact admissibility verdict, decided at every
+k (None only when no gate is given or the check is skipped).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 
 from . import gencoeff, gf2
 from .csscode import CssCode
-from .cyclo import ONE, Cyclo
-from .errors import InadmissibleStep, OddComponent
+from .cyclo import Cyclo
+from .errors import BudgetExceeded, InadmissibleStep, OddComponent
 from .gates import DiagonalGate, gate_from_json, lift, _as_zrot
 from .gf2 import BitMat, BitVec
 
@@ -39,7 +39,7 @@ def concatenate(code: CssCode) -> CssCode:
 class RemovalResult:
     code: CssCode
     gamma0: BitVec
-    admissible: bool | None  # None = deferred (too many logicals to check)
+    admissible: bool | None  # None when no gate is given or check="skip"
     new_row_norm: Cyclo | None = None
 
 
@@ -62,29 +62,19 @@ def remove_z(
     """Remove the Z-stabilizer paired with the new X-logical w0.
 
     The new code always comes back; ``admissible`` reports whether the gate
-    still preserves it (the new trivial row keeps unit norm), read from the
-    new code's span table or its Z side.  ``check`` is "auto"
-    (skip when the new code's full row exceeds the row cap), "full", or
-    "skip".
+    still preserves it, from ``gencoeff.is_preserved`` on the new code (the
+    row norm, kept as ``new_row_norm``, or the low-degree test).  ``check``
+    is "auto" or "full" (the same exact check) or "skip".
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
     new_code = CssCode(code.n, code.x_stab, new_z, code.y)
     assert new_code.k == code.k + 1
-    admissible: bool | None = None
-    norm: Cyclo | None = None
-    if gate is not None and check != "skip":
-        if check == "full" or 1 << new_code.k <= gencoeff._ROW_CAP:
-            # the new logicals are the old ones and their shifts by gamma0,
-            # all in C2-perp by construction; listing them from the old
-            # code keeps its row cap
-            old = gencoeff._all_gammas(code)
-            gammas = old + [g ^ gamma0 for g in old]
-            zero = BitVec.zeros(code.n)
-            norm = gencoeff.syndrome_row(new_code, gate, zero, gammas, budget).norm()
-            admissible = norm == ONE
-    return RemovalResult(new_code, gamma0, admissible, norm)
+    if gate is None or check == "skip":
+        return RemovalResult(new_code, gamma0, None)
+    pres = gencoeff.is_preserved(new_code, gate, budget)
+    return RemovalResult(new_code, gamma0, pres.preserved, pres.norm)
 
 
 def add_z(code: CssCode, gamma0: BitVec) -> CssCode:
@@ -102,7 +92,7 @@ def add_z(code: CssCode, gamma0: BitVec) -> CssCode:
 class AdditionResult:
     code: CssCode
     mu0: BitVec
-    admissible: bool | None
+    admissible: bool | None  # None when no gate is given or check="skip"
     witness: tuple[BitVec, Cyclo] | None = None  # nonzero coefficient blocking it
 
 
@@ -119,6 +109,14 @@ def add_x(
     that pairs with x0 vanishes (half the row); the first nonzero value is
     reported as a witness.  The displaced Z-logical mu0 becomes a syndrome
     representative of the new code.
+
+    Above the row cap the low-degree test on the new code comes first.  A
+    new coset joins two old ones, x_beta + C2 and x_beta + x0 + C2, so the
+    new code is preserved iff the input is and its induced diagonal
+    zeta^E(beta) is invariant under the shift by x0; on a preserved input
+    that holds iff the half row, E's transform on the gamma that pair with
+    x0, vanishes.  So a preserved new code is admissible with no witness,
+    and otherwise the half row decides: "auto" and "full" agree at every k.
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
@@ -133,24 +131,28 @@ def add_x(
     new_x = BitMat(code.n, list(code.x_stab.rows) + [x0])
     new_code = CssCode(code.n, new_x, code.z_stab, code.y)
     assert new_code.k == code.k - 1
-    admissible: bool | None = None
-    witness = None
-    if gate is not None and check != "skip":
-        if check == "full" or 1 << code.k <= gencoeff._ROW_CAP:
-            # the logicals that pair with x0, in frame order
-            basis = code.frame.z_logical_basis.row_ints()
-            gammas = [
-                BitVec(code.n, g)
-                for g in gf2.span_ints(basis, budget)
-                if (g & x0.bits).bit_count() & 1
-            ]
-            row = gencoeff.syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
-            nonzero = row.ints.any(axis=1)
-            admissible = not nonzero.any()
-            if not admissible:
-                i = int(nonzero.argmax())
-                witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
-    return AdditionResult(new_code, mu0, admissible, witness)
+    if gate is None or check == "skip":
+        return AdditionResult(new_code, mu0, None)
+    if 1 << code.k > gencoeff._ROW_CAP:
+        try:
+            if gencoeff._low_degree(new_code, gate, budget):
+                return AdditionResult(new_code, mu0, True)
+        except BudgetExceeded:
+            pass  # the half row may still fit
+    # the logicals that pair with x0, in frame order
+    basis = code.frame.z_logical_basis.row_ints()
+    gammas = [
+        BitVec(code.n, g)
+        for g in gf2.span_ints(basis, budget)
+        if (g & x0.bits).bit_count() & 1
+    ]
+    row = gencoeff.syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
+    nonzero = row.ints.any(axis=1)
+    if not nonzero.any():
+        return AdditionResult(new_code, mu0, True)
+    i = int(nonzero.argmax())
+    witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
+    return AdditionResult(new_code, mu0, False, witness)
 
 
 def remove_x(code: CssCode, x0: BitVec) -> CssCode:

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from diagsynth import gencoeff
 from diagsynth.cli import main
 from diagsynth.csscode import CssCode, code_to_json
 from diagsynth.errors import BudgetExceeded
 from diagsynth.families import qrm_code, qrm_gate
-from diagsynth.gates import gate_to_json, transversal_zrot
+from diagsynth.gates import gate_from_json, gate_to_json, transversal_zrot
 from diagsynth.report import build_report
 
 
@@ -96,9 +97,9 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "--code", str(bad), "--gate", str(bad))
         assert rc == 2
 
-    def test_sampled_exit_4(self, tmp_path, capsys):
-        # 15 logicals and a lowered budget: the full row and the diagonal
-        # scan are both out of reach, but single coefficients are cheap
+    def test_identity_gate_low_degree_exit_0(self, tmp_path, capsys):
+        # 15 logicals, past the row cap: the low-degree test decides, and
+        # for the identity (D = 0) it has no point to evaluate
         code_path = tmp_path / "c.json"
         code_path.write_text(
             json.dumps(
@@ -118,11 +119,13 @@ class TestVerify:
             "--code", str(code_path),
             "--gate", str(gate_path),
             "--budget", "8192",
-            "--sampled", "5",
             "--no-row",
         )
-        assert rc == 4
-        assert json.loads(text)["certificate"] == "exact-sampled"
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep["preservation_method"] == "low-degree"
+        assert rep["certificate"] == "exact-full"
+        assert gencoeff.low_degree_bound(gate_from_json(json.loads(gate_path.read_text()))) == 0
 
     def test_deterministic_output(self, steane_files, capsys):
         code_path, gate_path = steane_files
@@ -285,9 +288,26 @@ class TestLargeVerify:
         assert rc == 0
         rep = json.loads(text)
         assert rep["preserved"]
-        assert rep["preservation_method"] == "codeword-diagonal"
+        assert rep["preservation_method"] == "low-degree"
         assert rep["code"]["d_z"] == {"value": 4, "exact": True}
         assert rep["logical"]["level"] == 3
+
+    def test_verify_qrm_3_6(self, tmp_path, capsys):
+        # [[64,20,8]], which the 2^42 codeword scan refused, is certified
+        code_path = tmp_path / "q36.json"
+        gate_path = tmp_path / "rot.json"
+        rc, _ = run(
+            capsys, "family", "qrm", "3", "6",
+            "--out", str(code_path), "--gate-out", str(gate_path),
+        )
+        assert rc == 0
+        rc, text = run(
+            capsys, "verify", "--code", str(code_path), "--gate", str(gate_path), "--no-row",
+        )
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep["preserved"] and rep["preservation_method"] == "low-degree"
+        assert rep["code"]["d_x"] == rep["code"]["d_z"] == {"value": 8, "exact": True}
 
     def test_default_wmax_distances_exact(self, tmp_path, capsys):
         code_path = tmp_path / "q26.json"
@@ -333,11 +353,13 @@ class TestReportCommand:
         assert "gate" not in json.loads(text)
 
     def test_refusal_precedes_distance_search(self, monkeypatch):
-        # the 2^42 codeword scan of [[64,20,8]] refuses in under a
-        # millisecond; the distance search must not run before it
+        # the low-degree test of [[64,20,8]] (C(42,1) + C(42,2) = 903
+        # points) refuses a smaller budget at once; the distance search
+        # must not run before it
         def fail(*args, **kwargs):
             raise AssertionError("distances computed before the verdict")
 
         monkeypatch.setattr(CssCode, "distances", fail)
-        with pytest.raises(BudgetExceeded, match="codeword scan"):
-            build_report(qrm_code(3, 6), qrm_gate(3, 6))
+        with pytest.raises(BudgetExceeded, match="low-degree certificate: 903 points") as exc:
+            build_report(qrm_code(3, 6), qrm_gate(3, 6), budget=900)
+        assert exc.value.required_log2 == 10

@@ -247,8 +247,9 @@ class TestQrmPipelineSmall:
         assert [s.kind for s in res.steps] == (
             ["concat"] * 4 + ["remove_z"] * 19 + ["add_x"] * 6
         )
-        # auto checks run while the full row fits the row cap (k <= 12)
-        assert [s.admissible for s in res.steps] == [True] * 14 + [None] * 15
+        # every step is checked: the row norm while k <= 12, the low-degree
+        # test above it
+        assert [s.admissible for s in res.steps] == [True] * 29
         for prev, step in zip(res.steps, res.steps[1:]):
             assert step.before == prev.after
         assert res.steps[0].before == {"n": 4, "k": 2}
@@ -257,11 +258,10 @@ class TestQrmPipelineSmall:
         assert all("mu0" in s.detail for s in res.steps if s.kind == "add_x")
 
     def test_next_step_past_64_qubits(self):
-        # [[8,3,2]] -> [[256,28,8]]: every removal check the row cap allows
-        # runs on the span table at n = 256
+        # [[8,3,2]] -> [[256,28,8]]: every step is checked exactly at n = 256
         res = qrm_pipeline(1, 3)
         assert (res.concat_count, res.removal_count, res.addition_count) == (5, 33, 8)
-        assert [s.admissible for s in res.steps] == [True] * 14 + [None] * 32
+        assert [s.admissible for s in res.steps] == [True] * 46
         assert res.final == qrm_code(2, 8)
 
     def test_count_formulas(self):

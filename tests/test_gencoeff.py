@@ -8,11 +8,12 @@ from diagsynth import gencoeff
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
 from diagsynth.errors import BudgetExceeded
-from diagsynth.families import four22_code, steane_code
+from diagsynth.families import four22_code, qrm_code, qrm_gate, steane_code
 from diagsynth.gates import (
     LocalDiag,
     block_gate,
     elementary_ckz,
+    qfd_gate,
     transversal_zrot,
 )
 from diagsynth.gencoeff import (
@@ -331,14 +332,48 @@ class TestBudget:
         assert list(row.entries) == gammas
 
 
-class TestSampledCertificate:
+class TestLowDegreeCertificate:
     def test_certificate_on_preserved_code(self):
         code, gate = steane_code(), transversal_zrot(7, 2)
-        cert = gencoeff.sampled_certificate(code, gate, 1, 20, seed=3)
-        assert cert["syndrome_pairs_zero"]
+        assert gencoeff._low_degree(code, gate, 1 << 26)
+        assert is_preserved(code, gate).preserved
 
     def test_certificate_flags_nonpreserved(self):
         code, gate = four22_code(), transversal_zrot(4, 3)
-        cert = gencoeff.sampled_certificate(code, gate, 1, 50, seed=3)
-        assert not cert["syndrome_pairs_zero"]
-        assert cert["nonzero_witness"] is not None
+        assert not gencoeff._low_degree(code, gate, 1 << 26)
+        assert not is_preserved(code, gate).preserved
+
+    def test_degree_bound_is_needed(self, monkeypatch):
+        # an [[8,2]] code with T: F vanishes on every point of weight <= 2
+        # of its three basis rows and not on their sum, at weight D = 3
+        code = CssCode(
+            8,
+            BitMat.from_strings(["00110101"]),
+            BitMat.from_strings(["10000010", "01000010", "00110010", "00001010", "00000111"]),
+            BitVec.from_string("01100011"),
+        )
+        gate = transversal_zrot(8, 3)
+        assert gencoeff.low_degree_bound(gate) == 3 == code.dim_c1
+        monkeypatch.setattr(gencoeff, "low_degree_bound", lambda g: 2)
+        assert gencoeff._low_degree(code, gate, 1 << 26)
+        assert not gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+
+    def test_degree_bounds(self):
+        # L - v2(slope) for weight-affine gates, the highest block level
+        # for block products, L for a general quadratic form
+        assert gencoeff.low_degree_bound(transversal_zrot(8, 3)) == 3
+        assert gencoeff.low_degree_bound(transversal_zrot(8, 1)) == 1
+        assert gencoeff.low_degree_bound(qfd_gate(3, 4, [[4, 0, 0], [0, 4, 0], [0, 0, 4]])) == 2
+        assert gencoeff.low_degree_bound(qfd_gate(2, 3, [[0, 0], [0, 0]])) == 0
+        assert gencoeff.low_degree_bound(qfd_gate(2, 3, [[1, 2], [2, 0]])) == 3
+        ccz_s = block_gate(5, [((0, 1, 2), elementary_ckz(2, 0)), ((3,), elementary_ckz(0, 1))])
+        assert gencoeff.low_degree_bound(ccz_s) == 3
+        assert gencoeff.low_degree_bound(block_gate(4, [])) == 0
+
+    @pytest.mark.parametrize("r, m", [(3, 6), (2, 8), (4, 8), (3, 9)])
+    def test_large_qrm_codes(self, r, m):
+        # every route before the low-degree test refused these codes
+        code = qrm_code(r, m)
+        pres = is_preserved(code, qrm_gate(r, m))
+        assert pres.preserved and pres.method == "low-degree" and pres.norm is None
+        assert not is_preserved(code, transversal_zrot(code.n, m // r + 1)).preserved

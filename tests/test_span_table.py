@@ -23,7 +23,7 @@ from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import LEVEL_CAP, Cyclo
 from diagsynth.errors import BudgetExceeded
-from diagsynth.families import four22_code, qrm_code, rm_generator, steane_code
+from diagsynth.families import four22_code, qrm_code, qrm_gate, rm_generator, steane_code
 from diagsynth.gates import (
     BlockProductGate,
     LocalDiag,
@@ -194,16 +194,11 @@ class TestCoefficients:
     @settings(max_examples=60, deadline=None)
     def test_trivial_row_and_certificate(self, case):
         code, gate = case
-        assume(code.k <= 5 and code.dim_c2 > 0)  # the certificate samples syndromes
+        assume(code.k <= 5)
         row = gencoeff.trivial_row(code, gate)
         for g, v in row.entries.items():
             assert v == ref_x_sum(code, gate, g.bits)
-        cert = gencoeff.sampled_certificate(code, gate, 3, 5, seed=1)
-        for g, v in cert["sampled_row"].entries.items():
-            assert v == ref_x_sum(code, gate, g.bits)
-        if cert["nonzero_witness"] is not None:
-            mu, gamma, val = cert["nonzero_witness"]
-            assert val == ref_x_sum(code, gate, mu.bits ^ gamma.bits)
+        assert gencoeff._low_degree(code, gate, 1 << 26) == ref_scan(code, gate)[0]
 
 
 class TestPastOneWord:
@@ -307,6 +302,70 @@ class TestScan:
         assert not ok and exps is None
         assert (ok, exps, witness) == ref_scan(code, gate)
         assert witness[1].abs_sq() != Cyclo.one()
+
+
+# small codes, each preserved by its rotation, and every qubit of each
+# carries an X-stabilizer
+SMALL_PRESERVED = (
+    (steane_code(), transversal_zrot(7, 2)),
+    (four22_code(), transversal_zrot(4, 2)),
+    (qrm_code(1, 3), qrm_gate(1, 3)),
+    (qrm_code(2, 4), qrm_gate(2, 4)),
+)
+
+
+@st.composite
+def embedded_cases(draw):
+    """(code, gate, corrupted): a code of SMALL_PRESERVED placed on random
+    qubits of n = 63, 64, 65, 128 or its own length.  Every other qubit is
+    fixed by a one-qubit Z-stabilizer, with a random character bit and
+    sometimes a random one-qubit block.  A corrupted gate raises one
+    support qubit's rotation a level: that adds 2 mod 2^(L+1) to the
+    exponent whenever the qubit flips, which it does inside a coset, so
+    the code is not preserved."""
+    small, small_gate = draw(st.sampled_from(SMALL_PRESERVED))
+    n = draw(st.sampled_from([small.n, 63, 64, 65, 128]))
+    rng = random.Random(draw(st.integers(0, 1 << 64)))
+    pos = rng.sample(range(n), small.n)
+    rest = sorted(set(range(n)) - set(pos))
+
+    def place(row):
+        return BitVec(n, sum(1 << p for q, p in enumerate(pos) if row >> q & 1))
+
+    x_stab = BitMat(n, [place(r) for r in small.x_stab.row_ints()])
+    z_rows = [place(r) for r in small.z_stab.row_ints()] + [BitVec.unit(n, q) for q in rest]
+    y = BitVec.from_support(n, [q for q in rest if rng.random() < 0.5])
+    local = small_gate.blocks[0][1]
+    blocks = [((p,), local) for p in pos]
+    corrupted = draw(st.booleans())
+    if corrupted:
+        blocks[0] = ((pos[0],), LocalDiag(1, local.level + 1, (-1, 1)))
+    for q in rest:
+        if rng.random() < 0.5:
+            lvl = rng.randint(1, LEVEL_CAP)
+            exps = (rng.randrange(1 << lvl), rng.randrange(1 << lvl))
+            blocks.append(((q,), LocalDiag(1, lvl, exps)))
+    return CssCode(n, x_stab, BitMat(n, z_rows), y), block_gate(n, blocks), corrupted
+
+
+class TestLowDegree:
+    @given(wide_cases() | generic_cases() | past_word_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scan_and_norm(self, case):
+        code, gate = case
+        verdict = gencoeff._low_degree(code, gate, 1 << 26)
+        assert verdict == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+        if code.k <= 6:
+            assert verdict == (gencoeff.trivial_row(code, gate).norm() == Cyclo.one())
+
+    @given(embedded_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_embedded_codes_and_corrupted_gates(self, case):
+        code, gate, corrupted = case
+        verdict = gencoeff._low_degree(code, gate, 1 << 26)
+        assert verdict is not corrupted
+        assert verdict == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+        assert verdict == (gencoeff.trivial_row(code, gate).norm() == Cyclo.one())
 
 
 class TestRemovalNorm:
@@ -562,13 +621,13 @@ class TestBudgets:
         assert exc.value.required_log2 == 3
         assert len(code.syndrome_reps(budget=8)) == 8
 
-    def test_certificate_passes_budget_to_syndromes(self):
-        # no sampled logicals, so the syndrome list is the first enumeration
-        with pytest.raises(BudgetExceeded) as exc:
-            gencoeff.sampled_certificate(
-                steane_code(), transversal_zrot(7, 2), 0, 5, budget=4
-            )
-        assert exc.value.required_log2 == 3
+    def test_certificate_refuses_past_budget(self):
+        # Steane with its rotation: D = 2 over dim C1 = 4, 4 + 6 = 10 points
+        code, gate = steane_code(), transversal_zrot(7, 2)
+        with pytest.raises(BudgetExceeded, match="10 points of weight <= 2") as exc:
+            gencoeff._low_degree(code, gate, 9)
+        assert exc.value.required_log2 == 4
+        assert gencoeff._low_degree(code, gate, 10)
 
     def test_gate_forms_are_cached(self):
         gate = transversal_zrot(64, 3)

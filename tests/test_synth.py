@@ -1,10 +1,12 @@
 """Code transformations: concatenation, removals, additions, switching."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 import hypothesis.strategies as st
 
-from diagsynth import gencoeff
+from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.errors import InadmissibleStep, OddComponent
 from diagsynth.families import four22_code, steane_code
@@ -248,6 +250,47 @@ class TestAddX:
         else:
             assert checked.witness[0] == witness[0]
             assert checked.witness[1].serialize() == witness[1].serialize()
+
+
+def _thirteen_logicals(y_bits):
+    """An [[40,13]] code, one past the row cap: C2 is spanned by x, all
+    ones on qubits 0..7, and C1 adds x1, all ones on qubits 8..15, and 12
+    seeded words on qubits 16..39.  Transversal T preserves it when y is
+    zero on qubits 0..7 (a flip of x changes the weight by 8, adding 16 to
+    the exponent), and so it does with x1 adjoined to C2."""
+    rng = random.Random(13)
+    n = 40
+    x, x1 = BitVec(n, 0xFF), BitVec(n, 0xFF00)
+    c1 = [x, x1] + [BitVec(n, rng.getrandbits(24) << 16) for _ in range(12)]
+    code = CssCode(n, BitMat(n, [x]), gf2.dual_basis(BitMat(n, c1)), BitVec(n, y_bits))
+    assert (code.k, code.dim_c1) == (13, 14)
+    return code, x1, c1[2]
+
+
+class TestAddXPastRowCap:
+    @pytest.mark.parametrize("y_bits", [0, 1])
+    @pytest.mark.parametrize("which", ["x1", "random"])
+    def test_matches_half_row(self, monkeypatch, y_bits, which):
+        code, x1, word = _thirteen_logicals(y_bits)
+        x0 = x1 if which == "x1" else word
+        gate = transversal_zrot(40, 3)
+        preserved_new = y_bits == 0 and which == "x1"
+        assert gencoeff.is_preserved(code, gate).preserved == (y_bits == 0)
+        with monkeypatch.context() as m:
+            if preserved_new:
+                # the low-degree test alone admits it: no row is read
+                m.setattr(gencoeff, "syndrome_row", None)
+            above = add_x(code, gate, x0)
+        assert above.admissible or not preserved_new
+        # the half row, read as below the cap
+        monkeypatch.setattr(gencoeff, "_ROW_CAP", 1 << 13)
+        half = add_x(code, gate, x0)
+        assert above.admissible == half.admissible
+        if half.witness is None:
+            assert above.witness is None
+        else:
+            assert above.witness[0] == half.witness[0]
+            assert above.witness[1] == half.witness[1]
 
 
 class TestAdmissibilityNorm:
