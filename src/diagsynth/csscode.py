@@ -46,11 +46,12 @@ class CssCode:
     def __init__(self, n: int, x_stab: BitMat, z_stab: BitMat, y: BitVec | None = None):
         if x_stab.n != n or z_stab.n != n:
             raise LengthMismatch("stabilizer rows must have length n")
+        z_ints = z_stab.row_ints()
         for x in x_stab:
-            for z in z_stab:
-                if x.dot(z):
+            for z in z_ints:
+                if (x.bits & z).bit_count() & 1:
                     raise CommutationViolation(
-                        f"X row {x.to01()} anticommutes with Z row {z.to01()}"
+                        f"X row {x.to01()} anticommutes with Z row {BitVec(n, z).to01()}"
                     )
         self.n = n
         self.x_stab, self.x_pivots = gf2.rref(x_stab)
@@ -121,23 +122,24 @@ class CssCode:
         assert x_raw.num_rows == k, "logical quotients disagree"
         if k == 0:
             return LogicalFrame(z_basis, x_raw)
-        pairing = [
-            sum(x_raw.rows[i].dot(z_basis.rows[j]) << j for j in range(k))
-            for i in range(k)
-        ]
-        inv = gf2.invert_matrix(pairing, k)  # raises if degenerate
+        z_ints, x_ints = z_basis.row_ints(), x_raw.row_ints()
+
+        def pairing(xs: list[int]) -> list[int]:
+            return [
+                sum(((x & z).bit_count() & 1) << j for j, z in enumerate(z_ints))
+                for x in xs
+            ]
+
+        inv = gf2.invert_matrix(pairing(x_ints), k)  # raises if degenerate
         x_rows = []
         for i in range(k):
             acc = 0
             for j in range(k):
                 if (inv[i] >> j) & 1:
-                    acc ^= x_raw.rows[j].bits
-            x_rows.append(BitVec(self.n, acc))
-        frame = LogicalFrame(z_basis, BitMat(self.n, x_rows))
-        for i in range(k):
-            for j in range(k):
-                assert frame.x_logical_basis.rows[i].dot(z_basis.rows[j]) == (i == j)
-        return frame
+                    acc ^= x_ints[j]
+            x_rows.append(acc)
+        assert pairing(x_rows) == [1 << i for i in range(k)]
+        return LogicalFrame(z_basis, BitMat(self.n, [BitVec(self.n, r) for r in x_rows]))
 
     def z_logical(self, alpha: int) -> BitVec:
         """Representative of the Z-logical labeled by the bits of alpha."""

@@ -7,6 +7,9 @@ Python ints give free wide XOR and popcount; enumeration-heavy kernels
 hold a span as numpy uint64 words, ceil(n/64) per element, at every n.
 The distance search is one Brouwer-Zimmermann enumeration on such arrays
 at every n: rounds raise a lower bound until the lightest word meets it.
+A canonical basis is the reduced echelon form with each pivot at its row's
+lowest bit; duals, hyperplane restrictions and reductions read their
+canonical output off that structure rather than eliminating again.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def _rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     for r in rows:
         cur = r
         while cur:
-            p = _lsb(cur)
+            p = (cur & -cur).bit_length() - 1
             if p in pivrows:
                 cur ^= pivrows[p]
             else:
@@ -228,6 +231,35 @@ def _rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     return [pivrows[p] for p in pivots], pivots
 
 
+def _rref_top_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``_rref_ints`` with each pivot at its row's highest bit: no other row
+    has that bit.  Returns (rows, pivots) sorted by ascending pivot."""
+    pivrows: dict[int, int] = {}
+    for r in rows:
+        cur = r
+        while cur:
+            p = cur.bit_length() - 1
+            if p in pivrows:
+                cur ^= pivrows[p]
+            else:
+                pivrows[p] = cur
+                break
+    pivots = sorted(pivrows)
+    # Mirror image of _rref_ints: rows below p are reduced and have no bits
+    # above their own pivot, so each clears exactly its pivot bit in row p.
+    below = 0
+    for p in pivots:
+        row = pivrows[p]
+        hits = row & below
+        while hits:
+            low = hits & -hits
+            row ^= pivrows[low.bit_length() - 1]
+            hits ^= low
+        pivrows[p] = row
+        below |= 1 << p
+    return [pivrows[p] for p in pivots], pivots
+
+
 def rref(m: BitMat) -> tuple[BitMat, tuple[int, ...]]:
     """Canonicalize m: independent rows, ascending pivots, idempotent."""
     rows, pivots = _rref_ints(m.row_ints())
@@ -239,24 +271,32 @@ def rank(m: BitMat) -> int:
 
 
 class Reducer:
-    """Canonical-form reducer against a fixed RREF basis."""
+    """Canonical-form reducer against a fixed RREF basis.
 
-    __slots__ = ("n", "rows", "pivots")
+    Pivot bit p is set only in row p, and adding row p changes no other
+    pivot bit, so reducing x adds row p once for each pivot bit p of x:
+    the cost is the number of those bits, not the number of rows."""
+
+    __slots__ = ("n", "rows", "pivots", "_mask", "_at")
 
     def __init__(self, m: BitMat):
-        canon, pivots = rref(m)
+        rows, pivots = _rref_ints(m.row_ints())
         self.n = m.n
-        self.rows = canon.row_ints()
-        self.pivots = pivots
+        self.rows = rows
+        self.pivots = tuple(pivots)
+        self._mask = sum(1 << p for p in pivots)
+        self._at = dict(zip(pivots, rows))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce_int(self, x: int) -> int:
-        for row, p in zip(self.rows, self.pivots):
-            if (x >> p) & 1:
-                x ^= row
+        hits = x & self._mask
+        while hits:
+            low = hits & -hits
+            x ^= self._at[low.bit_length() - 1]
+            hits ^= low
         return x
 
     def reduce(self, v: BitVec) -> BitVec:
@@ -278,22 +318,40 @@ def contains(space: BitMat, v: BitVec) -> bool:
     return Reducer(space).contains(v)
 
 
+def _free_columns(rows: Sequence[int], pivots: Sequence[int], n: int) -> list[int]:
+    """v_f = 1<<f | sum{1<<p : row p has bit f} for each non-pivot column
+    f, ascending, from a reduced echelon form (either end) of m: v_f is
+    orthogonal to every row p, which meets it in f and p or in neither."""
+    cols = [1 << f for f in range(n)]
+    for row, p in zip(rows, pivots):
+        bits = row ^ (1 << p)
+        while bits:
+            low = bits & -bits
+            cols[low.bit_length() - 1] |= 1 << p
+            bits ^= low
+    for p in pivots:
+        cols[p] = 0
+    return [v for v in cols if v]
+
+
 def dual_basis(m: BitMat) -> BitMat:
-    """Canonical basis of the orthogonal complement {v : m v^T = 0}."""
-    canon, pivots = rref(m)
+    """Canonical basis of the orthogonal complement {v : m v^T = 0}.
+
+    With m's rows in top-bit form (pivot p is the highest bit of row p and
+    in no other row), row p has bit f only for f < p, so v_f's lowest bit
+    is f and its other bits sit at pivots of m, never at another free
+    column: the v_f, ascending, are already the canonical basis.  From the
+    canonical (lowest-bit) form of m instead, v_f's top bit is f and only
+    the n - r rows v_f need elimination.  Elimination runs on the smaller
+    side: m's rows when m has at most n/2 of them, else the complement's."""
     n = m.n
-    piv_set = set(pivots)
-    rows = canon.row_ints()
-    out = []
-    for f in range(n):
-        if f in piv_set:
-            continue
-        v = 1 << f
-        for row, p in zip(rows, pivots):
-            if (row >> f) & 1:
-                v |= 1 << p
-        out.append(v)
-    dual_rows, _ = _rref_ints(out)
+    ints = m.row_ints()
+    if 2 * len(ints) <= n:
+        rows, pivots = _rref_top_ints(ints)
+        dual_rows = _free_columns(rows, pivots, n)
+    else:
+        rows, pivots = _rref_ints(ints)
+        dual_rows, _ = _rref_ints(_free_columns(rows, pivots, n))
     return BitMat(n, [BitVec(n, r) for r in dual_rows])
 
 
@@ -465,20 +523,26 @@ def restrict_to_hyperplane(m: BitMat, w0: BitVec) -> tuple[BitMat, BitVec]:
 
     Returns the shrunk canonical basis together with the removed direction,
     reduced to its canonical representative modulo the shrunk basis.
-    Raises when every row is already orthogonal to w0."""
+    Raises when every row is already orthogonal to w0.
+
+    On canonical rows, let H be the hot rows (odd pairing with w0) and h
+    the top hot pivot.  A combination's lowest bit is its lowest pivot, and
+    a combination in the hyperplane holds an even number of hot rows, so
+    the hyperplane keeps every pivot but h.  Its canonical basis is the
+    other rows with row_h added to each hot one, in pivot order; row_h has
+    no bit at any kept pivot, so it is its own reduction."""
     if w0.n != m.n:
         raise LengthMismatch(f"length {w0.n} vs {m.n}")
-    canon, _ = rref(m)
-    rows = canon.row_ints()
-    hot = [i for i, r in enumerate(rows) if (r & w0.bits).bit_count() & 1]
-    if not hot:
+    rows, _ = _rref_ints(m.row_ints())
+    w = w0.bits
+    hot = [(r & w).bit_count() & 1 for r in rows]
+    if not any(hot):
         raise ValueError("row space is already orthogonal to w0")
-    pivot = rows[hot[0]]
-    new_rows = [r if i not in hot else r ^ pivot for i, r in enumerate(rows)]
-    new_rows.pop(hot[0])
-    new_mat, _ = rref(BitMat(m.n, [BitVec(m.n, r) for r in new_rows]))
-    removed = Reducer(new_mat).reduce(BitVec(m.n, pivot))
-    return new_mat, removed
+    h = max(i for i, odd in enumerate(hot) if odd)
+    top = rows[h]
+    new_rows = [r ^ top if odd else r for r, odd in zip(rows, hot)]
+    del new_rows[h]
+    return BitMat(m.n, [BitVec(m.n, r) for r in new_rows]), BitVec(m.n, top)
 
 
 def invert_matrix(rows: Sequence[int], k: int) -> list[int]:

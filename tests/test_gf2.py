@@ -1,5 +1,7 @@
 """GF(2) core: row reduction, duals, cosets, minimum weight."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from diagsynth.gf2 import (
     min_weight_excluding,
     parity_map,
     quotient_basis,
+    restrict_to_hyperplane,
     rref,
     signed_weight_counts,
     span_ints,
@@ -153,6 +156,140 @@ class TestDual:
         r, _ = rref(m)
         dd, _ = rref(dual_basis(dual_basis(m)))
         assert dd == r
+
+
+def _dual_reference(rows, n):
+    """Complement basis by the quadratic route: v_f for each free column
+    of the canonical form, then a full row reduction of the v_f."""
+    canon, pivots = _rref_reference(rows)
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for row, p in zip(canon, pivots):
+            if (row >> f) & 1:
+                v |= 1 << p
+        out.append(v)
+    return _rref_reference(out)[0]
+
+
+def _reduce_reference(canon, pivots, x):
+    """Reduction by a pass over every row in pivot order."""
+    for row, p in zip(canon, pivots):
+        if (x >> p) & 1:
+            x ^= row
+    return x
+
+
+def _restrict_reference(rows, w):
+    """Hyperplane restriction by the generic route: clear the lowest hot
+    row from the other hot rows, row-reduce what is left, then reduce the
+    lowest hot row against it."""
+    canon, _ = _rref_reference(rows)
+    hot = [i for i, r in enumerate(canon) if (r & w).bit_count() & 1]
+    if not hot:
+        raise ValueError("row space is already orthogonal to w0")
+    pivot = canon[hot[0]]
+    rest = [r ^ pivot if i in hot else r for i, r in enumerate(canon) if i != hot[0]]
+    new, new_pivots = _rref_reference(rest)
+    return new, _reduce_reference(new, new_pivots, pivot)
+
+
+DIFF_SIZES = list(range(1, 9)) + [63, 64, 65, 128, 256]
+
+
+@st.composite
+def ranked_rows(draw):
+    """(n, canonical rows, input rows): a canonical basis of a drawn rank
+    (0, full, n/2 +- 1 where the dual switches sides, or any), with random
+    bits above each pivot at the free columns, at a drawn density; the
+    input is the canonical basis itself, or the same span unreduced
+    (triangular mixing, shuffled, with dependent and zero rows added)."""
+    n = draw(st.sampled_from(DIFF_SIZES))
+    r = draw(st.sampled_from([0, n, n // 2 - 1, n // 2, n // 2 + 1]) | st.integers(0, n))
+    r = min(max(r, 0), n)
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pivots = sorted(rng.sample(range(n), r))
+    free = ((1 << n) - 1) ^ sum(1 << p for p in pivots)
+    sparsity = draw(st.integers(0, 3))
+    canon = []
+    for p in pivots:
+        bits = rng.getrandbits(n)
+        for _ in range(sparsity):
+            bits &= rng.getrandbits(n)
+        canon.append(1 << p | bits & free & ~((2 << p) - 1))
+    if draw(st.booleans()):
+        return n, canon, list(canon)
+    rows = [
+        row ^ sum_rows(canon[i + 1 :], rng.getrandbits(r)) for i, row in enumerate(canon)
+    ]
+    rows += [sum_rows(canon, rng.getrandbits(r)) for _ in range(rng.randint(0, 3))]
+    rows += [0] * rng.randint(0, 1)
+    rng.shuffle(rows)
+    return n, canon, rows
+
+
+class TestStructuredKernels:
+    """dual_basis, Reducer and restrict_to_hyperplane build their output
+    from the structure of a reduced echelon form; each must match the
+    generic elimination it replaced, bit for bit."""
+
+    @given(ranked_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_dual_basis_matches_elimination(self, case):
+        n, canon, rows = case
+        got = dual_basis(BitMat(n, [BitVec(n, r) for r in rows])).row_ints()
+        assert got == _dual_reference(rows, n)
+        assert len(got) == n - len(canon)
+
+    @given(ranked_rows(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reducer_matches_row_pass(self, case, data):
+        n, canon, rows = case
+        red = Reducer(BitMat(n, [BitVec(n, r) for r in rows]))
+        pivots = _rref_reference(rows)[1]
+        assert red.rows == canon and list(red.pivots) == pivots
+        xs = data.draw(st.lists(full_words(n) | st.integers(0, (1 << n) - 1), max_size=8))
+        for x in xs:
+            assert red.reduce_int(x) == _reduce_reference(canon, pivots, x)
+            inside = x ^ _reduce_reference(canon, pivots, x)
+            assert red.reduce_int(inside) == 0
+
+    @given(ranked_rows(), st.sampled_from(["first", "last", "every", "random"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_restrict_matches_elimination(self, case, hits, data):
+        n, canon, rows = case
+        if not canon:
+            return
+        # pivot p_i is set only in canonical row i, so the sum of the pivot
+        # bits of H pairs oddly with exactly the rows in H; adding a dual
+        # word keeps every pairing
+        r = len(canon)
+        mask = {"first": 1, "last": 1 << (r - 1), "every": (1 << r) - 1}.get(hits)
+        if mask is None:
+            mask = data.draw(st.integers(1, (1 << r) - 1))
+        pivots = [(row & -row).bit_length() - 1 for row in canon]
+        dual = _dual_reference(canon, n)
+        w = sum(1 << pivots[i] for i in range(r) if mask >> i & 1)
+        w ^= sum_rows(dual, data.draw(st.integers(0, (1 << len(dual)) - 1)))
+        new, removed = restrict_to_hyperplane(
+            BitMat(n, [BitVec(n, x) for x in rows]), BitVec(n, w)
+        )
+        want_rows, want_removed = _restrict_reference(rows, w)
+        assert new.row_ints() == want_rows and removed.bits == want_removed
+        assert (removed.bits & w).bit_count() & 1
+        assert Reducer(new).reduce(removed) == removed
+        assert all((x & w).bit_count() % 2 == 0 for x in new.row_ints())
+
+    @given(ranked_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restrict_refuses_orthogonal_w0(self, case, data):
+        n, canon, rows = case
+        dual = _dual_reference(canon, n)
+        w = sum_rows(dual, data.draw(st.integers(0, (1 << len(dual)) - 1)))
+        with pytest.raises(ValueError, match="already orthogonal"):
+            restrict_to_hyperplane(BitMat(n, [BitVec(n, x) for x in rows]), BitVec(n, w))
 
 
 class TestContains:
