@@ -268,7 +268,8 @@ def qrm_pipeline_certificate(
     Derives the induced logical diagonal from codeword sums, checks that it
     is a product of fully-controlled-Z factors on logical triples (up to
     global phase and Pauli-Z), and checks the whole coefficient table
-    against it (``gencoeff.whole_table_check``).  ``sampled_gamma_count``
+    against it (``gencoeff.whole_table_check``, which reads it coset by
+    coset from the span table, with no transform).  ``sampled_gamma_count``
     (the k unit logicals and the seed's distinct draws of n_gamma) and
     ``syndrome_pair_count`` give the size of the former spot check, now a
     subset of what is checked.

@@ -265,9 +265,12 @@ def span_exponents(gate: DiagonalGate, basis: Sequence[int], y: int) -> np.ndarr
 
 def residue_channels(exps: np.ndarray, level: int) -> list[int]:
     """The residues j < 2^(L-1) with j or j + 2^(L-1) among the exponents
-    (each below 2^L): the signed channels of zeta^j that they fill."""
+    (each below 2^L): the signed channels of zeta^j that they fill.
+    Counted in steps of 2^16 exponents, as ``span_exponents`` builds them."""
     half = 1 << (level - 1)
-    counts = np.bincount(exps, minlength=2 * half)
+    counts = np.zeros(2 * half, dtype=np.intp)
+    for o in range(0, len(exps), 1 << 16):
+        counts += np.bincount(exps[o : o + (1 << 16)], minlength=2 * half)
     return np.flatnonzero(counts[:half] + counts[half:]).tolist()
 
 
@@ -277,7 +280,7 @@ def channel_spectrum(
     """(len(channels), len(exps)) array: row c is the Walsh-Hadamard
     transform of the signed channel of zeta^j, j = channels[c], so its
     column t is sum_u (-1)^(u.t) ([exps[u] = j] - [exps[u] = j + 2^(L-1)]).
-    Both the X-side span table and the Pauli factor tables are these."""
+    The Pauli factor tables are these."""
     half = 1 << (level - 1)
     out = np.empty((len(channels), len(exps)), dtype=dtype)
     for row, j in zip(out, channels):

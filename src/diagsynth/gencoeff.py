@@ -15,10 +15,14 @@ array e_j of the gate at y ^ c_j (``gates.span_exponents``).  Reshaped to
 (2^k, 2^dim C2) that array is the induced-diagonal scan, and with
 t(s)_i = b_i . s every coefficient is
 
-    A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j),
+    A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j).
 
-one Walsh-Hadamard transform per residue channel, read a whole row at a
-time by one gather, or as the whole table at once (``whole_table_check``).
+That sum is read coset by coset.  Split t(s) = sigma | alpha << dim C2:
+the sign's syndrome part sigma acts within each coset row and its logical
+part alpha across the rows, so a row of coefficients is one signed sum
+per residue channel and coset for each sigma it touches, then one
+transform over the k logical bits, gathered at alpha.  The whole table is
+decided on the cosets themselves (``whole_table_check``).
 The Z side is the independent check: a signed weight
 enumerator for transversal rotations, and for every other gate a walk over
 C1perp, held as a word array once per code, that reads f(z) from the
@@ -51,7 +55,6 @@ from .errors import BudgetExceeded, NotPreserved
 from .gates import (
     BlockProductGate,
     DiagonalGate,
-    channel_spectrum,
     pauli_factors,
     residue_channels,
     span_exponents,
@@ -93,13 +96,13 @@ class _SpanTable:
     """One diagonal gate over the C1 span of one code.
 
     ``exps[j]`` is the gate's exponent at y ^ c_j, where c_j combines the
-    basis rows named by the bits of j: first the X-stabilizer rows, then
-    the X-logical rows, so ``exps.reshape(2^k, 2^dim C2)[beta]`` is the
-    coset x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed
-    channel of zeta^j; the channels' Walsh-Hadamard transforms give every
-    coefficient.  They are built on the first request (``transform``) when
-    (channels x 2^dim) fits the budget; otherwise ``row`` reads each
-    coefficient as a direct signed sum over ``exps``.
+    basis rows named by the bits of j: first the m = dim C2 X-stabilizer
+    rows, then the k X-logical rows, so ``cosets[beta]`` is the coset
+    x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed channel of
+    zeta^j.  The Walsh-Hadamard transform over C1 factorizes along that
+    order, H_dim = H_k (x) H_m, so every coefficient is read coset by
+    coset: signed channel sums over each coset (``coset_sums``), then a
+    transform over the k logical bits (``row``).
     """
 
     def __init__(self, code: CssCode, gate: DiagonalGate):
@@ -108,38 +111,71 @@ class _SpanTable:
         basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
         self.t_map = gf2.parity_map(basis, code.n)
         self.dim = len(basis)
+        self.m = code.dim_c2
         self.exps = span_exponents(gate, basis, code.y.bits)
-        self.channels = residue_channels(self.exps, self.level)
-        self.wht: np.ndarray | None = None
+        self.cosets = self.exps.reshape(-1, 1 << self.m)
 
-    def transform(self, budget: int) -> np.ndarray | None:
-        """The (channels, 2^dim) Walsh-Hadamard array, whose column t holds
-        the coefficients of 2^dim A(s) for every s with t(s) = t; built on
-        first request when channels x 2^dim fits the budget, else None."""
-        if self.wht is None and len(self.channels) << self.dim <= budget:
-            dtype = np.int32 if self.dim < 31 else np.int64
-            self.wht = channel_spectrum(self.exps, self.channels, self.level, dtype)
-        return self.wht
+    @cached_property
+    def channels(self) -> list[int]:
+        """The residue channels the exponents fill, counted when a row is
+        first read."""
+        return residue_channels(self.exps, self.level)
 
-    def row(self, svals: Sequence[int], budget: int) -> np.ndarray:
+    def coset_sums(self, sigma: int, channels: Sequence[int]) -> np.ndarray:
+        """(len(channels), 2^k) int64 array whose entry [c, beta] is
+        sum_j (-1)^(sigma . j) ([e_j = i] - [e_j = i + 2^(L-1)]) over the
+        coset row j of ``cosets[beta]``, i = channels[c].
+
+        Counted in steps of at most 2^16 entries, as ``span_exponents``
+        builds the table: each entry's bin is 2c + (its residue is past
+        2^(L-1)), flipped by its sign; residues of other channels fall in a
+        last pair of bins that is dropped.
+        """
+        half, m = 1 << (self.level - 1), self.m
+        ch = np.asarray(channels, dtype=np.intp)
+        bins = 2 * len(ch) + 2
+        lut = np.full(2 * half, bins - 2, dtype=np.intp)
+        lut[ch] = 2 * np.arange(len(ch))
+        lut[ch + half] = lut[ch] + 1
+        size = len(self.exps)
+        step = min(size, 1 << 16)
+        width = min(1 << m, step)
+        rows = step // width
+        low = np.bitwise_count(np.arange(width) & sigma) & 1
+        offsets = np.arange(0, rows * bins, bins)[:, None]
+        out = np.zeros((len(ch), size >> m), dtype=np.int64)
+        for o in range(0, size, step):
+            idx = lut[self.exps[o : o + step].reshape(rows, width)]
+            if sigma:
+                # entry i of a step is j = o | i, and sigma < 2^m
+                idx ^= low ^ ((o & sigma).bit_count() & 1)
+            idx += offsets
+            cnt = np.bincount(idx.reshape(-1), minlength=rows * bins)
+            cnt = cnt.reshape(rows, -1, 2)[:, :-1]
+            out[:, o >> m : (o >> m) + rows] += (cnt[..., 0] - cnt[..., 1]).T
+        return out
+
+    def row(self, svals: Sequence[int]) -> np.ndarray:
         """(N, 2^(L-1)) int64 array whose row r holds the coefficients on
         zeta^0..zeta^(2^(L-1)-1) of 2^dim A(s) for s = svals[r], that is
-        of sum_{c in C1} (-1)^(c.s) d_(y ^ c)."""
-        # t(s)_i = b_i . s names the column of s in the transform
+        of sum_{c in C1} (-1)^(c.s) d_(y ^ c).
+
+        With t(s)_i = b_i . s split as sigma | alpha << m, that sum is the
+        transform over beta of (-1)^(alpha . beta) of the coset sums for
+        sigma, at alpha.  The channels go in groups of at most 2^m, so each
+        group's sums hold at most 2^dim entries.
+        """
         t = gf2.apply_parity_map(self.t_map, gf2.int_rows(svals, self.n))
-        half = 1 << (self.level - 1)
-        wht = self.transform(budget)
-        out = np.zeros((len(svals), half), dtype=np.int64)
-        if wht is not None:
-            out[:, self.channels] = wht[:, t].T
-            return out
-        for r, tr in zip(out, t.tolist()):
-            odd = np.zeros(1, dtype=bool)  # parity of j . t, built like the span
-            for i in range(self.dim):
-                odd = np.concatenate([odd, odd ^ bool((tr >> i) & 1)])
-            counts = np.bincount(self.exps[~odd], minlength=2 * half)
-            counts -= np.bincount(self.exps[odd], minlength=2 * half)
-            r[:] = counts[:half] - counts[half:]
+        sig, alpha = t & ((1 << self.m) - 1), t >> self.m
+        out = np.zeros((len(svals), 1 << (self.level - 1)), dtype=np.int64)
+        channels = self.channels
+        for sigma in set(sig.tolist()):
+            pick = np.flatnonzero(sig == sigma)
+            for c in range(0, len(channels), 1 << self.m):
+                group = channels[c : c + (1 << self.m)]
+                sums = self.coset_sums(sigma, group)
+                gf2.wht_rows(sums)
+                out[np.ix_(pick, group)] = sums[:, alpha[pick]].T
         return out
 
 
@@ -166,7 +202,7 @@ def _sum_x_side(
     dim = code.dim_c1
     if 1 << dim > budget:
         raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
-    return _span_table(code, gate).row(svals, budget), dim
+    return _span_table(code, gate).row(svals), dim
 
 
 def _c1perp_words(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
@@ -439,6 +475,11 @@ class PreservationResult:
     method: str  # "coefficient-norm" | "low-degree"
     # the exact-full trivial row behind a coefficient-norm verdict
     row: GenCoeffRow | None = field(default=None, repr=False, compare=False)
+    # behind a low-degree verdict: D (``low_degree_bound``) and the
+    # certificate's point count (``_point_count``); a rejection may stop
+    # at the first point that fails
+    degree: int | None = None
+    points: int | None = None
 
 
 def low_degree_bound(gate: DiagonalGate) -> int:
@@ -451,6 +492,12 @@ def low_degree_bound(gate: DiagonalGate) -> int:
         polys = (hierarchy.phase_polynomial(d.exps, d.b, d.level) for _, d in gate.blocks)
         return max(map(hierarchy.level, polys), default=0)
     return gate.level
+
+
+def _point_count(dim: int, top: int) -> int:
+    """sum_{s = 1..D} C(dim C1, s): the span points that ``_low_degree``
+    evaluates, those of weight 1..D over the dim C1 basis rows."""
+    return sum(comb(dim, s) for s in range(1, top + 1))
 
 
 def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
@@ -481,7 +528,7 @@ def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
     Refused when sum_{s <= D} C(dim C1, s) exceeds the budget.
     """
     dim, top = code.dim_c1, low_degree_bound(gate)
-    points = sum(comb(dim, s) for s in range(1, top + 1))
+    points = _point_count(dim, top)
     if points > budget:
         raise BudgetExceeded(
             f"low-degree certificate: {points} points of weight <= {top}",
@@ -508,7 +555,8 @@ def is_preserved(
     Codes whose full trivial row fits the row cap and the budget get its
     norm (preserved iff it equals one), and the result carries the row it
     summed, so callers need not compute it again.  Every other code is
-    decided by the low-degree test (``_low_degree``), which is equivalent.
+    decided by the low-degree test (``_low_degree``), which is equivalent;
+    the result then records its degree bound D and its point count.
     """
     _check_gate(code, gate)
     norm_exc: BudgetExceeded | None = None
@@ -520,9 +568,13 @@ def is_preserved(
         except BudgetExceeded as exc:
             norm_exc = exc
     try:
-        return PreservationResult(_low_degree(code, gate, budget), None, "low-degree")
+        preserved = _low_degree(code, gate, budget)
     except BudgetExceeded as exc:
         raise norm_exc or exc
+    top = low_degree_bound(gate)
+    return PreservationResult(
+        preserved, None, "low-degree", degree=top, points=_point_count(code.dim_c1, top)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +608,7 @@ def _codeword_diagonal(
         raise BudgetExceeded(
             f"2^{k + m} codeword scan", required_log2=k + m
         )
-    rows = _span_table(code, gate).exps.reshape(1 << k, 1 << m)
+    rows = _span_table(code, gate).cosets
     first = rows[:, 0]
     uneven = np.flatnonzero((rows != first[:, None]).any(axis=1))
     if not uneven.size:
@@ -597,37 +649,36 @@ def whole_table_check(
     exps: Sequence[int],
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> tuple[bool, bool]:
-    """(trivial, null) for the whole coefficient table, read in place from
-    the span table's transform against the diagonal zeta^exps[beta].
+    """(trivial, null) for the whole coefficient table against the diagonal
+    zeta^exps[beta], decided exactly on the span table's cosets.
 
-    Column t = sigma | alpha << m (m = dim C2) holds 2^dim C1 A(s) for the
-    s of X-syndrome sigma that pair with the X-logicals as alpha, so
-    t(g(alpha)) = alpha << m.  trivial: every A(g(alpha)) equals 2^-k
-    sum_beta (-1)^(alpha.beta) zeta^exps[beta], that is, column alpha << m
-    is 2^m times the channel spectrum of exps.  null: every column with
-    sigma != 0 is zero, which holds iff the code is preserved.  Refused
-    when the table (2^dim C1) or its transform (channels x 2^dim C1) does
-    not fit the budget.
+    Column t = sigma | alpha << m (m = dim C2) of the transform over C1
+    holds 2^dim C1 A(s) for the s of X-syndrome sigma that pair with the
+    X-logicals as alpha, so t(g(alpha)) = alpha << m.  The basis order
+    makes that transform H_k (x) H_m: column t is the transform over beta
+    (H_k, at alpha) of each coset's signed sum sum_j (-1)^(sigma . j)
+    zeta^(e_j) (H_m, at sigma), and H_k and H_m are invertible.
+
+    null: every column with sigma != 0 is zero.  By H_k, that holds iff
+    every coset's H_m transform vanishes off sigma = 0, and by H_m iff
+    every coset row is constant, which holds iff the code is preserved.
+
+    trivial: every A(g(alpha)) equals 2^-k sum_beta (-1)^(alpha.beta)
+    zeta^exps[beta].  By H_k, that holds iff every coset sums to
+    2^m zeta^exps[beta], and a sum of 2^m roots of unity has modulus 2^m
+    only when all its terms are equal (triangle inequality), so iff every
+    exponent of coset beta is exps[beta].  Refused when the table
+    (2^dim C1) does not fit the budget.
     """
     _check_gate(code, gate)
-    k, m, dim = code.k, code.dim_c2, code.dim_c1
+    k, dim = code.k, code.dim_c1
     if len(exps) != 1 << k:
         raise ValueError(f"need 2^{k} diagonal exponents, got {len(exps)}")
     if 1 << dim > budget:
         raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
-    table = _span_table(code, gate)
-    wht = table.transform(budget)
-    if wht is None:
-        need = dim + (len(table.channels) - 1).bit_length()
-        raise BudgetExceeded(f"2^{need} whole-table transform", required_log2=need)
-    cols = wht.reshape(len(table.channels), 1 << k, 1 << m)
+    rows = _span_table(code, gate).cosets
     diag = np.asarray(exps, dtype=np.int64)
-    # a diagonal entry outside the table's channels has no column to match
-    trivial = set(residue_channels(diag, gate.level)) <= set(table.channels)
-    if trivial:
-        spec = channel_spectrum(diag, table.channels, gate.level, np.int64)
-        trivial = np.array_equal(cols[:, :, 0], spec << m)
-    return trivial, not cols[:, :, 1:].any()
+    return bool((rows == diag[:, None]).all()), bool((rows == rows[:, :1]).all())
 
 
 # ----------------------------------------------------------------------

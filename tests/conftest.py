@@ -40,9 +40,9 @@ def z_side(code, gate, shift, budget):
     return Cyclo(gate.level, vec.tolist(), denom)
 
 
-def table_coefficient(table, s, budget):
+def table_coefficient(table, s):
     """One coefficient read from a span table's row."""
-    return Cyclo(table.level, table.row([s], budget)[0].tolist(), table.dim)
+    return Cyclo(table.level, table.row([s])[0].tolist(), table.dim)
 
 
 @st.composite

@@ -262,11 +262,9 @@ class TestDiagonalRoutes:
         assert whole_table_check(code, gate, [1, 0]) == (False, False)
 
     def test_whole_table_budget(self):
-        # 2^3 table words fit, the 2 channels x 2^3 transform does not
+        # 2^3 table words fit, and the table is read with no transform
         code, gate = four22_code(), transversal_zrot(4, 3)
-        with pytest.raises(BudgetExceeded, match="whole-table transform") as exc:
-            whole_table_check(code, gate, [0, 0, 0, 0], budget=8)
-        assert exc.value.required_log2 == 4
+        assert whole_table_check(code, gate, [0, 0, 0, 0], budget=8) == (False, False)
         with pytest.raises(BudgetExceeded) as exc:
             whole_table_check(code, gate, [0, 0, 0, 0], budget=4)
         assert exc.value.required_log2 == 3
@@ -369,6 +367,15 @@ class TestLowDegreeCertificate:
         ccz_s = block_gate(5, [((0, 1, 2), elementary_ckz(2, 0)), ((3,), elementary_ckz(0, 1))])
         assert gencoeff.low_degree_bound(ccz_s) == 3
         assert gencoeff.low_degree_bound(block_gate(4, [])) == 0
+
+    def test_verdict_records_degree_and_points(self):
+        # [[64,20]] with its rotation: D = 2 over dim C1 = 42, 42 + 861 points
+        code = qrm_code(3, 6)
+        pres = is_preserved(code, transversal_zrot(64, 2))
+        assert (code.dim_c1, pres.method) == (42, "low-degree")
+        assert (pres.degree, pres.points) == (2, 903)
+        norm = is_preserved(steane_code(), transversal_zrot(7, 2))
+        assert norm.method == "coefficient-norm" and norm.degree is norm.points is None
 
     @pytest.mark.parametrize("r, m", [(3, 6), (2, 8), (4, 8), (3, 9)])
     def test_large_qrm_codes(self, r, m):

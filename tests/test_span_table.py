@@ -168,10 +168,8 @@ class TestCoefficients:
         s = random_sign(data.draw, code)
         want = ref_x_sum(code, gate, s)
         assert x_side(code, gate, s, 1 << 26) == want
-        # a budget below the transform's size sums directly over the span
         fresh = gencoeff._SpanTable(code, gate)
-        assert table_coefficient(fresh, s, 1) == want
-        assert fresh.wht is None
+        assert table_coefficient(fresh, s) == want
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -210,7 +208,7 @@ class TestPastOneWord:
         want = ref_x_sum(code, gate, s)
         assert x_side(code, gate, s, 1 << 26) == want
         fresh = gencoeff._SpanTable(code, gate)
-        assert table_coefficient(fresh, s, 1) == want
+        assert table_coefficient(fresh, s) == want
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
@@ -539,14 +537,13 @@ class TestRowReads:
             {"gamma": g.to01(), "value": v.serialize()} for g, v in zip(gammas, want)
         ]
         assert row.norm() == old_norm(want)
-        # the table alone, without its transform and with it
+        # the table alone, read twice
         svals = [mu.bits ^ g.bits for g in gammas]
         fresh = gencoeff._SpanTable(code, gate)
-        direct = fresh.row(svals, budget=1)
-        assert fresh.wht is None
+        direct = fresh.row(svals)
         assert [read(s, budget=1) for s in svals] == want
         assert [Cyclo(gate.level, r, fresh.dim) for r in direct.tolist()] == want
-        assert fresh.row(svals, budget=1 << 26).tolist() == direct.tolist()
+        assert fresh.row(svals).tolist() == direct.tolist()
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -585,6 +582,126 @@ class TestRowReads:
         gammas = [code.z_logical(a) for a in range(1 << code.k)]
         want = {g: read(g.bits) - read(g.bits ^ gamma0.bits) for g in gammas}
         assert gencoeff.split_values(code, gate, w0) == want
+
+
+def old_whole_table(code, gate, diag):
+    """whole_table_check as it was: column alpha << m and every column with
+    sigma != 0 of the channels x 2^dim C1 transform."""
+    basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
+    level, k, m = gate.level, code.k, code.dim_c2
+    exps = span_exponents(gate, basis, code.y.bits)
+    channels = residue_channels(exps, level)
+    cols = channel_spectrum(exps, channels, level, np.int64).reshape(len(channels), 1 << k, 1 << m)
+    diag = np.asarray(diag, dtype=np.int64)
+    trivial = set(residue_channels(diag, level)) <= set(channels)
+    if trivial:
+        spec = channel_spectrum(diag, channels, level, np.int64)
+        trivial = np.array_equal(cols[:, :, 0], spec << m)
+    return trivial, not cols[:, :, 1:].any()
+
+
+@st.composite
+def table_cases(draw):
+    """A random code on 2..10, 65 or 128 qubits with a gate of any kind at
+    levels up to LEVEL_CAP, or a code of SMALL_PRESERVED placed among up to
+    128 qubits with its gate, sometimes corrupted."""
+    if draw(st.booleans()):
+        code, gate, _ = draw(embedded_cases())
+        return code, gate
+    n = draw(st.integers(2, 10) | st.sampled_from([65, 128]))
+    code = draw(codes_with_c1_dim(n, draw(st.integers(1, min(n, 8))), full_words(n)))
+    kinds = ("block", "qfd", "rot", "scalar") if n <= 70 else ("block", "rot", "scalar")
+    return code, draw(seeded_gates(n, kinds))
+
+
+def draw_diagonal(data, code, gate):
+    """The induced diagonal when the code is preserved, else random
+    exponents or each coset's first one; one entry corrupted at times."""
+    mod = 1 << gate.level
+    ok, exps, _ = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+    if not ok:
+        size = 1 << code.k
+        exps = data.draw(
+            st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
+            | st.just(gencoeff._span_table(code, gate).cosets[:, 0].tolist())
+        )
+    if data.draw(st.booleans()):
+        beta = data.draw(st.integers(0, len(exps) - 1))
+        exps[beta] = (exps[beta] + data.draw(st.integers(1, mod - 1))) % mod
+    return exps
+
+
+class TestFactoredReads:
+    """The coset-by-coset reads against the channels x 2^dim C1 transform."""
+
+    @given(table_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_whole_table_matches_full_transform(self, case, data):
+        code, gate = case
+        assume(code.k <= 8)
+        diag = draw_diagonal(data, code, gate)
+        got = gencoeff.whole_table_check(code, gate, diag)
+        assert got == old_whole_table(code, gate, diag)
+        assert got[1] == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+
+    @given(table_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_over_several_syndromes(self, case, data):
+        code, gate = case
+        reps = code.syndrome_reps()
+        picks = st.tuples(st.integers(0, len(reps) - 1), st.integers(0, (1 << code.k) - 1))
+        pairs = data.draw(st.lists(picks, min_size=1, max_size=12))
+        svals = [reps[i].bits ^ code.z_logical(a).bits for i, a in pairs]
+        read = old_reader(code, gate)
+        table = gencoeff._SpanTable(code, gate)
+        got = [Cyclo(gate.level, r, table.dim) for r in table.row(svals).tolist()]
+        assert got == [read(s) for s in svals]
+
+    @given(st.sampled_from([2, 65, 128]), st.integers(1, LEVEL_CAP), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_channel_in_one_coset(self, n, level, data):
+        # a two-qubit block puts zeta^j and zeta^(j + 2^(L-1)) on the coset
+        # {00, 11} of beta = 0: they cancel in the channel of zeta^j
+        half, mod = 1 << (level - 1), 1 << level
+        q = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rest = [i for i in range(n) if i not in q]
+        j = data.draw(st.integers(0, half - 1))
+        mid = data.draw(st.tuples(st.integers(0, mod - 1), st.integers(0, mod - 1)))
+        gate = block_gate(n, [(tuple(q), LocalDiag(2, level, (j, *mid, j + half)))])
+        y = BitVec.from_support(n, [i for i in rest if data.draw(st.booleans())])
+        code = CssCode(
+            n, BitMat(n, [BitVec.from_support(n, q)]), BitMat(n, [BitVec.unit(n, i) for i in rest]), y
+        )
+        diag = data.draw(st.lists(st.integers(0, mod - 1), min_size=2, max_size=2))
+        got = gencoeff.whole_table_check(code, gate, diag)
+        assert got == old_whole_table(code, gate, diag)
+        assert not got[0] and not got[1]
+        read = old_reader(code, gate)
+        svals = [mu.bits ^ code.z_logical(a).bits for mu in code.syndrome_reps() for a in (0, 1)]
+        table = gencoeff._SpanTable(code, gate)
+        got = [Cyclo(level, r, table.dim) for r in table.row(svals).tolist()]
+        assert got == [read(s) for s in svals]
+
+    @pytest.mark.parametrize("m", [5, 17])
+    def test_row_past_one_counting_step(self, m):
+        # 2^18 table entries, counted in 2^16 steps: several cosets to a
+        # step (m = 5), or several steps to a coset (m = 17), where a step's
+        # signs carry the parity of its offset
+        n = 20
+        c1 = [BitVec.unit(n, q) for q in range(18)]
+        code = CssCode(n, BitMat(n, c1[:m]), gf2.dual_basis(BitMat(n, c1)), BitVec(n, 0b1011 << 16))
+        gate = block_gate(
+            n, [((0, 16, 17), LocalDiag(3, 4, (0, 3, 5, 8, 9, 12, 15, 1))), ((4, 9), elementary_ckz(1, 2))]
+        )
+        rng = random.Random(m)
+        svals = [rng.getrandbits(n) for _ in range(6)] + [0, 1 << 16, (1 << 16) | 1, 1 << 4]
+        read = old_reader(code, gate)
+        table = gencoeff._SpanTable(code, gate)
+        assert len(table.channels) > 1
+        got = [Cyclo(gate.level, r, table.dim) for r in table.row(svals).tolist()]
+        assert got == [read(s) for s in svals]
+        diag = table.cosets[:, 0].tolist()
+        assert gencoeff.whole_table_check(code, gate, diag) == old_whole_table(code, gate, diag)
 
 
 class TestGramFold:
