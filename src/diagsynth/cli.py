@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Any
 
-from . import families, gf2, synth
+from . import families, gf2, oracle, synth
 from .csscode import code_from_json, code_to_json
 from .errors import DiagSynthError, InadmissibleStep
 from .gates import gate_from_json, gate_to_json, lift
@@ -177,10 +177,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     }
     if args.out:
         _write_json(args.out, code_to_json(result.code))
-    if args.oracle and result.gate is not None and result.code.n <= 24:
-        from .oracle import crosscheck
-
-        chk = crosscheck(result.code, result.gate, budget=args.budget)
+    if args.oracle and result.gate is not None and result.code.n <= oracle.MAX_N:
+        chk = oracle.crosscheck(result.code, result.gate, budget=args.budget)
         out["oracle"] = {
             "verdicts_agree": chk.verdicts_agree,
             "max_row_deviation": chk.max_row_deviation,
@@ -190,11 +188,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import crosscheck
-
     code = code_from_json(_load_json(args.code))
     gate = gate_from_json(_load_json(args.gate))
-    chk = crosscheck(code, gate, tol=args.tol, budget=args.budget)
+    chk = oracle.crosscheck(code, gate, tol=args.tol, budget=args.budget)
     _dump(
         {
             "preserved_exact": chk.preserved_exact,

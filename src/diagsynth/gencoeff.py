@@ -23,12 +23,12 @@ part alpha across the rows, so a row of coefficients is one signed sum
 per residue channel and coset for each sigma it touches, then one
 transform over the k logical bits, gathered at alpha.  The whole table is
 decided on the cosets themselves (``whole_table_check``).
-The Z side is the independent check: a signed weight
-enumerator for transversal rotations, and for every other gate a walk over
-C1perp, held as a word array once per code, that reads f(z) from the
-gate's Pauli factor tables (``gates.pauli_factors``, built once per gate
-and apart from the X-side table) and multiplies them in Z[zeta] on integer
-arrays.
+The Z side is the independent check, one array pass over a row's shifts
+s: a signed weight enumerator for transversal rotations, and for other
+gates a walk over the words of C1perp + s (C1perp is listed once per
+code) that reads f(z) from the gate's Pauli factor tables
+(``gates.pauli_factors``, apart from the X-side table) and multiplies
+them in Z[zeta] on integer arrays.
 
 Rows are integer arrays first: both sides hand back the coefficient
 vectors on zeta^0..zeta^(2^(L-1)-1) over one power-of-two denominator, a
@@ -75,17 +75,18 @@ _ROW_CAP = 1 << 12  # above this, preservation comes from the low-degree test
 
 
 @lru_cache(maxsize=None)
-def _rot_powers(local, n: int) -> tuple[tuple[Cyclo, ...], tuple[Cyclo, ...]]:
-    """Powers of the two single-qubit Pauli coefficients of a uniform
-    rotation block, cached per block."""
-    table = _block_pauli_table(local)
-    f0, f1 = table[0], table[1]
-    p0 = [ONE]
-    p1 = [ONE]
+def _rot_table(local, n: int) -> tuple[np.ndarray, int]:
+    """f0^(n-w) f1^w, w = 0..n, for the Pauli coefficients f0, f1 of a
+    uniform rotation block: (n + 1, 2^(L-1)) Python integers over 2^top."""
+    f0, f1 = _block_pauli_table(local)
+    p0, p1 = [ONE], [ONE]
     for _ in range(n):
         p0.append(p0[-1] * f0)
         p1.append(p1[-1] * f1)
-    return tuple(p0), tuple(p1)
+    terms = [(p0[n - w] * p1[w]).promote(local.level) for w in range(n + 1)]
+    top = max(t.denom_exp for t in terms)
+    rows = [[c << (top - t.denom_exp) for c in t.coeffs] for t in terms]
+    return np.array(rows, dtype=object), top
 
 
 # ----------------------------------------------------------------------
@@ -229,73 +230,62 @@ def _ring_times(acc: np.ndarray, rows: np.ndarray, channels: Sequence[int]) -> n
     return out
 
 
-def _sum_z_side(
-    code: CssCode, gate: DiagonalGate, shift: int, budget: int
+def _sum_z_rows(
+    code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
 ) -> tuple[np.ndarray, int]:
-    """sum_{z in C1perp + shift} (-1)^(z.y) f(z), exact, as its integer
-    coefficients on zeta^0..zeta^(2^(L-1)-1) and their denominator
-    exponent.
-
-    Transversal rotations sum their per-weight Pauli coefficients against
-    the signed weight enumerator.  Every other gate reads f from its Pauli
-    factor tables (``gates.pauli_factors``): the words of C1perp + shift
-    gather each factor's rows by their bits, the rows multiply in Z[zeta]
-    on integer arrays, and the signed sum is one integer vector.
+    """sum_{z in C1perp + s} (-1)^(z.y) f(z) for every s in svals: the
+    integer coefficients on zeta^0.. over 2^denom as (N, 2^(L-1)) rows,
+    and denom.  A coefficient over 2^d has absolute values summing to at
+    most 2^d (it is 2^-dim C1 times a sum of 2^dim C1 signed roots of
+    unity), so int64 holds the rows while d <= 62.  The budget prices one
+    shift.  For rotations denom is the rows' largest minimal denominator
+    (0 if all are zero); otherwise the factors' qubit count.
     """
-    basis = code.z_stab.row_ints()
+    half = 1 << (gate.level - 1)
+    if not svals:
+        return np.zeros((0, half), dtype=np.int64), 0
+    basis, n, y = code.z_stab.row_ints(), code.n, code.y.bits
     dim = len(basis)
-    n, y = code.n, code.y.bits
-    affine = weight_affine_form(gate)
-    if affine is not None and isinstance(gate, BlockProductGate):
-        counts_w = gf2.signed_weight_counts(basis, shift, y, n, budget)
-        p0, p1 = _rot_powers(gate.blocks[0][1], n)
-        acc = Cyclo.zero()
-        for w, c in enumerate(counts_w):
-            if c:
-                acc = acc + p0[n - w] * p1[w] * c
-        if (shift & y).bit_count() & 1:
-            acc = -acc
-        return np.array(acc.promote(gate.level).coeffs, dtype=object), acc.denom_exp
+    shifts = gf2.int_rows(svals, n)
+    flip = (gf2.word_weights(shifts & gf2.int_words(y, n)) & 1).astype(bool)
+    if weight_affine_form(gate) is not None and isinstance(gate, BlockProductGate):
+        counts = gf2.signed_weight_counts(basis, svals, y, n, budget)
+        counts[flip] *= -1
+        table, top = _rot_table(gate.blocks[0][1], n)
+        # row sums of |.|: table <= 2^top (n half-sums of two roots), counts <= 2^dim
+        dtype = np.int64 if top + dim <= 62 else object
+        sums = counts.astype(dtype) @ table.astype(dtype)
+        # the rows' common power of two is the lowest bit of any entry
+        low = int(np.bitwise_or.reduce(sums, axis=None))
+        denom = max(0, top + 1 - (low & -low).bit_length()) if low else 0
+        sums >>= top - denom
+        return sums.astype(np.int64 if denom <= 62 else object, copy=False), denom
     if 1 << dim > min(budget, _PY_SPAN_CAP):
         raise BudgetExceeded(f"2^{dim} Z-side walk", required_log2=dim)
     factors = pauli_factors(gate, budget)
     words, parity = _c1perp_words(code)
     covered = sum(1 << q for f in factors for q in f.qubits)
-    z = words ^ gf2.int_words(shift, n)
-    # a label with a set bit on an uncovered qubit has f = 0
-    keep = ~(z & gf2.int_words(((1 << n) - 1) ^ covered, n)).any(axis=1)
-    bits = gf2.word_bits(z[keep], n)
-    odd = parity[keep] ^ bool((shift & y).bit_count() & 1)
-    # Bound: a factor row is a sum of 2^b signed powers of zeta, so its
-    # absolute values sum to at most 2^b.  That sum is submultiplicative
-    # under the product in Z[zeta], so a word's product row sums to at most
-    # 2^width.  Every integer formed below, in _ring_times or over the
-    # words, is a signed sum of terms of at most 2^dim such products, so
-    # its absolute value is at most 2^(width + dim): int64 holds it while
-    # width + dim <= 62
+    outside = gf2.int_words(((1 << n) - 1) ^ covered, n)
+    # Bound: a factor row's absolute values sum to at most 2^b, and that
+    # is submultiplicative in Z[zeta], so every integer below is at most
+    # 2^(width + dim) in absolute value: int64 while width + dim <= 62
     width = sum(len(f.qubits) for f in factors)
     dtype = np.int64 if width + dim <= 62 else object
-    acc = np.zeros((len(bits), 1 << (gate.level - 1)), dtype=dtype)
-    acc[:, 0] = 1
-    for f in factors:
-        idx = bits[:, list(f.qubits)] @ (1 << np.arange(len(f.qubits)))
-        acc = _ring_times(acc, f.table[idx].astype(dtype), f.channels)
-    return acc[~odd].sum(axis=0) - acc[odd].sum(axis=0), width
-
-
-def _sum_z_rows(
-    code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
-) -> tuple[np.ndarray, int]:
-    """The Z side for every s in svals, on the largest of their
-    denominators.  A coefficient over 2^d has absolute values summing to at
-    most 2^d (it is 2^-dim C1 times a signed sum of 2^dim C1 roots of unity,
-    and the power basis represents it uniquely), so int64 holds the rows
-    while d <= 62."""
-    parts = [_sum_z_side(code, gate, s, budget) for s in svals]
-    denom = max((d for _, d in parts), default=0)
-    rows = [[x << (denom - d) for x in v.tolist()] for v, d in parts]
-    dtype = np.int64 if denom <= 62 else object
-    return np.array(rows, dtype=dtype).reshape(len(rows), 1 << (gate.level - 1)), denom
+    out = np.empty((len(svals), half), dtype=dtype)
+    per = max(1, (1 << 16) >> dim)
+    for o in range(0, len(svals), per):
+        z = (shifts[o : o + per, None] ^ words).reshape(-1, words.shape[1])
+        bits = gf2.word_bits(z, n)
+        acc = np.zeros((len(z), half), dtype=dtype)
+        acc[:, 0] = 1
+        for f in factors:
+            idx = bits[:, list(f.qubits)] @ (1 << np.arange(len(f.qubits)))
+            acc = _ring_times(acc, f.table[idx].astype(dtype), f.channels)
+        # (-1)^(z.y), and f = 0 on a label with a bit on no factor
+        sign = np.where((flip[o : o + per, None] ^ parity).reshape(-1), -1, 1)
+        sign[(z & outside).any(axis=1)] = 0
+        out[o : o + per] = (acc * sign[:, None]).reshape(-1, len(words), half).sum(axis=1)
+    return out.astype(np.int64 if width <= 62 else object, copy=False), width
 
 
 def _side_order(code: CssCode) -> list[str]:

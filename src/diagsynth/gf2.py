@@ -482,40 +482,46 @@ def span_words(basis: Sequence[int], n: int, budget: int = DEFAULT_BUDGET) -> np
 
 def signed_weight_counts(
     basis: Sequence[int],
-    weight_shift: int,
+    weight_shifts: Sequence[int],
     sign_mask: int,
     n: int,
     budget: int = DEFAULT_BUDGET,
-) -> list[int]:
-    """Signed weight enumerator of a shifted span.
+) -> np.ndarray:
+    """Signed weight enumerators of shifted copies of one span.
 
-    Returns W[w] = sum over span elements c of (-1)^{parity(c & sign_mask)}
-    restricted to weight(c ^ weight_shift) == w.  Exact integers.  The span
-    is built in rows of at most 2^16 elements to bound the memory.
+    Row r of the (len(weight_shifts), n + 1) int64 result is W[w] = sum
+    over span elements c of (-1)^{parity(c & sign_mask)} restricted to
+    weight(c ^ weight_shifts[r]) == w.  Exact integers.  The span is built
+    in rows of at most 2^16 elements, and each row meets the shifts in
+    blocks of at most 2^16 words, to bound the memory.  Fewer than
+    _NUMPY_SPAN_MIN (shift, element) pairs are counted in Python.  Refused
+    when the span (2^m elements) exceeds the budget.
     """
     m = len(basis)
     if 1 << m > budget:
         raise BudgetExceeded(f"2^{m} coset enumeration", required_log2=m)
-    if 1 << m >= _NUMPY_SPAN_MIN:
-        cut = min(m, 16)
-        low = span_words(basis[:cut], n)
-        shift, mask = int_words(weight_shift, n), int_words(sign_mask, n)
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for word in span_words(basis[cut:], n):
-            span = low ^ word
-            w = word_weights(span ^ shift)
-            s = (word_weights(span & mask) & 1).astype(bool)
-            counts += np.bincount(w[~s], minlength=n + 1)
-            counts -= np.bincount(w[s], minlength=n + 1)
-        return counts.tolist()
-    counts = [0] * (n + 1)
-    for c in span_ints(basis, budget):
-        w = (c ^ weight_shift).bit_count()
-        if (c & sign_mask).bit_count() & 1:
-            counts[w] -= 1
-        else:
-            counts[w] += 1
-    return counts
+    if len(weight_shifts) << m < _NUMPY_SPAN_MIN:
+        counts = np.zeros((len(weight_shifts), n + 1), dtype=np.int64)
+        span = span_ints(basis, budget)
+        for row, shift in zip(counts, weight_shifts):
+            for c in span:
+                row[(c ^ shift).bit_count()] += -1 if (c & sign_mask).bit_count() & 1 else 1
+        return counts
+    low = span_words(basis[:16], n)
+    shifts, mask = int_rows(weight_shifts, n), int_words(sign_mask, n)
+    per, bins = max(1, (1 << 16) >> min(m, 16)), 2 * (n + 1)
+    counts = np.zeros((len(shifts), bins), dtype=np.int64)
+    for word in span_words(basis[16:], n):
+        span = low ^ word
+        odd = word_weights(span & mask) & 1
+        for o in range(0, len(shifts), per):
+            block = shifts[o : o + per, None] ^ span
+            # bin 2w + odd among the 2(n + 1) bins of the block row's shift
+            idx = 2 * np.bitwise_count(block).sum(axis=2, dtype=np.intp) + odd
+            idx += np.arange(0, len(block) * bins, bins)[:, None]
+            cnt = np.bincount(idx.reshape(-1), minlength=len(block) * bins)
+            counts[o : o + per] += cnt.reshape(-1, bins)
+    return counts[:, 0::2] - counts[:, 1::2]
 
 
 def restrict_to_hyperplane(m: BitMat, w0: BitVec) -> tuple[BitMat, BitVec]:

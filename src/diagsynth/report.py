@@ -76,7 +76,7 @@ def build_report(
             rep["trivial_row"] = None
     if rep.get("preserved"):
         rep["logical"] = logical_summary(code, gate, budget)
-    if include_oracle and code.n <= 24:
+    if include_oracle and code.n <= oracle.MAX_N:
         if row is None:
             # no trivial row (past the row cap or the budget): crosscheck
             # raises what it always raised

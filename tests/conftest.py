@@ -35,14 +35,36 @@ def x_side(code, gate, s, budget):
 
 
 def z_side(code, gate, shift, budget):
-    """One Z-side coefficient as a ring element."""
-    vec, denom = gencoeff._sum_z_side(code, gate, shift, budget)
-    return Cyclo(gate.level, vec.tolist(), denom)
+    """One Z-side coefficient, read as a one-shift row, as a ring element."""
+    ints, denom = gencoeff._sum_z_rows(code, gate, [shift], budget)
+    return Cyclo(gate.level, ints[0].tolist(), denom)
 
 
 def table_coefficient(table, s):
     """One coefficient read from a span table's row."""
     return Cyclo(table.level, table.row([s])[0].tolist(), table.dim)
+
+
+def random_code(rng: random.Random, n: int, k: int, dim_c1: int) -> CssCode:
+    """A random CSS code with the given n, k and dim C1 and a nonzero
+    character vector: C1 a random subspace, C2 a random subspace of C1."""
+    while True:
+        c1, _ = gf2.rref(BitMat(n, [BitVec(n, rng.getrandbits(n)) for _ in range(dim_c1)]))
+        if c1.num_rows != dim_c1:
+            continue
+        rows = c1.row_ints()
+        combos = []
+        for _ in range(dim_c1 - k):
+            acc, mask = 0, rng.getrandbits(dim_c1)
+            for j, row in enumerate(rows):
+                if mask >> j & 1:
+                    acc ^= row
+            combos.append(BitVec(n, acc))
+        c2, _ = gf2.rref(BitMat(n, combos))
+        if c2.num_rows != dim_c1 - k:
+            continue
+        y = BitVec(n, rng.randrange(1, 1 << n))
+        return CssCode(n, c2, gf2.dual_basis(c1), y)
 
 
 @st.composite

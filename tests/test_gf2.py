@@ -498,37 +498,46 @@ class TestSignedWeightCounts:
     @given(
         st.integers(2, 16),
         st.lists(st.integers(1, 1 << 16), max_size=8),
-        st.integers(0, 1 << 16),
+        st.lists(st.integers(0, 1 << 16), max_size=5),
         st.integers(0, 1 << 16),
     )
     @settings(max_examples=150)
-    def test_matches_direct_enumeration(self, n, basis, shift, sign):
+    def test_matches_direct_enumeration(self, n, basis, shifts, sign):
+        # one row per shift, none for an empty shift list; fewer than 2^12
+        # (shift, element) pairs take the Python route
         mask = (1 << n) - 1
         basis = [b & mask for b in basis if b & mask]
         basis = list(dict.fromkeys(basis))
-        shift &= mask
+        shifts = [s & mask for s in shifts]
         sign &= mask
-        counts = signed_weight_counts(basis, shift, sign, n)
-        direct = [0] * (n + 1)
-        for c in span_ints(basis):
-            w = (c ^ shift).bit_count()
-            direct[w] += -1 if (c & sign).bit_count() & 1 else 1
-        assert counts == direct
+        counts = signed_weight_counts(basis, shifts, sign, n)
+        assert counts.shape == (len(shifts), n + 1)
+        for shift, row in zip(shifts, counts.tolist()):
+            direct = [0] * (n + 1)
+            for c in span_ints(basis):
+                w = (c ^ shift).bit_count()
+                direct[w] += -1 if (c & sign).bit_count() & 1 else 1
+            assert row == direct
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_word_arrays_match_direct_enumeration(self, data):
-        # 2^12..2^17 elements take the numpy route, past 2^16 in several rows;
-        # n up to 130 spans up to three words
+        # 2^12..2^17 elements take the numpy route, past 2^16 in several
+        # rows; at 2^12 up to 40 shifts, which meet the span in blocks of
+        # 16; n up to 130 spans up to three words
         n = data.draw(st.sampled_from([63, 64, 65, 128, 129, 130]) | st.integers(2, 130))
         m = data.draw(st.integers(12, 17))
         basis = [data.draw(full_words(n)) for _ in range(m)]
-        shift = data.draw(full_words(n))
+        count = data.draw(st.integers(1, 40 if m == 12 else 1))
+        shifts = [data.draw(full_words(n)) for _ in range(count)]
         sign = data.draw(full_words(n))
-        direct = [0] * (n + 1)
-        for c in span_ints(basis):
-            direct[(c ^ shift).bit_count()] += -1 if (c & sign).bit_count() & 1 else 1
-        assert signed_weight_counts(basis, shift, sign, n) == direct
+        want = []
+        for shift in shifts:
+            direct = [0] * (n + 1)
+            for c in span_ints(basis):
+                direct[(c ^ shift).bit_count()] += -1 if (c & sign).bit_count() & 1 else 1
+            want.append(direct)
+        assert signed_weight_counts(basis, shifts, sign, n).tolist() == want
 
 
 class TestSpanWords:
