@@ -76,9 +76,10 @@ def elementary_ckz(controls: int, root: int, dagger: bool = False) -> LocalDiag:
 class BlockProductGate:
     """Tensor product of local diagonal blocks on disjoint qubit sets.
 
-    ``level`` and ``weight_affine`` (see weight_affine_form) are derived
-    once, at construction; the Pauli factor tables (see pauli_factors) on
-    their first use."""
+    ``level`` and ``weight_affine`` are derived once, at construction; the
+    Pauli factor tables (see pauli_factors) on their first use.
+    ``weight_affine`` (also on QfdGate, for c*I) is (offset, slope, level)
+    when every entry exponent is offset + slope*weight(u) mod 2^L, else None."""
 
     n: int
     blocks: tuple[tuple[tuple[int, ...], LocalDiag], ...]
@@ -298,17 +299,6 @@ def entry_exponent(gate: DiagonalGate, u: BitVec) -> int:
 
 def d_entry(gate: DiagonalGate, u: BitVec) -> Cyclo:
     return Cyclo.root_of_unity(gate.level, entry_exponent(gate, u))
-
-
-def weight_affine_form(gate: DiagonalGate) -> tuple[int, int, int] | None:
-    """If every entry exponent is offset + slope*weight(u) mod 2^L, return
-    (offset, slope, level); else None.
-
-    Holds for any full cover by identical single-qubit blocks (transversal
-    rotations) and for quadratic forms c*I.  Computed once, when the gate
-    is built.
-    """
-    return gate.weight_affine
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,9 @@ Both forms are implemented; the engine enumerates whichever side is
 smaller.  Every gate gets one table per code at every n: C1 is enumerated
 once as ceil(n/64) uint64 words per element, with the X-stabilizer rows as
 the low basis bits and the X-logical rows above them, into the exponent
-array e_j of the gate at y ^ c_j (``gates.span_exponents``).  Reshaped to
-(2^k, 2^dim C2) that array is the induced-diagonal scan, and with
-t(s)_i = b_i . s every coefficient is
+array e_j of the gate at y ^ c_j (``gates.span_exponents``).  Row beta of
+that array reshaped to (2^k, 2^dim C2) is the coset x_beta + C2 + y, and
+with t(s)_i = b_i . s every coefficient is
 
     A(s) = 2^-dim C1 sum_j (-1)^(j . t(s)) zeta^(e_j).
 
@@ -21,8 +21,7 @@ That sum is read coset by coset.  Split t(s) = sigma | alpha << dim C2:
 the sign's syndrome part sigma acts within each coset row and its logical
 part alpha across the rows, so a row of coefficients is one signed sum
 per residue channel and coset for each sigma it touches, then one
-transform over the k logical bits, gathered at alpha.  The whole table is
-decided on the cosets themselves (``whole_table_check``).
+transform over the k logical bits, gathered at alpha.
 The Z side is the independent check, one array pass over a row's shifts
 s: a signed weight enumerator for transversal rotations, and for other
 gates a walk over the words of C1perp + s (C1perp is listed once per
@@ -36,7 +35,9 @@ row's norm folds their Gram matrix into one ring element, and an entry
 becomes an exact ring element only when it is read.
 
 Preservation is the trivial row's norm while the row fits the row cap and
-the budget, and otherwise the low-degree test (``_low_degree``).
+the budget, and otherwise the low-degree test (``_low_degree``).  On a
+preserved code every coset is constant, so the induced logical diagonal
+is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .gates import (
     pauli_factors,
     residue_channels,
     span_exponents,
-    weight_affine_form,
     _block_pauli_table,
     _word_exponents,
 )
@@ -98,12 +98,12 @@ class _SpanTable:
 
     ``exps[j]`` is the gate's exponent at y ^ c_j, where c_j combines the
     basis rows named by the bits of j: first the m = dim C2 X-stabilizer
-    rows, then the k X-logical rows, so ``cosets[beta]`` is the coset
-    x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed channel of
-    zeta^j.  The Walsh-Hadamard transform over C1 factorizes along that
-    order, H_dim = H_k (x) H_m, so every coefficient is read coset by
-    coset: signed channel sums over each coset (``coset_sums``), then a
-    transform over the k logical bits (``row``).
+    rows, then the k X-logical rows, so the entries with j >> m = beta form
+    the coset x_beta + C2 + y.  Residues j and j + 2^(L-1) form the signed
+    channel of zeta^j.  The Walsh-Hadamard transform over C1 factorizes
+    along that order, H_dim = H_k (x) H_m, so every coefficient is read
+    coset by coset: signed channel sums over each coset (``coset_sums``),
+    then a transform over the k logical bits (``row``).
     """
 
     def __init__(self, code: CssCode, gate: DiagonalGate):
@@ -114,7 +114,6 @@ class _SpanTable:
         self.dim = len(basis)
         self.m = code.dim_c2
         self.exps = span_exponents(gate, basis, code.y.bits)
-        self.cosets = self.exps.reshape(-1, 1 << self.m)
 
     @cached_property
     def channels(self) -> list[int]:
@@ -125,7 +124,7 @@ class _SpanTable:
     def coset_sums(self, sigma: int, channels: Sequence[int]) -> np.ndarray:
         """(len(channels), 2^k) int64 array whose entry [c, beta] is
         sum_j (-1)^(sigma . j) ([e_j = i] - [e_j = i + 2^(L-1)]) over the
-        coset row j of ``cosets[beta]``, i = channels[c].
+        coset x_beta + C2 + y (j >> m = beta), i = channels[c].
 
         Counted in steps of at most 2^16 entries, as ``span_exponents``
         builds the table: each entry's bin is 2c + (its residue is past
@@ -248,7 +247,7 @@ def _sum_z_rows(
     dim = len(basis)
     shifts = gf2.int_rows(svals, n)
     flip = (gf2.word_weights(shifts & gf2.int_words(y, n)) & 1).astype(bool)
-    if weight_affine_form(gate) is not None and isinstance(gate, BlockProductGate):
+    if gate.weight_affine is not None and isinstance(gate, BlockProductGate):
         counts = gf2.signed_weight_counts(basis, svals, y, n, budget)
         counts[flip] *= -1
         table, top = _rot_table(gate.blocks[0][1], n)
@@ -547,24 +546,30 @@ def is_preserved(
     summed, so callers need not compute it again.  Every other code is
     decided by the low-degree test (``_low_degree``), which is equivalent;
     the result then records its degree bound D and its point count.
+    The verdict, exact at any budget and on either route, is memoized per
+    code under the span table's key; the result is computed on every call.
     """
     _check_gate(code, gate)
+    res: PreservationResult | None = None
     norm_exc: BudgetExceeded | None = None
     if 1 << code.k <= _ROW_CAP:
         try:
             row = trivial_row(code, gate, budget=budget)
             norm = row.norm()
-            return PreservationResult(norm == ONE, norm, "coefficient-norm", row=row)
+            res = PreservationResult(norm == ONE, norm, "coefficient-norm", row=row)
         except BudgetExceeded as exc:
             norm_exc = exc
-    try:
-        preserved = _low_degree(code, gate, budget)
-    except BudgetExceeded as exc:
-        raise norm_exc or exc
-    top = low_degree_bound(gate)
-    return PreservationResult(
-        preserved, None, "low-degree", degree=top, points=_point_count(code.dim_c1, top)
-    )
+    if res is None:
+        try:
+            preserved = _low_degree(code, gate, budget)
+        except BudgetExceeded as exc:
+            raise norm_exc or exc
+        top = low_degree_bound(gate)
+        res = PreservationResult(
+            preserved, None, "low-degree", degree=top, points=_point_count(code.dim_c1, top)
+        )
+    code._caches.setdefault("verdicts", {})[gate.weight_affine or gate] = res.preserved
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -582,93 +587,29 @@ class LogicalDiagonal:
     frame: LogicalFrame
 
 
-def _codeword_diagonal(
-    code: CssCode, gate: DiagonalGate, budget: int
-) -> tuple[bool, list[int] | None, tuple[int, Cyclo] | None]:
-    """Induced-diagonal scan via codeword sums:
-    entry(beta) = 2^-m sum_{x in C2} d(beta.Gx ^ x ^ y).
-
-    A mean of 2^m roots of unity has modulus one only when all its terms
-    are equal (triangle inequality), so the span table decides each row by
-    comparing it with its first column.
-    Returns (all_unimodular, exponents at gate level or None, witness).
-    """
-    k, m = code.k, code.dim_c2
-    if k + m > 26 or (1 << (k + m)) > budget * 4:
-        raise BudgetExceeded(
-            f"2^{k + m} codeword scan", required_log2=k + m
-        )
-    rows = _span_table(code, gate).cosets
-    first = rows[:, 0]
-    uneven = np.flatnonzero((rows != first[:, None]).any(axis=1))
-    if not uneven.size:
-        return True, first.tolist(), None
-    beta = int(uneven[0])
-    counts = np.bincount(rows[beta], minlength=1 << gate.level).tolist()
-    return False, None, (beta, Cyclo.from_root_counts(gate.level, counts, m))
-
-
-def logical_diagonal_exponents(
-    code: CssCode, gate: DiagonalGate, budget: int = gf2.DEFAULT_BUDGET
-) -> list[int]:
-    """Exponents (at the gate's level) of the induced logical diagonal,
-    computed from codeword sums.  Raises NotPreserved when the diagonal is
-    not unitary."""
-    ok, exps, witness = _codeword_diagonal(code, gate, budget)
-    if not ok:
-        raise NotPreserved(f"code is not preserved; witness entry {witness}")
-    assert exps is not None
-    return exps
-
-
 def induced_logical(
     code: CssCode,
     gate: DiagonalGate,
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> LogicalDiagonal:
     """The logical diagonal induced on a preserved code, with exact
-    root-of-unity entries in the code's logical frame."""
-    _check_gate(code, gate)
-    exps = logical_diagonal_exponents(code, gate, budget)
-    return LogicalDiagonal(code.k, gate.level, tuple(exps), code.frame)
+    root-of-unity entries in the code's logical frame.
 
-
-def whole_table_check(
-    code: CssCode,
-    gate: DiagonalGate,
-    exps: Sequence[int],
-    budget: int = gf2.DEFAULT_BUDGET,
-) -> tuple[bool, bool]:
-    """(trivial, null) for the whole coefficient table against the diagonal
-    zeta^exps[beta], decided exactly on the span table's cosets.
-
-    Column t = sigma | alpha << m (m = dim C2) of the transform over C1
-    holds 2^dim C1 A(s) for the s of X-syndrome sigma that pair with the
-    X-logicals as alpha, so t(g(alpha)) = alpha << m.  The basis order
-    makes that transform H_k (x) H_m: column t is the transform over beta
-    (H_k, at alpha) of each coset's signed sum sum_j (-1)^(sigma . j)
-    zeta^(e_j) (H_m, at sigma), and H_k and H_m are invertible.
-
-    null: every column with sigma != 0 is zero.  By H_k, that holds iff
-    every coset's H_m transform vanishes off sigma = 0, and by H_m iff
-    every coset row is constant, which holds iff the code is preserved.
-
-    trivial: every A(g(alpha)) equals 2^-k sum_beta (-1)^(alpha.beta)
-    zeta^exps[beta].  By H_k, that holds iff every coset sums to
-    2^m zeta^exps[beta], and a sum of 2^m roots of unity has modulus 2^m
-    only when all its terms are equal (triangle inequality), so iff every
-    exponent of coset beta is exps[beta].  Refused when the table
-    (2^dim C1) does not fit the budget.
+    The gate is constant on every coset x_beta + C2 + y of a preserved
+    code, so entry beta is its exponent at y ^ x_beta.  The verdict is
+    ``is_preserved``'s or its memo; 2^k past the budget is refused.
     """
     _check_gate(code, gate)
-    k, dim = code.k, code.dim_c1
-    if len(exps) != 1 << k:
-        raise ValueError(f"need 2^{k} diagonal exponents, got {len(exps)}")
-    if 1 << dim > budget:
-        raise BudgetExceeded(f"2^{dim} coset enumeration", required_log2=dim)
-    rows = _span_table(code, gate).cosets
-    diag = np.asarray(exps, dtype=np.int64)
-    return bool((rows == diag[:, None]).all()), bool((rows == rows[:, :1]).all())
+    preserved = code._caches.get("verdicts", {}).get(gate.weight_affine or gate)
+    if preserved is None:
+        preserved = is_preserved(code, gate, budget).preserved
+    if not preserved:
+        raise NotPreserved("code is not preserved")
+    k = code.k
+    if 1 << k > budget:
+        raise BudgetExceeded(f"2^{k} logical diagonal", required_log2=k)
+    exps = span_exponents(gate, code.frame.x_logical_basis.row_ints(), code.y.bits)
+    return LogicalDiagonal(k, gate.level, tuple(exps.tolist()), code.frame)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,12 @@ class RemovalResult:
     new_row_norm: Cyclo | None = None
 
 
+def _check_mode(check: str) -> None:
+    # a step's check comes from user scripts
+    if check not in ("auto", "full", "skip"):
+        raise ValueError(f'check must be "auto", "full" or "skip", got {check!r}')
+
+
 def _split_z_stab(code: CssCode, w0: BitVec) -> tuple[BitMat, BitVec]:
     """Shrink the Z-stabilizer basis to the part pairing trivially with the
     new X-logical w0, returning it with the removed stabilizer gamma0."""
@@ -66,6 +72,7 @@ def remove_z(
     row norm, kept as ``new_row_norm``, or the low-degree test).  ``check``
     is "auto" or "full" (the same exact check) or "skip".
     """
+    _check_mode(check)
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
@@ -118,6 +125,7 @@ def add_x(
     x0, vanishes.  So a preserved new code is admissible with no witness,
     and otherwise the half row decides: "auto" and "full" agree at every k.
     """
+    _check_mode(check)
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
     if not code.c1_reducer.contains(x0) or code.c2_reducer.contains(x0):

@@ -193,7 +193,7 @@ def test_criterion_6_qrm_pipeline_flagship():
     assert res.final.x_stab == qrm_code(2, 6).x_stab
     assert res.final.z_stab == qrm_code(2, 6).z_stab
 
-    # the retargeted rotation preserves every checkpoint (exact scans)
+    # the retargeted rotation preserves every checkpoint (exact verdicts)
     assert gencoeff.is_preserved(pre_removal, res.gate).preserved
     assert gencoeff.is_preserved(inter, res.gate).preserved
     assert gencoeff.is_preserved(res.final, res.gate).preserved

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON determinism, file formats."""
 
 import json
+import re
 
 import pytest
 
@@ -268,6 +269,21 @@ class TestPipeline:
         assert rc == 0
         assert json.loads(text)["steps"] == []
 
+    @pytest.mark.parametrize(
+        "step", [{"op": "remove_z", "w0": "1000000"}, {"op": "add_x", "x0": "1111111"}]
+    )
+    def test_unknown_check_mode(self, steane_files, tmp_path, capsys, step):
+        # only "auto", "full" and "skip" are modes; anything else used to
+        # run the check
+        code_path, gate_path = steane_files
+        script = tmp_path / "steps.json"
+        script.write_text(json.dumps([dict(step, check="none")]))
+        rc, text = run(
+            capsys, "pipeline", "--code", str(code_path), "--gate", str(gate_path),
+            "--script", str(script),
+        )
+        assert rc == 2 and text == ""
+
 
 class TestLargeVerify:
     def test_verify_64_15_4(self, tmp_path, capsys):
@@ -293,7 +309,8 @@ class TestLargeVerify:
         assert rep["logical"]["level"] == 3
 
     def test_verify_qrm_3_6(self, tmp_path, capsys):
-        # [[64,20,8]], which the 2^42 codeword scan refused, is certified
+        # [[64,20,8]] is certified, and its logical is read on the 2^20
+        # logical words: CZ on the 10 pairs of a perfect matching
         code_path = tmp_path / "q36.json"
         gate_path = tmp_path / "rot.json"
         rc, _ = run(
@@ -308,6 +325,12 @@ class TestLargeVerify:
         rep = json.loads(text)
         assert rep["preserved"] and rep["preservation_method"] == "low-degree"
         assert rep["code"]["d_x"] == rep["code"]["d_z"] == {"value": 8, "exact": True}
+        logical = rep["logical"]
+        assert logical["available"] and logical["level"] == 2
+        pairs = re.findall(r"CZ\[(\d+),(\d+)\]", logical["description"])
+        assert logical["description"] == " * ".join(f"CZ[{a},{b}]" for a, b in pairs)
+        assert len(pairs) == 10
+        assert sorted(int(q) for pair in pairs for q in pair) == list(range(20))
 
     def test_default_wmax_distances_exact(self, tmp_path, capsys):
         code_path = tmp_path / "q26.json"

@@ -25,7 +25,6 @@ from diagsynth.gates import (
     qfd_gate,
     span_exponents,
     transversal_zrot,
-    weight_affine_form,
 )
 from diagsynth.gf2 import BitVec
 
@@ -192,16 +191,16 @@ class TestLift:
 
 class TestAffineForm:
     def test_zrot_affine(self):
-        off, slope, lvl = weight_affine_form(transversal_zrot(4, 2))
+        off, slope, lvl = transversal_zrot(4, 2).weight_affine
         assert (off, slope, lvl) == (4, 2, 3)
 
     def test_block_mixture_not_affine(self):
         g = block_gate(2, [((0, 1), elementary_ckz(1, 0))])
-        assert weight_affine_form(g) is None
+        assert g.weight_affine is None
 
     def test_uniform_qfd_affine(self):
         g = qfd_gate(3, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert weight_affine_form(g) == (0, 1, 2)
+        assert g.weight_affine == (0, 1, 2)
 
 
 def span_element(basis, j):

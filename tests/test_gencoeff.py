@@ -4,10 +4,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from diagsynth import gencoeff
+from diagsynth import gencoeff, report
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
-from diagsynth.errors import BudgetExceeded
+from diagsynth.errors import BudgetExceeded, NotPreserved
 from diagsynth.families import four22_code, qrm_code, qrm_gate, steane_code
 from diagsynth.gates import (
     LocalDiag,
@@ -20,11 +20,9 @@ from diagsynth.gencoeff import (
     coefficient,
     induced_logical,
     is_preserved,
-    logical_diagonal_exponents,
     split_values,
     syndrome_row,
     trivial_row,
-    whole_table_check,
 )
 from diagsynth.gf2 import BitMat, BitVec
 
@@ -208,30 +206,20 @@ def inverse_hadamard(exps, level, k):
 
 
 class TestDiagonalRoutes:
-    @given(codes_with_gates(max_n=6, min_k=1), st.data())
+    @given(codes_with_gates(max_n=6, min_k=1))
     @settings(max_examples=200, deadline=None)
-    def test_codeword_route_matches_row_route(self, cg, data):
-        # trivial_row reads the Z side here, apart from the X-side table
-        # that whole_table_check reads
+    def test_codeword_route_matches_row_route(self, cg):
+        # the row and its verdict come from the Z side here; the logical
+        # is read from the gate at the logical words
         code, gate = cg
         assume(code.dim_c1 > code.dim_c1perp)
-        res = is_preserved(code, gate)
-        mod = 1 << gate.level
-        if res.preserved:
-            exps = logical_diagonal_exponents(code, gate)
-        else:
-            size = 1 << code.k
-            exps = data.draw(st.lists(st.integers(0, mod - 1), min_size=size, max_size=size))
-        corrupt = data.draw(st.booleans())
-        if corrupt:
-            beta = data.draw(st.integers(0, len(exps) - 1))
-            exps[beta] = (exps[beta] + data.draw(st.integers(1, mod - 1))) % mod
-        trivial, null = whole_table_check(code, gate, exps)
-        assert null == res.preserved
         row = trivial_row(code, gate)
-        assert trivial == (row.values() == inverse_hadamard(exps, gate.level, code.k))
-        if res.preserved and not corrupt:
-            assert trivial
+        if row.norm() != ONE:
+            with pytest.raises(NotPreserved):
+                induced_logical(code, gate)
+            return
+        exps = induced_logical(code, gate).exps
+        assert row.values() == inverse_hadamard(exps, gate.level, code.k)
 
     @given(codes_with_gates(max_n=6, min_k=1))
     @settings(max_examples=200, deadline=None)
@@ -239,37 +227,72 @@ class TestDiagonalRoutes:
         code, gate = cg
         res = is_preserved(code, gate)
         assume(res.preserved)
-        exps = logical_diagonal_exponents(code, gate)
+        exps = induced_logical(code, gate).exps
         assert trivial_row(code, gate).values() == inverse_hadamard(exps, gate.level, code.k)
-        assert whole_table_check(code, gate, exps) == (True, True)
 
-    def test_whole_table_negative_controls(self):
-        # [[4,2,2]] + T leaks into a nontrivial syndrome
-        code = four22_code()
-        _, null = whole_table_check(code, transversal_zrot(4, 3), [0, 0, 0, 0])
-        assert not null
-        # one corrupted diagonal exponent on a preserved code
+    def test_not_preserved_raises(self):
+        # norm route: [[4,2,2]] + T, and a coset {00, 11} holding zeta^0 and
+        # zeta^2, which cancel in the only channel of its table
+        pair = CssCode(2, BitMat.from_strings(["11"]), BitMat.empty(2))
+        cancelling = block_gate(2, [((0, 1), LocalDiag(2, 2, (0, 0, 0, 2)))])
+        for code, gate in [(four22_code(), transversal_zrot(4, 3)), (pair, cancelling)]:
+            assert is_preserved(code, gate).method == "coefficient-norm"
+            with pytest.raises(NotPreserved, match="not preserved"):
+                induced_logical(code, gate)
+        # low-degree route: [[64,15,4]] with the rotation one level up
+        code, gate = qrm_code(2, 6), transversal_zrot(64, 4)
+        with pytest.raises(NotPreserved):
+            induced_logical(code, gate)
+        assert is_preserved(code, gate).method == "low-degree"
+
+    def test_logical_diagonal_budget(self):
+        # the verdict is memoized, so only the 2^k read meets the budget
         code, gate = four22_code(), transversal_zrot(4, 2)
-        exps = logical_diagonal_exponents(code, gate)
-        assert whole_table_check(code, gate, exps) == (True, True)
-        exps[-1] = (exps[-1] + 1) % 4
-        assert whole_table_check(code, gate, exps) == (False, True)
-        # the coset of beta = 0 holds zeta^0 and zeta^2, which cancel in the
-        # only channel of the table; a diagonal entry zeta^1 there has no
-        # column to match
-        code = CssCode(2, BitMat.from_strings(["11"]), BitMat.empty(2))
-        gate = block_gate(2, [((0, 1), LocalDiag(2, 2, (0, 0, 0, 2)))])
-        assert whole_table_check(code, gate, [1, 0]) == (False, False)
+        assert is_preserved(code, gate).preserved
+        with pytest.raises(BudgetExceeded, match="2\\^2 logical diagonal") as exc:
+            induced_logical(code, gate, budget=3)
+        assert exc.value.required_log2 == 2
+        assert induced_logical(code, gate, budget=4) == induced_logical(code, gate)
 
-    def test_whole_table_budget(self):
-        # 2^3 table words fit, and the table is read with no transform
-        code, gate = four22_code(), transversal_zrot(4, 3)
-        assert whole_table_check(code, gate, [0, 0, 0, 0], budget=8) == (False, False)
-        with pytest.raises(BudgetExceeded) as exc:
-            whole_table_check(code, gate, [0, 0, 0, 0], budget=4)
-        assert exc.value.required_log2 == 3
-        with pytest.raises(ValueError):
-            whole_table_check(code, gate, [0, 0], budget=16)
+
+class TestVerdictMemo:
+    def test_weight_affine_gates_share_an_entry(self, monkeypatch):
+        # exp(-i pi/2 Z) on every qubit and the form 2I have one diagonal
+        code = four22_code()
+        rot = transversal_zrot(4, 1)
+        form = qfd_gate(4, 2, [[2 if i == j else 0 for j in range(4)] for i in range(4)])
+        assert rot.weight_affine == form.weight_affine
+        assert is_preserved(code, rot).preserved
+        assert code._caches["verdicts"] == {rot.weight_affine: True}
+        want = induced_logical(code, rot)
+
+        def refuse(*args):
+            raise AssertionError("the memo should answer")
+
+        monkeypatch.setattr(gencoeff, "is_preserved", refuse)
+        assert induced_logical(code, form) == want
+
+    def test_other_gate_is_decided(self):
+        code = four22_code()
+        assert induced_logical(code, transversal_zrot(4, 2)).exps
+        with pytest.raises(NotPreserved):
+            induced_logical(code, transversal_zrot(4, 3))
+        assert code._caches["verdicts"] == {
+            transversal_zrot(4, 2).weight_affine: True,
+            transversal_zrot(4, 3).weight_affine: False,
+        }
+
+    def test_results_follow_the_budget(self):
+        # [[8,3,2]] with T: 2^4 words on either side for the norm, 14 points
+        # of weight <= 3 for the low-degree test
+        code, gate = qrm_code(1, 3), qrm_gate(1, 3)
+        for budget, method in [(1 << 26, "coefficient-norm"), (14, "low-degree")] * 2:
+            res = is_preserved(code, gate, budget)
+            assert res.preserved and res.method == method
+            if method == "low-degree":
+                assert res.norm is res.row is None and (res.degree, res.points) == (3, 14)
+            else:
+                assert res.norm == ONE and res.row is not None
 
 
 class TestBeyondWordSize:
@@ -354,7 +377,7 @@ class TestLowDegreeCertificate:
         assert gencoeff.low_degree_bound(gate) == 3 == code.dim_c1
         monkeypatch.setattr(gencoeff, "low_degree_bound", lambda g: 2)
         assert gencoeff._low_degree(code, gate, 1 << 26)
-        assert not gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+        assert not is_preserved(code, gate).preserved
 
     def test_degree_bounds(self):
         # L - v2(slope) for weight-affine gates, the highest block level
@@ -384,3 +407,12 @@ class TestLowDegreeCertificate:
         pres = is_preserved(code, qrm_gate(r, m))
         assert pres.preserved and pres.method == "low-degree" and pres.norm is None
         assert not is_preserved(code, transversal_zrot(code.n, m // r + 1)).preserved
+
+    def test_logical_past_the_budget(self):
+        # [[256,28]] is certified preserved; its 2^28 logical words are not
+        # read at the default budget of 2^26
+        code, gate = qrm_code(2, 8), qrm_gate(2, 8)
+        assert report.logical_summary(code, gate, 1 << 26) == {
+            "available": False,
+            "reason": "2^28 logical diagonal",
+        }

@@ -1,11 +1,11 @@
 """Differential tests of the C1-span table kernel.
 
-Every gate reads each X-side coefficient, the induced-diagonal scan and the
-removal norm from one enumeration of C1, held as ceil(n/64) uint64 words
-per element.  Weight-affine gates (transversal rotations and quadratic
-forms c*I) and the rest (block products, general quadratic forms) are
-drawn by separate strategies, and the coefficient, scan and removal
-checks take both.  Each test here recomputes the same quantity with a
+Every gate reads each X-side coefficient and the removal norm from one
+enumeration of C1, held as ceil(n/64) uint64 words per element, and the
+induced logical from the gate at the 2^k logical words.  Weight-affine
+gates (transversal rotations and quadratic forms c*I) and the rest (block
+products, general quadratic forms) are drawn by separate strategies, and
+the coefficient, logical and removal checks take both.  Each test here recomputes the same quantity with a
 plain Python sum over ``entry_exponent_int`` written in the test, and
 where it is affordable with the Z-side walk.  From n = 60 up the two sides cannot both be enumerated,
 since dim C1 + dim C1perp = n; there the Z side is checked against its own
@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import LEVEL_CAP, Cyclo
-from diagsynth.errors import BudgetExceeded
+from diagsynth.errors import BudgetExceeded, NotPreserved
 from diagsynth.families import four22_code, qrm_code, qrm_gate, rm_generator, steane_code
 from diagsynth.gates import (
     BlockProductGate,
@@ -36,7 +36,6 @@ from diagsynth.gates import (
     residue_channels,
     span_exponents,
     transversal_zrot,
-    weight_affine_form,
 )
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate, remove_z
@@ -121,7 +120,8 @@ def ref_x_sum(code, gate, sign_mask, shift=None):
 
 
 def ref_scan(code, gate):
-    """Per-beta codeword scan: (ok, exps, witness) like _codeword_diagonal."""
+    """Per-beta codeword scan: (ok, exps, witness), with witness (beta,
+    entry) at the first entry that is not a root of unity."""
     exps = []
     c2 = gf2.span_ints(code.x_stab.row_ints())
     for beta in range(1 << code.k):
@@ -135,6 +135,26 @@ def ref_scan(code, gate):
             return False, None, (beta, val)
         exps.append(root)
     return True, exps, None
+
+
+def logical_against_scan(code, gate):
+    """induced_logical against ref_scan: the scan's exponents when the code
+    is preserved, NotPreserved when it is not.  Returns the scan."""
+    scan = ref_scan(code, gate)
+    ok, exps, _ = scan
+    if ok:
+        assert list(gencoeff.induced_logical(code, gate, 1 << 26).exps) == exps
+    else:
+        with pytest.raises(NotPreserved):
+            gencoeff.induced_logical(code, gate, 1 << 26)
+    return scan
+
+
+def cosets_constant(code, gate):
+    """The full-table verdict: every coset x_beta + C2 + y constant, read
+    from the whole span table as (2^k, 2^dim C2) rows."""
+    rows = gencoeff._SpanTable(code, gate).exps.reshape(1 << code.k, 1 << code.dim_c2)
+    return bool((rows == rows[:, :1]).all())
 
 
 def ref_z_sum(code, gate, shift):
@@ -228,8 +248,7 @@ class TestPastOneWord:
     @given(past_word_cases())
     @settings(max_examples=80, deadline=None)
     def test_scan_matches_reference(self, case):
-        code, gate = case
-        assert gencoeff._codeword_diagonal(code, gate, 1 << 26) == ref_scan(code, gate)
+        logical_against_scan(*case)
 
     @given(st.data())
     @settings(max_examples=6, deadline=None)
@@ -240,7 +259,7 @@ class TestPastOneWord:
         basis = [data.draw(full_words(n)) for _ in range(data.draw(st.integers(17, 18)))]
         y = data.draw(full_words(n))
         gate = block_gate(n, [((q,), LocalDiag(1, 4, (3, 8))) for q in range(n)])
-        off, slope, _ = weight_affine_form(gate)
+        off, slope, _ = gate.weight_affine
         want = [(off + slope * (y ^ c).bit_count()) % 16 for c in gf2.span_ints(basis)]
         assert span_exponents(gate, basis, y).tolist() == want
 
@@ -251,9 +270,8 @@ class TestPastOneWord:
         z_rows += [BitVec.unit(n, q) for q in range(4, n)]
         code = CssCode(n, BitMat(n, z_rows[:1]), BitMat(n, z_rows))
         gate = transversal_zrot(n, 3)
-        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        ok, exps, witness = logical_against_scan(code, gate)
         assert not ok and exps is None
-        assert (ok, exps, witness) == ref_scan(code, gate)
         assert witness[1].abs_sq() != Cyclo.one()
 
     @given(past_word_cases(max_dim=7), st.data())
@@ -291,14 +309,11 @@ class TestScan:
     @given(wide_cases() | generic_cases())
     @settings(max_examples=270, deadline=None)
     def test_scan_matches_reference(self, case):
-        code, gate = case
-        assert gencoeff._codeword_diagonal(code, gate, 1 << 26) == ref_scan(code, gate)
+        logical_against_scan(*case)
 
     def test_422_t_negative_control_witness(self):
-        code, gate = four22_code(), transversal_zrot(4, 3)
-        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        ok, exps, witness = logical_against_scan(four22_code(), transversal_zrot(4, 3))
         assert not ok and exps is None
-        assert (ok, exps, witness) == ref_scan(code, gate)
         assert witness[1].abs_sq() != Cyclo.one()
 
 
@@ -352,7 +367,7 @@ class TestLowDegree:
     def test_matches_scan_and_norm(self, case):
         code, gate = case
         verdict = gencoeff._low_degree(code, gate, 1 << 26)
-        assert verdict == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+        assert verdict == cosets_constant(code, gate)
         if code.k <= 6:
             assert verdict == (gencoeff.trivial_row(code, gate).norm() == Cyclo.one())
 
@@ -362,7 +377,7 @@ class TestLowDegree:
         code, gate, corrupted = case
         verdict = gencoeff._low_degree(code, gate, 1 << 26)
         assert verdict is not corrupted
-        assert verdict == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
+        assert verdict == cosets_constant(code, gate)
         assert verdict == (gencoeff.trivial_row(code, gate).norm() == Cyclo.one())
 
 
@@ -402,9 +417,8 @@ class TestGenericGates:
         if n > 4:
             blocks.append(((60, 61), elementary_ckz(1, 0)))
         gate = block_gate(n, blocks)
-        ok, exps, witness = gencoeff._codeword_diagonal(code, gate, 1 << 26)
+        ok, exps, witness = logical_against_scan(code, gate)
         assert not ok and exps is None
-        assert (ok, exps, witness) == ref_scan(code, gate)
         assert witness[1].abs_sq() != Cyclo.one()
 
     def test_block_gate_removal_reads_the_span_table(self):
@@ -584,22 +598,6 @@ class TestRowReads:
         assert gencoeff.split_values(code, gate, w0) == want
 
 
-def old_whole_table(code, gate, diag):
-    """whole_table_check as it was: column alpha << m and every column with
-    sigma != 0 of the channels x 2^dim C1 transform."""
-    basis = code.x_stab.row_ints() + code.frame.x_logical_basis.row_ints()
-    level, k, m = gate.level, code.k, code.dim_c2
-    exps = span_exponents(gate, basis, code.y.bits)
-    channels = residue_channels(exps, level)
-    cols = channel_spectrum(exps, channels, level, np.int64).reshape(len(channels), 1 << k, 1 << m)
-    diag = np.asarray(diag, dtype=np.int64)
-    trivial = set(residue_channels(diag, level)) <= set(channels)
-    if trivial:
-        spec = channel_spectrum(diag, channels, level, np.int64)
-        trivial = np.array_equal(cols[:, :, 0], spec << m)
-    return trivial, not cols[:, :, 1:].any()
-
-
 @st.composite
 def table_cases(draw):
     """A random code on 2..10, 65 or 128 qubits with a gate of any kind at
@@ -614,35 +612,8 @@ def table_cases(draw):
     return code, draw(seeded_gates(n, kinds))
 
 
-def draw_diagonal(data, code, gate):
-    """The induced diagonal when the code is preserved, else random
-    exponents or each coset's first one; one entry corrupted at times."""
-    mod = 1 << gate.level
-    ok, exps, _ = gencoeff._codeword_diagonal(code, gate, 1 << 26)
-    if not ok:
-        size = 1 << code.k
-        exps = data.draw(
-            st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
-            | st.just(gencoeff._span_table(code, gate).cosets[:, 0].tolist())
-        )
-    if data.draw(st.booleans()):
-        beta = data.draw(st.integers(0, len(exps) - 1))
-        exps[beta] = (exps[beta] + data.draw(st.integers(1, mod - 1))) % mod
-    return exps
-
-
 class TestFactoredReads:
     """The coset-by-coset reads against the channels x 2^dim C1 transform."""
-
-    @given(table_cases(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_whole_table_matches_full_transform(self, case, data):
-        code, gate = case
-        assume(code.k <= 8)
-        diag = draw_diagonal(data, code, gate)
-        got = gencoeff.whole_table_check(code, gate, diag)
-        assert got == old_whole_table(code, gate, diag)
-        assert got[1] == gencoeff._codeword_diagonal(code, gate, 1 << 26)[0]
 
     @given(table_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -672,10 +643,9 @@ class TestFactoredReads:
         code = CssCode(
             n, BitMat(n, [BitVec.from_support(n, q)]), BitMat(n, [BitVec.unit(n, i) for i in rest]), y
         )
-        diag = data.draw(st.lists(st.integers(0, mod - 1), min_size=2, max_size=2))
-        got = gencoeff.whole_table_check(code, gate, diag)
-        assert got == old_whole_table(code, gate, diag)
-        assert not got[0] and not got[1]
+        # that coset is not constant, and its cancelling sum drops the norm
+        with pytest.raises(NotPreserved):
+            gencoeff.induced_logical(code, gate)
         read = old_reader(code, gate)
         svals = [mu.bits ^ code.z_logical(a).bits for mu in code.syndrome_reps() for a in (0, 1)]
         table = gencoeff._SpanTable(code, gate)
@@ -700,8 +670,6 @@ class TestFactoredReads:
         assert len(table.channels) > 1
         got = [Cyclo(gate.level, r, table.dim) for r in table.row(svals).tolist()]
         assert got == [read(s) for s in svals]
-        diag = table.cosets[:, 0].tolist()
-        assert gencoeff.whole_table_check(code, gate, diag) == old_whole_table(code, gate, diag)
 
 
 class TestGramFold:
@@ -748,5 +716,5 @@ class TestBudgets:
 
     def test_gate_forms_are_cached(self):
         gate = transversal_zrot(64, 3)
-        assert weight_affine_form(gate) is weight_affine_form(gate)
+        assert gate.weight_affine is gate.weight_affine
         assert "level" in vars(gate)
