@@ -30,8 +30,9 @@ RUNS = [
 ]
 
 
-def main() -> int:
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "out")
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    outdir = pathlib.Path(args[0] if args else "out")
     outdir.mkdir(parents=True, exist_ok=True)
     for name, params in RUNS:
         tag = "_".join([name] + [str(p) for p in params])

@@ -3,6 +3,10 @@
 summary: [[4,2,2]] -> [[64,2,2]] -> [[64,21,2]] -> [[64,15,4]].
 
 Usage: python scripts/run_qrm_pipeline.py [r m] [--out FILE]
+
+Exit codes: 0 certified, 1 a check failed, 2 the certificate was refused
+by the enumeration budget (as for (1, 3), whose 2^28 logical words exceed
+it).
 """
 
 import argparse
@@ -10,16 +14,18 @@ import json
 import sys
 import time
 
+from diagsynth.csscode import code_to_json
+from diagsynth.errors import BudgetExceeded
 from diagsynth.families import qrm_pipeline, qrm_pipeline_certificate
 from diagsynth.gencoeff import is_preserved
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("r", nargs="?", type=int, default=1)
     ap.add_argument("m", nargs="?", type=int, default=2)
     ap.add_argument("--out", help="write the final code JSON here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
     res = qrm_pipeline(args.r, args.m)
@@ -36,16 +42,19 @@ def main() -> int:
     pres = is_preserved(final, res.gate)
     d_x, d_z = final.distances()
     print(f"final [[{final.n},{final.k}]]: preserved={pres.preserved}, d_x={d_x}, d_z={d_z}")
-
-    t0 = time.perf_counter()
-    cert = qrm_pipeline_certificate(res)
-    print(f"certificate ({time.perf_counter() - t0:.1f}s):")
-    print(json.dumps(cert, indent=2, default=str))
     if args.out:
-        from diagsynth.csscode import code_to_json
-
         with open(args.out, "w") as fh:
             json.dump(code_to_json(final), fh, indent=2, sort_keys=True)
+
+    t0 = time.perf_counter()
+    try:
+        cert = qrm_pipeline_certificate(res)
+    except BudgetExceeded as exc:
+        print(f"error: certificate refused: {exc} (required_log2={exc.required_log2})",
+              file=sys.stderr)
+        return 2
+    print(f"certificate ({time.perf_counter() - t0:.1f}s):")
+    print(json.dumps(cert, indent=2, default=str))
     ok = (
         pres.preserved
         and cert["ccz_product_form"]

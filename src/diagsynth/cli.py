@@ -1,5 +1,8 @@
 """Command-line front end.
 
+``concat``, ``remove-z`` and ``add-x`` run one-step scripts through
+``synth.run_pipeline``, the executor of ``pipeline``, and print the step.
+
 Exit codes: 0 success (verify: preserved), 2 bad parameters or parse or
 budget errors, 3 not preserved, 5 inadmissible step under --strict.
 """
@@ -9,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from . import families, gf2, oracle, synth
-from .csscode import code_from_json, code_to_json
-from .errors import DiagSynthError, InadmissibleStep
-from .gates import gate_from_json, gate_to_json, lift
-from .gf2 import BitVec
+from .csscode import CssCode, code_from_json, code_to_json
+from .errors import BudgetExceeded, DiagSynthError, InadmissibleStep
+from .gates import DiagonalGate, gate_from_json, gate_to_json
 from .report import build_report
 
 
@@ -35,47 +38,54 @@ def _write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
+def _write_outputs(
+    args: argparse.Namespace, code: CssCode, gate: DiagonalGate | None
+) -> None:
+    if args.out:
+        _write_json(args.out, code_to_json(code))
+    if getattr(args, "gate_out", None) and gate is not None:
+        _write_json(args.gate_out, gate_to_json(gate))
+
+
+def _load_inputs(args: argparse.Namespace) -> tuple[CssCode, DiagonalGate | None]:
+    """The --code and, when given, the --gate of a command."""
+    code = code_from_json(_load_json(args.code))
+    gate = gate_from_json(_load_json(args.gate)) if args.gate else None
+    return code, gate
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     params = [int(p) for p in args.params]
     if args.name == "qrm_pipeline":
         res = families.qrm_pipeline(*params, budget=args.budget)
-        if args.out:
-            _write_json(args.out, code_to_json(res.final))
-        if args.gate_out:
-            _write_json(args.gate_out, gate_to_json(res.gate))
-        _dump(
-            {
-                "family": "qrm_pipeline",
-                "params": params,
-                "final": {"n": res.final.n, "k": res.final.k},
-                "concats": res.concat_count,
-                "removals": res.removal_count,
-                "additions": res.addition_count,
-            }
-        )
-        return 0
-    build = families.build_family(args.name, params)
-    if args.out:
-        _write_json(args.out, code_to_json(build.code))
-    if args.gate_out:
-        _write_json(args.gate_out, gate_to_json(build.gate))
-    _dump(
-        {
+        code, gate = res.final, res.gate
+        out = {
+            "family": "qrm_pipeline",
+            "params": params,
+            "final": {"n": code.n, "k": code.k},
+            "concats": res.concat_count,
+            "removals": res.removal_count,
+            "additions": res.addition_count,
+        }
+    else:
+        build = families.build_family(args.name, params)
+        code, gate = build.code, build.gate
+        out = {
             "family": build.spec.name,
             "params": list(build.spec.parameters),
-            "n": build.code.n,
-            "k": build.code.k,
+            "n": code.n,
+            "k": code.k,
             "expected_d": build.spec.expected_d,
             "gate": build.spec.gate_description,
             "logical": build.spec.logical_description,
         }
-    )
+    _write_outputs(args, code, gate)
+    _dump(out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate))
+    code, gate = _load_inputs(args)
     rep = build_report(
         code,
         gate,
@@ -88,8 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate)) if args.gate else None
+    code, gate = _load_inputs(args)
     rep = build_report(
         code,
         gate,
@@ -101,68 +110,33 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_concat(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    new_code = synth.concatenate(code)
-    _write_json(args.out, code_to_json(new_code))
-    out: dict[str, Any] = {"op": "concat", "n": new_code.n, "k": new_code.k}
-    if args.gate:
-        gate = gate_from_json(_load_json(args.gate))
-        lifted = lift(gate, args.lift)
-        out["lift"] = args.lift
-        if args.gate_out:
-            _write_json(args.gate_out, gate_to_json(lifted))
+def _run_step(args: argparse.Namespace, entry: dict) -> int:
+    """Run one step as a one-step pipeline script and print its record."""
+    code, gate = _load_inputs(args)
+    result = synth.run_pipeline(code, gate, [entry], budget=args.budget)
+    step = result.steps[0]
+    _write_outputs(args, result.code, result.gate)
+    out = {**step.params, "op": step.kind, **step.detail, **step.after}
+    if step.kind != "concat":
+        out["admissible"] = step.admissible
     _dump(out)
-    return 0
+    return 5 if getattr(args, "strict", False) and step.admissible is False else 0
+
+
+def cmd_concat(args: argparse.Namespace) -> int:
+    return _run_step(args, {"op": "concat", "lift": args.lift} if args.gate else {"op": "concat"})
 
 
 def cmd_remove_z(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate)) if args.gate else None
-    res = synth.remove_z(code, gate, BitVec.from_string(args.w0), budget=args.budget)
-    _write_json(args.out, code_to_json(res.code))
-    _dump(
-        {
-            "op": "remove_z",
-            "w0": args.w0,
-            "gamma0": res.gamma0.to01(),
-            "admissible": res.admissible,
-            "n": res.code.n,
-            "k": res.code.k,
-        }
-    )
-    if args.strict and res.admissible is False:
-        return 5
-    return 0
+    return _run_step(args, {"op": "remove_z", "w0": args.w0})
 
 
 def cmd_add_x(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate)) if args.gate else None
-    res = synth.add_x(code, gate, BitVec.from_string(args.x0), budget=args.budget)
-    _write_json(args.out, code_to_json(res.code))
-    out = {
-        "op": "add_x",
-        "x0": args.x0,
-        "mu0": res.mu0.to01(),
-        "admissible": res.admissible,
-        "n": res.code.n,
-        "k": res.code.k,
-    }
-    if res.witness:
-        out["witness"] = {
-            "gamma": res.witness[0].to01(),
-            "value": res.witness[1].serialize(),
-        }
-    _dump(out)
-    if args.strict and res.admissible is False:
-        return 5
-    return 0
+    return _run_step(args, {"op": "add_x", "x0": args.x0})
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate)) if args.gate else None
+    code, gate = _load_inputs(args)
     script = _load_json(args.script)
     try:
         result = synth.run_pipeline(
@@ -175,32 +149,25 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         "steps": [s.to_json() for s in result.steps],
         "final": {"n": result.code.n, "k": result.code.k},
     }
-    if args.out:
-        _write_json(args.out, code_to_json(result.code))
+    _write_outputs(args, result.code, result.gate)
     if args.oracle and result.gate is not None and result.code.n <= oracle.MAX_N:
-        chk = oracle.crosscheck(result.code, result.gate, budget=args.budget)
-        out["oracle"] = {
-            "verdicts_agree": chk.verdicts_agree,
-            "max_row_deviation": chk.max_row_deviation,
-        }
+        try:
+            chk = oracle.crosscheck(result.code, result.gate, budget=args.budget)
+        except BudgetExceeded as exc:
+            out["oracle"] = {"available": False, "reason": str(exc)}
+        else:
+            out["oracle"] = {
+                "verdicts_agree": chk.verdicts_agree,
+                "max_row_deviation": chk.max_row_deviation,
+            }
     _dump(out)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    code = code_from_json(_load_json(args.code))
-    gate = gate_from_json(_load_json(args.gate))
+    code, gate = _load_inputs(args)
     chk = oracle.crosscheck(code, gate, tol=args.tol, budget=args.budget)
-    _dump(
-        {
-            "preserved_exact": chk.preserved_exact,
-            "unitary_numeric": chk.unitary_numeric,
-            "verdicts_agree": chk.verdicts_agree,
-            "max_row_deviation": chk.max_row_deviation,
-            "max_offdiag": chk.max_offdiag,
-            "tol": chk.tol,
-        }
-    )
+    _dump(asdict(chk))
     return 0 if chk.ok else 3
 
 

@@ -143,24 +143,19 @@ class CssCode:
 
     def z_logical(self, alpha: int) -> BitVec:
         """Representative of the Z-logical labeled by the bits of alpha."""
-        acc = 0
-        rows = self.frame.z_logical_basis.rows
-        a = alpha
-        while a:
-            j = (a & -a).bit_length() - 1
-            acc ^= rows[j].bits
-            a &= a - 1
-        return BitVec(self.n, acc)
+        return self._combine(self.frame.z_logical_basis, alpha)
 
     def x_word(self, beta: int) -> BitVec:
         """The C1 word encoding logical computational-basis label beta."""
+        return self._combine(self.frame.x_logical_basis, beta)
+
+    def _combine(self, basis: BitMat, label: int) -> BitVec:
+        # the sum of the basis rows that the bits of label select
         acc = 0
-        rows = self.frame.x_logical_basis.rows
-        b = beta
-        while b:
-            j = (b & -b).bit_length() - 1
-            acc ^= rows[j].bits
-            b &= b - 1
+        rows = basis.rows
+        while label:
+            acc ^= rows[(label & -label).bit_length() - 1].bits
+            label &= label - 1
         return BitVec(self.n, acc)
 
     def syndrome_reps(self, budget: int = gf2.DEFAULT_BUDGET) -> list[BitVec]:

@@ -195,9 +195,6 @@ class Cyclo:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_real(self) -> bool:
-        return self == self.conj()
-
     def as_root_of_unity(self) -> int | None:
         """Return k with self == zeta_{2^level}^k exactly, else None.
 

@@ -66,16 +66,6 @@ class BitVec:
         return cls(len(s), bits)
 
     @classmethod
-    def from_bits(cls, seq: Iterable[int]) -> "BitVec":
-        bits = 0
-        n = 0
-        for q, b in enumerate(seq):
-            if b & 1:
-                bits |= 1 << q
-            n = q + 1
-        return cls(n, bits)
-
-    @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BitVec":
         bits = 0
         for q in support:
@@ -264,10 +254,6 @@ def rref(m: BitMat) -> tuple[BitMat, tuple[int, ...]]:
     """Canonicalize m: independent rows, ascending pivots, idempotent."""
     rows, pivots = _rref_ints(m.row_ints())
     return BitMat(m.n, [BitVec(m.n, r) for r in rows]), tuple(pivots)
-
-
-def rank(m: BitMat) -> int:
-    return len(rref(m)[1])
 
 
 class Reducer:

@@ -77,16 +77,15 @@ def build_report(
     if rep.get("preserved"):
         rep["logical"] = logical_summary(code, gate, budget)
     if include_oracle and code.n <= oracle.MAX_N:
-        if row is None:
-            # no trivial row (past the row cap or the budget): crosscheck
-            # raises what it always raised
-            chk = oracle.crosscheck(code, gate, tol=tol, budget=budget)
+        try:
+            chk = oracle.compare_with_engine(code, gate, pres, row, tol, budget)
+        except BudgetExceeded as exc:
+            rep["oracle"] = {"available": False, "reason": str(exc)}
         else:
-            chk = oracle.compare_with_engine(code, gate, pres, row, tol)
-        rep["oracle"] = {
-            "verdicts_agree": chk.verdicts_agree,
-            "max_row_deviation": chk.max_row_deviation,
-            "max_offdiag": chk.max_offdiag,
-            "tol": chk.tol,
-        }
+            rep["oracle"] = {
+                "verdicts_agree": chk.verdicts_agree,
+                "max_row_deviation": chk.max_row_deviation,
+                "max_offdiag": chk.max_offdiag,
+                "tol": chk.tol,
+            }
     return rep

@@ -6,12 +6,15 @@ pairs.  Removing a Z-stabilizer adjoins a new X-logical w0 and splits every
 coefficient in two; adding an X-stabilizer halves the logicals and reshapes
 the coefficient table.  Either may break preservation, so both return the
 new code together with an exact admissibility verdict, decided at every
-k (None only when no gate is given or the check is skipped).
+k (None only when no gate is given or the check is skipped).  A removal's
+verdict is whether the gate preserves the new code.  An addition's is the
+paper's half-row criterion, which says that only when the gate preserves
+the input code (``add_x``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from . import gencoeff, gf2
@@ -116,6 +119,10 @@ def add_x(
     that pairs with x0 vanishes (half the row); the first nonzero value is
     reported as a witness.  The displaced Z-logical mu0 becomes a syndrome
     representative of the new code.
+
+    Precondition: the gate preserves the input code.  Only then does the
+    verdict say whether the gate preserves the new code; on a non-preserved
+    input the half row can vanish while the new code is not preserved.
 
     Above the row cap the low-degree test on the new code comes first.  A
     new coset joins two old ones, x_beta + C2 and x_beta + x0 + C2, so the
@@ -280,14 +287,7 @@ class SynthStep:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "before": self.before,
-            "after": self.after,
-            "admissible": self.admissible,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -321,7 +321,7 @@ def run_pipeline(
             policy = entry.get("lift")
             code = concatenate(code)
             detail = {}
-            if policy:
+            if policy is not None:
                 if gate is None:
                     raise ValueError("concat lift requested but no gate loaded")
                 gate = lift(gate, policy)

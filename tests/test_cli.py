@@ -11,6 +11,7 @@ from diagsynth.csscode import CssCode, code_to_json
 from diagsynth.errors import BudgetExceeded
 from diagsynth.families import qrm_code, qrm_gate
 from diagsynth.gates import gate_from_json, gate_to_json, transversal_zrot
+from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.report import build_report
 
 
@@ -147,15 +148,20 @@ class TestVerify:
 
 
 class TestTransforms:
+    """The step commands print their one-step pipeline record; the JSON is
+    pinned as the commands printed it before they ran through
+    ``run_pipeline``."""
+
     def test_concat_and_remove_chain(self, steane_files, tmp_path, capsys):
         code_path, gate_path = steane_files
         big = tmp_path / "c14.json"
         gate14 = tmp_path / "g14.json"
-        rc, _ = run(
+        rc, text = run(
             capsys, "concat", "--code", str(code_path), "--out", str(big),
             "--gate", str(gate_path), "--gate-out", str(gate14),
         )
         assert rc == 0
+        assert json.loads(text) == {"k": 1, "lift": "next_level_rotation", "n": 14, "op": "concat"}
         assert json.loads(gate14.read_text()) == {"kind": "transversal_zrot", "n": 14, "l": 3}
         out = tmp_path / "c1422.json"
         rc, text = run(
@@ -163,22 +169,64 @@ class TestTransforms:
             "--w0", "1" * 7 + "0" * 7, "--out", str(out),
         )
         assert rc == 0
-        step = json.loads(text)
-        assert step["admissible"] and step["k"] == 2
+        assert json.loads(text) == {
+            "admissible": True, "gamma0": "00000010000001", "k": 2, "n": 14,
+            "op": "remove_z", "w0": "11111110000000",
+        }
         rc, text = run(capsys, "verify", "--code", str(out), "--gate", str(gate14), "--no-row")
         assert rc == 0
         rep = json.loads(text)
         assert rep["logical"]["level"] == 3
         assert rep["logical"]["template"] == "(T')^tensor2"
 
+    def test_concat_without_gate(self, steane_files, tmp_path, capsys):
+        code_path, _ = steane_files
+        out, gate_out = tmp_path / "c14.json", tmp_path / "g14.json"
+        rc, text = run(
+            capsys, "concat", "--code", str(code_path), "--out", str(out),
+            "--gate-out", str(gate_out),
+        )
+        assert rc == 0
+        assert json.loads(text) == {"k": 1, "n": 14, "op": "concat"}
+        assert json.loads(out.read_text())["n"] == 14
+        assert not gate_out.exists()
+
+    @pytest.mark.parametrize("policy", ["", "qfd_tensor"])
+    def test_failed_lift_writes_nothing(self, steane_files, tmp_path, capsys, policy):
+        code_path, gate_path = steane_files
+        out, gate_out = tmp_path / "c14.json", tmp_path / "g14.json"
+        rc, text = run(
+            capsys, "concat", "--code", str(code_path), "--out", str(out),
+            "--gate", str(gate_path), "--gate-out", str(gate_out), "--lift", policy,
+        )
+        assert rc == 2 and text == ""
+        assert not out.exists() and not gate_out.exists()
+
+    def test_empty_lift_in_a_script(self, steane_files, tmp_path, capsys):
+        # the same step in a script fails the same way
+        code_path, gate_path = steane_files
+        script = tmp_path / "steps.json"
+        script.write_text(json.dumps([{"op": "concat", "lift": ""}]))
+        rc = main(["pipeline", "--code", str(code_path), "--gate", str(gate_path),
+                   "--script", str(script)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: unknown lift policy ''\n"
+
     def test_strict_inadmissible_exit_5(self, steane_files, tmp_path, capsys):
         code_path, gate_path = steane_files
         out = tmp_path / "x.json"
-        rc, _ = run(
+        rc, text = run(
             capsys, "remove-z", "--code", str(code_path), "--gate", str(gate_path),
             "--w0", "1000000", "--out", str(out), "--strict",
         )
         assert rc == 5
+        assert json.loads(text) == {
+            "admissible": False, "gamma0": "1001011", "k": 2, "n": 7,
+            "op": "remove_z", "w0": "1000000",
+        }
+        # the file is written before the strict exit
+        assert json.loads(out.read_text())["z_stabilizers"] == ["0101101", "0011110"]
 
     def test_add_x_reports_witness(self, steane_files, tmp_path, capsys):
         code_path, gate_path = steane_files
@@ -195,8 +243,11 @@ class TestTransforms:
             "--x0", "1" * 7 + "0" * 7, "--out", str(out),
         )
         assert rc == 0
-        step = json.loads(text)
-        assert step["admissible"] is False and "witness" in step
+        assert json.loads(text) == {
+            "admissible": False, "k": 1, "mu0": "00000010000001", "n": 14, "op": "add_x",
+            "witness": {"gamma": "00000010000001", "value": "2^-2 * [-2,1,0,-1] @ 3"},
+            "x0": "11111110000000",
+        }
 
 
 class TestPipeline:
@@ -355,7 +406,77 @@ class TestOracleCommand:
         rc, text = run(capsys, "oracle", "--code", str(code_path), "--gate", str(gate_path))
         assert rc == 0
         rep = json.loads(text)
+        assert sorted(rep) == [
+            "max_offdiag", "max_row_deviation", "preserved_exact", "tol",
+            "unitary_numeric", "verdicts_agree",
+        ]
         assert rep["verdicts_agree"] and rep["max_row_deviation"] < 1e-9
+        assert rep["preserved_exact"] is rep["unitary_numeric"] is True
+        assert rep["max_offdiag"] == 0.0 and rep["tol"] == 1e-9
+
+
+def _write_inputs(tmp_path, code, gate):
+    code_path, gate_path = tmp_path / "c.json", tmp_path / "g.json"
+    code_path.write_text(json.dumps(code_to_json(code)))
+    gate_path.write_text(json.dumps(gate_to_json(gate)))
+    return str(code_path), str(gate_path)
+
+
+def _pairs_code():
+    # X- and Z-stabilizers are the same 7 pairs {2i, 2i+1}: [[24,10]] with
+    # m = 7, so 2k + m = 27 is past the oracle's logical block
+    pairs = [BitVec.from_support(24, [2 * i, 2 * i + 1]) for i in range(7)]
+    return CssCode(24, BitMat(24, pairs), BitMat(24, pairs))
+
+
+class TestOracleRefusal:
+    """An oracle that cannot run is recorded, not raised: the report or
+    pipeline keeps every other key and its exit code."""
+
+    REASON_ROW = "full row has 2^13 entries; pass an explicit gamma subset"
+
+    def test_report_past_the_row_cap(self, tmp_path, capsys):
+        # 13 logicals: the low-degree test decides, so there is no trivial
+        # row to compare the float block with
+        paths = _write_inputs(tmp_path, CssCode(13, BitMat.empty(13), BitMat.empty(13)), transversal_zrot(13, 1))
+        rc, plain = run(capsys, "report", "--code", paths[0], "--gate", paths[1])
+        assert rc == 0
+        rc, text = run(capsys, "report", "--code", paths[0], "--gate", paths[1], "--oracle")
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep.pop("oracle") == {"available": False, "reason": self.REASON_ROW}
+        assert rep == json.loads(plain)
+
+    def test_report_block_too_large(self, tmp_path, capsys):
+        code = _pairs_code()
+        assert (code.k, code.dim_c2) == (10, 7)
+        paths = _write_inputs(tmp_path, code, transversal_zrot(24, 1))
+        argv = ["report", "--code", paths[0], "--gate", paths[1], "--wmax", "2"]
+        rc, plain = run(capsys, *argv)
+        assert rc == 0
+        rc, text = run(capsys, *argv, "--oracle")
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep.pop("oracle") == {"available": False, "reason": "logical block too large"}
+        assert rep == json.loads(plain)
+        # the oracle command itself still refuses
+        rc, _ = run(capsys, "oracle", "--code", paths[0], "--gate", paths[1])
+        assert rc == 2
+
+    def test_pipeline(self, tmp_path, capsys):
+        paths = _write_inputs(tmp_path, CssCode(13, BitMat.empty(13), BitMat.empty(13)), transversal_zrot(13, 1))
+        script = tmp_path / "steps.json"
+        script.write_text("[]")
+        argv = ["pipeline", "--code", paths[0], "--gate", paths[1], "--script", str(script)]
+        rc, plain = run(capsys, *argv)
+        assert rc == 0
+        rc, text = run(capsys, *argv, "--oracle")
+        assert rc == 0
+        rep = json.loads(text)
+        assert rep.pop("oracle") == {"available": False, "reason": self.REASON_ROW}
+        assert rep == json.loads(plain)
+        rc, _ = run(capsys, "oracle", "--code", paths[0], "--gate", paths[1])
+        assert rc == 2
 
 
 class TestReportCommand:

@@ -323,6 +323,43 @@ class TestAdmissibilityNorm:
         assert res.admissible == direct.preserved
         assert res.new_row_norm == direct.norm
 
+    @given(codes_with_gates(max_n=6, min_k=1), st.integers(1, 63))
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    def test_addition_flag_matches_direct_preservation(self, cg, mask):
+        # add_x's precondition: on a preserved input, the half-row verdict
+        # is the new code's own
+        code, gate = cg
+        assume(gencoeff.is_preserved(code, gate).preserved)
+        x0 = BitVec(code.n, 0)
+        for j, row in enumerate(code.c1.rows):
+            if (mask >> j) & 1:
+                x0 ^= row
+        assume(not code.c2_reducer.contains(x0))
+        res = add_x(code, gate, x0, check="full")
+        assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
+
+    def test_addition_flag_needs_a_preserved_input(self):
+        # the smallest case found where the precondition fails: the input
+        # is not preserved, its half row vanishes, and the new code is not
+        # preserved either
+        code = CssCode(
+            8,
+            BitMat.from_strings(["11010000", "00001110", "00000001"]),
+            BitMat.from_strings(["10010110", "01010110", "00100000", "00001100"]),
+            BitVec.from_string("10011010"),
+        )
+        gate = transversal_zrot(8, 3)
+        pres = gencoeff.is_preserved(code, gate)
+        assert code.k == 1 and not pres.preserved
+        assert pres.norm.serialize() == "2^-5 * [10,7,0,-7] @ 3"
+        res = add_x(code, gate, BitVec.from_string("00010010"))
+        assert res.admissible is True and res.witness is None
+        assert not gencoeff.is_preserved(res.code, gate).preserved
+
 
 class TestDfsSwitch:
     def test_14_1_3(self):
@@ -369,6 +406,25 @@ class TestPipeline:
         script = [{"op": "remove_z", "w0": "1000000"}]
         with pytest.raises(InadmissibleStep):
             run_pipeline(steane_code(), transversal_zrot(7, 2), script, strict=True)
+
+    def test_empty_lift_is_an_error(self):
+        # only a missing or null lift keeps the gate as it is
+        with pytest.raises(ValueError, match="unknown lift policy ''"):
+            run_pipeline(steane_code(), transversal_zrot(7, 2), [{"op": "concat", "lift": ""}])
+        res = run_pipeline(steane_code(), transversal_zrot(7, 2), [{"op": "concat", "lift": None}])
+        assert gate_to_json(res.gate) == {"kind": "transversal_zrot", "n": 7, "l": 2}
+
+    def test_step_json(self):
+        script = [{"op": "concat", "lift": "next_level_rotation"}]
+        step = run_pipeline(steane_code(), transversal_zrot(7, 2), script).steps[0]
+        assert step.to_json() == {
+            "kind": "concat",
+            "params": {"op": "concat", "lift": "next_level_rotation"},
+            "before": {"n": 7, "k": 1},
+            "after": {"n": 14, "k": 1},
+            "admissible": True,
+            "detail": {"lift": "next_level_rotation"},
+        }
 
     def test_set_gate_step(self):
         code = four22_code()
