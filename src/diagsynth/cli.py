@@ -124,7 +124,11 @@ def _run_step(args: argparse.Namespace, entry: dict) -> int:
 
 
 def cmd_concat(args: argparse.Namespace) -> int:
-    return _run_step(args, {"op": "concat", "lift": args.lift} if args.gate else {"op": "concat"})
+    entry = {"op": "concat"}
+    # --lift and --gate-out ask for a lift, which the step refuses without --gate
+    if args.gate or args.lift is not None or args.gate_out:
+        entry["lift"] = "next_level_rotation" if args.lift is None else args.lift
+    return _run_step(args, entry)
 
 
 def cmd_remove_z(args: argparse.Namespace) -> int:
@@ -212,7 +216,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gate")
     p.add_argument("--gate-out", dest="gate_out")
-    p.add_argument("--lift", default="next_level_rotation")
+    p.add_argument("--lift", help="lift policy (default next_level_rotation; needs --gate)")
     _add_common(p)
     p.set_defaults(func=cmd_concat)
 

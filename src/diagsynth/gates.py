@@ -466,7 +466,6 @@ def _as_zrot(gate: DiagonalGate) -> tuple[int, int] | None:
     for _, local in gate.blocks:
         if local.b != 1:
             return None
-        l = local.level - 1
         if local.exps != ((-1) % (1 << local.level), 1):
             return None
     first = gate.blocks[0][1]

@@ -186,10 +186,6 @@ class BitMat:
         return f"BitMat({[r.to01() for r in self.rows]})"
 
 
-def _lsb(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 def _rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
     """Reduced row echelon form over GF(2).  Returns (rows, pivots), both
     sorted by ascending pivot column."""
@@ -362,15 +358,7 @@ def coset_reps(sup: BitMat, sub: BitMat, budget: int = DEFAULT_BUDGET) -> list[B
     rowspace(sup), ordered by binary counting over the complement basis.
     The representative is the reduction of the coset against sub's RREF;
     the first entry is always 0."""
-    comp = quotient_basis(sup, sub)
-    k = comp.num_rows
-    if 1 << k > budget:
-        raise BudgetExceeded(f"2^{k} coset representatives", required_log2=k)
-    ints = comp.row_ints()
-    reps = [0]
-    for i in range(1, 1 << k):
-        prev = reps[i ^ (1 << _lsb(i))]
-        reps.append(prev ^ ints[_lsb(i)])
+    reps = span_ints(quotient_basis(sup, sub).row_ints(), budget)
     return [BitVec(sup.n, r) for r in reps]
 
 

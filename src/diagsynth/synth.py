@@ -6,10 +6,8 @@ pairs.  Removing a Z-stabilizer adjoins a new X-logical w0 and splits every
 coefficient in two; adding an X-stabilizer halves the logicals and reshapes
 the coefficient table.  Either may break preservation, so both return the
 new code together with an exact admissibility verdict, decided at every
-k (None only when no gate is given or the check is skipped).  A removal's
-verdict is whether the gate preserves the new code.  An addition's is the
-paper's half-row criterion, which says that only when the gate preserves
-the input code (``add_x``).
+k by one rule: whether the gate preserves the new code (``_verdict``;
+None only when no gate is given or the check is skipped).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Sequence
 from . import gencoeff, gf2
 from .csscode import CssCode
 from .cyclo import Cyclo
-from .errors import BudgetExceeded, InadmissibleStep, OddComponent
+from .errors import InadmissibleStep, OddComponent
 from .gates import DiagonalGate, gate_from_json, lift, _as_zrot
 from .gf2 import BitMat, BitVec
 
@@ -46,10 +44,18 @@ class RemovalResult:
     new_row_norm: Cyclo | None = None
 
 
-def _check_mode(check: str) -> None:
+def _verdict(
+    new_code: CssCode, gate: DiagonalGate | None, check: str, budget: int
+) -> gencoeff.PreservationResult | None:
+    """A growth step's admissibility: whether the gate preserves the code
+    the step produces.  ``check`` is "auto" or "full" (the same exact
+    check) or "skip"; None when it is "skip" or no gate is given."""
     # a step's check comes from user scripts
     if check not in ("auto", "full", "skip"):
         raise ValueError(f'check must be "auto", "full" or "skip", got {check!r}')
+    if gate is None or check == "skip":
+        return None
+    return gencoeff.is_preserved(new_code, gate, budget)
 
 
 def _split_z_stab(code: CssCode, w0: BitVec) -> tuple[BitMat, BitVec]:
@@ -71,19 +77,17 @@ def remove_z(
     """Remove the Z-stabilizer paired with the new X-logical w0.
 
     The new code always comes back; ``admissible`` reports whether the gate
-    still preserves it, from ``gencoeff.is_preserved`` on the new code (the
-    row norm, kept as ``new_row_norm``, or the low-degree test).  ``check``
-    is "auto" or "full" (the same exact check) or "skip".
+    still preserves it (``_verdict``: the row norm, kept as
+    ``new_row_norm``, or the low-degree test).
     """
-    _check_mode(check)
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
     new_code = CssCode(code.n, code.x_stab, new_z, code.y)
     assert new_code.k == code.k + 1
-    if gate is None or check == "skip":
+    pres = _verdict(new_code, gate, check, budget)
+    if pres is None:
         return RemovalResult(new_code, gamma0, None)
-    pres = gencoeff.is_preserved(new_code, gate, budget)
     return RemovalResult(new_code, gamma0, pres.preserved, pres.norm)
 
 
@@ -115,24 +119,18 @@ def add_x(
 ) -> AdditionResult:
     """Adjoin the X-logical x0 as a new X-stabilizer.
 
-    Admissible exactly when every trivial-syndrome coefficient on a logical
-    that pairs with x0 vanishes (half the row); the first nonzero value is
-    reported as a witness.  The displaced Z-logical mu0 becomes a syndrome
-    representative of the new code.
+    Admissible exactly when the gate preserves the new code (``_verdict``).
+    The displaced Z-logical mu0 becomes a syndrome representative of the
+    new code.
 
-    Precondition: the gate preserves the input code.  Only then does the
-    verdict say whether the gate preserves the new code; on a non-preserved
-    input the half row can vanish while the new code is not preserved.
-
-    Above the row cap the low-degree test on the new code comes first.  A
-    new coset joins two old ones, x_beta + C2 and x_beta + x0 + C2, so the
-    new code is preserved iff the input is and its induced diagonal
+    A new coset joins two old ones, x_beta + C2 and x_beta + x0 + C2, so
+    the new code is preserved iff the input is and its induced diagonal
     zeta^E(beta) is invariant under the shift by x0; on a preserved input
     that holds iff the half row, E's transform on the gamma that pair with
-    x0, vanishes.  So a preserved new code is admissible with no witness,
-    and otherwise the half row decides: "auto" and "full" agree at every k.
+    x0, vanishes (the paper's criterion).  An inadmissible addition reports
+    the first nonzero half-row value, in frame order, as its witness; the
+    half row vanishes, leaving no witness, only on a non-preserved input.
     """
-    _check_mode(check)
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
     if not code.c1_reducer.contains(x0) or code.c2_reducer.contains(x0):
@@ -146,14 +144,11 @@ def add_x(
     new_x = BitMat(code.n, list(code.x_stab.rows) + [x0])
     new_code = CssCode(code.n, new_x, code.z_stab, code.y)
     assert new_code.k == code.k - 1
-    if gate is None or check == "skip":
+    pres = _verdict(new_code, gate, check, budget)
+    if pres is None:
         return AdditionResult(new_code, mu0, None)
-    if 1 << code.k > gencoeff._ROW_CAP:
-        try:
-            if gencoeff._low_degree(new_code, gate, budget):
-                return AdditionResult(new_code, mu0, True)
-        except BudgetExceeded:
-            pass  # the half row may still fit
+    if pres.preserved:
+        return AdditionResult(new_code, mu0, True)
     # the logicals that pair with x0, in frame order
     basis = code.frame.z_logical_basis.row_ints()
     gammas = [
@@ -163,10 +158,10 @@ def add_x(
     ]
     row = gencoeff.syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
     nonzero = row.ints.any(axis=1)
-    if not nonzero.any():
-        return AdditionResult(new_code, mu0, True)
-    i = int(nonzero.argmax())
-    witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
+    witness = None
+    if nonzero.any():
+        i = int(nonzero.argmax())
+        witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
     return AdditionResult(new_code, mu0, False, witness)
 
 
@@ -239,37 +234,20 @@ def dfs_switch(code: CssCode) -> DfsSwitch:
     (ties broken by sorted qubit index).  Flipping the qubits where it
     differs from the stored character vector switches between computation
     and storage."""
-    n = code.n
-    verts = set()
-    for r in code.x_stab:
-        verts.update(r.support())
-    verts = sorted(verts)
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    verts = sorted({q for r in code.x_stab for q in r.support()})
+    # an edge {i, j} means e_i = e_j mod C1perp, an equivalence: the
+    # components are the classes of the reduced unit vectors
     red = code.c1perp_reducer
-    for i_idx, i in enumerate(verts):
-        for j in verts[i_idx + 1 :]:
-            if red.contains_int((1 << i) | (1 << j)):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
     comps: dict[int, list[int]] = {}
     for v in verts:
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(red.reduce_int(1 << v), []).append(v)
     bits = 0
     for comp in comps.values():
-        comp.sort()
         if len(comp) % 2:
             raise OddComponent(f"component {comp} has odd size")
         for q in comp[: len(comp) // 2]:
             bits |= 1 << q
-    y2 = BitVec(n, bits)
+    y2 = BitVec(code.n, bits)
     return DfsSwitch(y2, y2 ^ code.y)
 
 

@@ -181,25 +181,42 @@ class TestTransforms:
 
     def test_concat_without_gate(self, steane_files, tmp_path, capsys):
         code_path, _ = steane_files
-        out, gate_out = tmp_path / "c14.json", tmp_path / "g14.json"
-        rc, text = run(
-            capsys, "concat", "--code", str(code_path), "--out", str(out),
-            "--gate-out", str(gate_out),
-        )
+        out = tmp_path / "c14.json"
+        rc, text = run(capsys, "concat", "--code", str(code_path), "--out", str(out))
         assert rc == 0
         assert json.loads(text) == {"k": 1, "n": 14, "op": "concat"}
         assert json.loads(out.read_text())["n"] == 14
-        assert not gate_out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lift", "next_level_rotation"), ("--lift", "nosuch"), ("--gate-out", "g14.json")],
+    )
+    def test_lift_without_gate(self, steane_files, tmp_path, capsys, flag, value):
+        # a lift, or a lifted gate to write, needs a gate, as in a script
+        code_path, _ = steane_files
+        out = tmp_path / "c14.json"
+        rc = main(["concat", "--code", str(code_path), "--out", str(out),
+                   flag, str(tmp_path / value) if flag == "--gate-out" else value])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: concat lift requested but no gate loaded\n"
+        assert not out.exists() and not (tmp_path / value).exists()
 
     @pytest.mark.parametrize("policy", ["", "qfd_tensor"])
     def test_failed_lift_writes_nothing(self, steane_files, tmp_path, capsys, policy):
+        error = {
+            "": "unknown lift policy ''",
+            "qfd_tensor": "qfd_tensor requires a quadratic-form gate",
+        }[policy]
         code_path, gate_path = steane_files
         out, gate_out = tmp_path / "c14.json", tmp_path / "g14.json"
-        rc, text = run(
-            capsys, "concat", "--code", str(code_path), "--out", str(out),
+        rc = main([
+            "concat", "--code", str(code_path), "--out", str(out),
             "--gate", str(gate_path), "--gate-out", str(gate_out), "--lift", policy,
-        )
-        assert rc == 2 and text == ""
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
         assert not out.exists() and not gate_out.exists()
 
     def test_empty_lift_in_a_script(self, steane_files, tmp_path, capsys):
@@ -248,6 +265,37 @@ class TestTransforms:
             "witness": {"gamma": "00000010000001", "value": "2^-2 * [-2,1,0,-1] @ 3"},
             "x0": "11111110000000",
         }
+
+    def test_add_x_to_a_non_preserved_input(self, tmp_path, capsys):
+        # the half row of this [[8,1]] code vanishes, but the new code is not
+        # preserved: the step is inadmissible with no witness
+        code = CssCode(
+            8,
+            BitMat.from_strings(["11010000", "00001110", "00000001"]),
+            BitMat.from_strings(["10010110", "01010110", "00100000", "00001100"]),
+            BitVec.from_string("10011010"),
+        )
+        code_path, gate_path = tmp_path / "c8.json", tmp_path / "g8.json"
+        code_path.write_text(json.dumps(code_to_json(code)))
+        gate_path.write_text(json.dumps(gate_to_json(transversal_zrot(8, 3))))
+        rc, text = run(
+            capsys, "add-x", "--code", str(code_path), "--gate", str(gate_path),
+            "--x0", "00010010", "--out", str(tmp_path / "c80.json"), "--strict",
+        )
+        assert rc == 5
+        assert json.loads(text) == {
+            "admissible": False, "k": 0, "mu0": "00000110", "n": 8, "op": "add_x",
+            "x0": "00010010",
+        }
+        script = tmp_path / "steps.json"
+        script.write_text(json.dumps([{"op": "add_x", "x0": "00010010"}]))
+        rc, text = run(
+            capsys, "pipeline", "--code", str(code_path), "--gate", str(gate_path),
+            "--script", str(script),
+        )
+        assert rc == 0
+        (step,) = json.loads(text)["steps"]
+        assert step["admissible"] is False and step["detail"] == {"mu0": "00000110"}
 
 
 class TestPipeline:

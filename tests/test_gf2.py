@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from diagsynth.errors import LengthMismatch
+from diagsynth.errors import BudgetExceeded, LengthMismatch
 from diagsynth.gf2 import (
     BitMat,
     BitVec,
@@ -313,6 +313,11 @@ class TestCosetReps:
         # the nonzero coset is {01, 10}; reducing either against the
         # repetition basis (pivot on qubit 0) leaves 01
         assert [r.to01() for r in reps] == ["00", "01"]
+
+    def test_refused_before_listing(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            coset_reps(BitMat.identity(5), BitMat.from_strings(["11000"]), budget=8)
+        assert exc.value.required_log2 == 4
 
     def test_422_logicals(self):
         sup = dual_basis(BitMat.from_strings(["1111"]))

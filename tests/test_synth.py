@@ -31,9 +31,10 @@ from conftest import codes_with_gates, css_codes
 
 
 def add_x_reference(code, gate, x0):
-    """Admissibility of adding x0, one coefficient at a time: the first
-    nonzero trivial-row coefficient on a logical that pairs with x0, in
-    frame order."""
+    """The paper's half-row criterion for adding x0, one coefficient at a
+    time: the first nonzero trivial-row coefficient on a logical that pairs
+    with x0, in frame order.  Its verdict is the new code's own only on a
+    preserved input."""
     for a in range(1 << code.k):
         gamma = code.z_logical(a)
         if gamma.dot(x0):
@@ -41,6 +42,32 @@ def add_x_reference(code, gate, x0):
             if not val.is_zero():
                 return False, (gamma, val)
     return True, None
+
+
+def dfs_reference(code):
+    """dfs_switch's balanced vector from pairwise queries: qubits i and j
+    supporting X-stabilizers are joined when e_i + e_j is one of the listed
+    Z-stabilizers, and each component gives its lower half."""
+    verts = sorted({q for r in code.x_stab for q in r.support()})
+    z_words = set(gf2.span_ints(code.z_stab.row_ints()))
+    seen, bits = set(), 0
+    for v in verts:
+        if v in seen:
+            continue
+        comp, todo = {v}, [v]
+        while todo:
+            i = todo.pop()
+            for j in verts:
+                if j not in comp and (1 << i | 1 << j) in z_words:
+                    comp.add(j)
+                    todo.append(j)
+        seen |= comp
+        comp = sorted(comp)
+        if len(comp) % 2:
+            raise OddComponent(f"component {comp} has odd size")
+        for q in comp[: len(comp) // 2]:
+            bits |= 1 << q
+    return BitVec(code.n, bits)
 
 
 def identity_qfd(n, level=2):
@@ -244,7 +271,8 @@ class TestAddX:
         # the checked addition reads one row; the reference reads per logical
         checked = add_x(code, gate, x0, check="full")
         admissible, witness = add_x_reference(code, gate, x0)
-        assert checked.admissible == admissible
+        if gencoeff.is_preserved(code, gate).preserved:
+            assert checked.admissible == admissible
         if witness is None:
             assert checked.witness is None
         else:
@@ -274,23 +302,22 @@ class TestAddXPastRowCap:
         code, x1, word = _thirteen_logicals(y_bits)
         x0 = x1 if which == "x1" else word
         gate = transversal_zrot(40, 3)
-        preserved_new = y_bits == 0 and which == "x1"
         assert gencoeff.is_preserved(code, gate).preserved == (y_bits == 0)
-        with monkeypatch.context() as m:
-            if preserved_new:
-                # the low-degree test alone admits it: no row is read
-                m.setattr(gencoeff, "syndrome_row", None)
-            above = add_x(code, gate, x0)
-        assert above.admissible or not preserved_new
-        # the half row, read as below the cap
-        monkeypatch.setattr(gencoeff, "_ROW_CAP", 1 << 13)
-        half = add_x(code, gate, x0)
-        assert above.admissible == half.admissible
-        if half.witness is None:
-            assert above.witness is None
-        else:
-            assert above.witness[0] == half.witness[0]
-            assert above.witness[1] == half.witness[1]
+        above = add_x(code, gate, x0)
+        assert above.admissible == gencoeff.is_preserved(above.code, gate).preserved
+        assert above.admissible == (y_bits == 0 and which == "x1")
+        # the witness is the first nonzero value of the half row
+        gammas = [code.z_logical(a) for a in range(1 << code.k)]
+        half = gencoeff.trivial_row(code, gate, [g for g in gammas if g.dot(x0)])
+        nonzero = [(g, v) for g, v in half.entries.items() if not v.is_zero()]
+        if above.admissible:
+            assert not nonzero
+        assert above.witness == (nonzero[0] if nonzero else None)
+        # the new code's verdict is the same on the other side of the row cap
+        for cap in (1 << 11, 1 << 13):
+            monkeypatch.setattr(gencoeff, "_ROW_CAP", cap)
+            moved = add_x(code, gate, x0)
+            assert (moved.admissible, moved.witness) == (above.admissible, above.witness)
 
 
 class TestAdmissibilityNorm:
@@ -330,10 +357,8 @@ class TestAdmissibilityNorm:
         suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
     )
     def test_addition_flag_matches_direct_preservation(self, cg, mask):
-        # add_x's precondition: on a preserved input, the half-row verdict
-        # is the new code's own
+        # rotation, block and quadratic-form gates, on any input
         code, gate = cg
-        assume(gencoeff.is_preserved(code, gate).preserved)
         x0 = BitVec(code.n, 0)
         for j, row in enumerate(code.c1.rows):
             if (mask >> j) & 1:
@@ -343,9 +368,9 @@ class TestAdmissibilityNorm:
         assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
 
     def test_addition_flag_needs_a_preserved_input(self):
-        # the smallest case found where the precondition fails: the input
-        # is not preserved, its half row vanishes, and the new code is not
-        # preserved either
+        # the smallest case found where the half-row criterion fails: the
+        # input is not preserved, its half row vanishes, and the new code is
+        # not preserved either; the verdict is the new code's, with no witness
         code = CssCode(
             8,
             BitMat.from_strings(["11010000", "00001110", "00000001"]),
@@ -356,9 +381,36 @@ class TestAdmissibilityNorm:
         pres = gencoeff.is_preserved(code, gate)
         assert code.k == 1 and not pres.preserved
         assert pres.norm.serialize() == "2^-5 * [10,7,0,-7] @ 3"
-        res = add_x(code, gate, BitVec.from_string("00010010"))
-        assert res.admissible is True and res.witness is None
+        x0 = BitVec.from_string("00010010")
+        assert add_x_reference(code, gate, x0) == (True, None)
+        res = add_x(code, gate, x0)
+        assert res.admissible is False and res.witness is None
         assert not gencoeff.is_preserved(res.code, gate).preserved
+
+    @given(codes_with_gates(max_n=6, min_k=1), st.integers(0, 63), st.booleans())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    def test_preserved_step_needs_a_preserved_input(self, cg, bits, addition):
+        # the new code's cosets are unions of the input's (an addition) or
+        # include them (a removal), so an admissible step has a preserved input
+        code, gate = cg
+        if addition:
+            word = BitVec(code.n, 0)
+            for j, row in enumerate(code.c1.rows):
+                if (bits >> j) & 1:
+                    word ^= row
+            assume(not code.c2_reducer.contains(word))
+            res = add_x(code, gate, word)
+        else:
+            word = BitVec(code.n, bits & ((1 << code.n) - 1))
+            assume(not code.c1_reducer.contains(word))
+            res = remove_z(code, gate, word)
+        assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
+        if res.admissible:
+            assert gencoeff.is_preserved(code, gate).preserved
 
 
 class TestDfsSwitch:
@@ -382,6 +434,23 @@ class TestDfsSwitch:
         code = CssCode(3, BitMat.from_strings(["111"]), BitMat.empty(3))
         with pytest.raises(OddComponent):
             dfs_switch(code)
+
+    @given(css_codes(max_n=6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_components(self, code, doubled):
+        if doubled:
+            # concatenation adds the weight-2 pairs that make even components
+            code = concatenate(code)
+        try:
+            want = dfs_reference(code)
+        except OddComponent as exc:
+            with pytest.raises(OddComponent) as got:
+                dfs_switch(code)
+            assert str(got.value) == str(exc)
+            return
+        sw = dfs_switch(code)
+        assert sw.y_balanced == want
+        assert sw.x_positions == want ^ code.y
 
 
 class TestPipeline:
