@@ -191,16 +191,15 @@ class TestTransforms:
         "flag, value",
         [("--lift", "next_level_rotation"), ("--lift", "nosuch"), ("--gate-out", "g14.json")],
     )
-    def test_lift_without_gate(self, steane_files, tmp_path, capsys, flag, value):
+    def test_lift_without_gate(self, steane_files, tmp_path, capsys, monkeypatch, flag, value):
         # a lift, or a lifted gate to write, needs a gate, as in a script
         code_path, _ = steane_files
-        out = tmp_path / "c14.json"
-        rc = main(["concat", "--code", str(code_path), "--out", str(out),
-                   flag, str(tmp_path / value) if flag == "--gate-out" else value])
+        monkeypatch.chdir(tmp_path)
+        rc = main(["concat", "--code", str(code_path), "--out", "c14.json", flag, value])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err == "error: concat lift requested but no gate loaded\n"
-        assert not out.exists() and not (tmp_path / value).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gate.json", "steane.json"]
 
     @pytest.mark.parametrize("policy", ["", "qfd_tensor"])
     def test_failed_lift_writes_nothing(self, steane_files, tmp_path, capsys, policy):
