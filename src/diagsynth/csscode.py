@@ -178,7 +178,11 @@ class CssCode:
     ) -> tuple[WeightResult, WeightResult]:
         """(X-distance over C1 minus C2, Z-distance over C2-perp minus
         C1-perp).  Distances up to ``w_max`` are exact; a larger one is
-        exact if ``budget`` words settle it or hold the span, else bounded."""
+        exact if ``budget`` words settle it or hold the span, else bounded.
+        A search stops once the lightest word meets its bound rounded up
+        to the power of two that divides every weight of the space, so
+        Reed-Muller-type codes settle in fewer words; a bounded answer is
+        the unrounded bound (``gf2.min_weight_excluding``)."""
         if self.k == 0:
             raise ValueError("code has no logical qubits")
         d_x = gf2.min_weight_excluding(self.c1, self.x_stab, w_max, budget)

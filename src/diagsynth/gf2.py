@@ -6,7 +6,9 @@ leftmost character: ``BitVec.from_string("0110")`` has support {1, 2}.
 Python ints give free wide XOR and popcount; enumeration-heavy kernels
 hold a span as numpy uint64 words, ceil(n/64) per element, at every n.
 The distance search is one Brouwer-Zimmermann enumeration on such arrays
-at every n: rounds raise a lower bound until the lightest word meets it.
+at every n: rounds raise a lower bound until the lightest word meets it,
+the bound rounded up to the power of two 2^a that divides every weight
+(Ward's criterion on ANDs of basis rows, read a level at a time).
 A canonical basis is the reduced echelon form with each pivot at its row's
 lowest bit; duals, hyperplane restrictions and reductions read their
 canonical output off that structure rather than eliminating again.
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from math import comb, gcd, inf
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -588,6 +592,24 @@ def _weight_class(head: list[int], tail: list[int], s: int, bits: int) -> Iterat
             yield part ^ int_words(base, bits)
 
 
+def _divisor_levels(rows):
+    """Yield 1, 2, ..., a, where 2^a is the largest power of two dividing
+    every weight of span(rows).  By Ward's criterion (proved in
+    ``min_weight_excluding``) level j holds iff 2^j divides
+    2^(|U| - 1) |AND of U| for every U of at most j rows.  ``g`` is the gcd
+    of those read so far; level j reads the C(len(rows), j) subsets of
+    size j and returns as soon as 2^j stops dividing g."""
+    g = 0
+    for j in itertools.count(1):
+        for sub in itertools.combinations(rows, j):
+            g = gcd(g, reduce(and_, sub).bit_count() << j - 1)
+            if g % (1 << j):
+                return
+        if g % (1 << j):
+            return
+        yield j
+
+
 def min_weight_excluding(
     big: BitMat,
     small: BitMat,
@@ -609,6 +631,25 @@ def min_weight_excluding(
     with the words listed so far.  If not, the first set is listed to
     weight K (the whole span) when 2^K fits the budget; else the entering
     bound, above w_max, comes back with ``exact=False``.
+
+    Divisible codes: if 2^a divides every weight of big, a word not yet
+    listed weighs at least the bound rounded up to a multiple of 2^a, so
+    the stop test compares the lightest word with that.  Ward's criterion
+    gives a.  Write w(T) for the weight of the XOR of a set T of basis
+    rows and h(U) = (-2)^(|U| - 1) |AND of U|.  A column set in c >= 1 rows
+    of T adds sum_{i=1..c} C(c, i) (-2)^(i-1) = (1 - (-1)^c) / 2 to the
+    sum of h over the nonempty U in T, one iff it is set in the XOR, so
+    w(T) = sum_{U in T} h(U) and, by Moebius inversion,
+    h(U) = sum_{T in U} (-1)^(|U| - |T|) w(T).  So 2^a divides every w iff
+    it divides every h.  Past a rows the factor 2^(|U| - 1) alone does, so
+    only the U of at most a rows need reading: level a + 1 reads
+    C(K, a + 1) subsets (``_divisor_levels``), and is read only when a
+    round lists at least as many words, so a search that ends in its
+    first rounds reads none.  The rounding stays out of the bound itself:
+    each step raises the unrounded bound by one, the budget gate compares
+    it with w_max as before, and a bounded answer returns it.  So every
+    round the search runs is one it ran without the divisor, an exact
+    answer is unchanged and a bounded one may become exact.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -626,6 +667,7 @@ def min_weight_excluding(
         for gen, r in _information_sets(red_big.rows, n)
     ]
     best, bound, spent = n + 1, 0, 0
+    levels, a = _divisor_levels(red_big.rows), 0  # 2^a divides every weight
     for t in itertools.count():
         steps = [(gen, r, t - dim + r) for gen, r in sets if t >= dim - r]
         words = sum(comb(r, s) << (dim - r) for _, r, s in steps)
@@ -633,12 +675,16 @@ def min_weight_excluding(
             if 1 << dim > budget:
                 return WeightResult(bound, False)
             # list the whole span on the first set, whatever it costs
-            sets, steps, budget = sets[:1], steps[:1], float("inf")
+            sets, steps, budget = sets[:1], steps[:1], inf
         spent += words
+        while comb(dim, a + 1) <= words and next(levels, None):
+            a += 1
         for gen, r, s in steps:
             for block in _weight_class(gen[:r], gen[r:], s, shift + len(checks)):
                 outside = block[:, shift // 64:].any(axis=1)
-                best = int(word_weights(block[outside, : shift // 64]).min(initial=best))
+                weights = word_weights(block[:, : shift // 64])
+                best = int(weights.min(initial=best, where=outside))
             bound += 1
-            if best <= bound or s == r:  # s == r: this set listed all of big
+            # s == r: this set listed all of big
+            if best <= -(-bound >> a) << a or s == r:
                 return WeightResult(best, True)

@@ -442,6 +442,145 @@ class TestMinWeight:
         assert min_weight_excluding(big, small) == WeightResult(31, True)
 
 
+class TestWeightDivisor:
+    """2^a divides every weight of big; the stop test rounds up to it."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_level_is_v2_of_gcd_of_weights(self, data):
+        from math import gcd
+
+        from diagsynth.families import rm_generator
+        from diagsynth.gf2 import _divisor_levels
+
+        kind = data.draw(st.sampled_from(["rm", "random", "even", "odd row"]))
+        if kind == "rm":
+            m = data.draw(st.integers(2, 6))
+            gen = rm_generator(data.draw(st.integers(0, m - 1)), m).row_ints()
+            n = 1 << m
+            masks = data.draw(st.lists(st.integers(1, (1 << len(gen)) - 1), min_size=1, max_size=14))
+            rows = [sum_rows(gen, mask) for mask in masks]
+        else:
+            n = data.draw(st.integers(2, 70))
+            rows = data.draw(st.lists(full_words(n), min_size=1, max_size=14))
+            if kind != "random":
+                rows = [x ^ (x.bit_count() & 1) for x in rows]
+            if kind == "odd row":
+                x = data.draw(full_words(n))
+                rows.append(x ^ (~x.bit_count() & 1))
+        big, _ = rref(BitMat(n, [BitVec(n, x) for x in rows if x]))
+        if not big.num_rows:
+            return
+        g = 0
+        for v in span_ints(big.row_ints()):
+            g = gcd(g, v.bit_count())
+        assert len(list(_divisor_levels(Reducer(big).rows))) == (g & -g).bit_length() - 1
+
+    def test_levels_of_known_codes(self):
+        from diagsynth.families import rm_generator
+        from diagsynth.gf2 import _divisor_levels
+
+        # the [8,4,4] extended Hamming code RM(1,3) is doubly even;
+        # RM(r,m) is 2^(ceil(m/r) - 1)-divisible
+        for (r, m), a in {(1, 3): 2, (1, 4): 3, (2, 6): 2, (2, 7): 3, (3, 6): 1}.items():
+            assert list(_divisor_levels(rm_generator(r, m).row_ints())) == list(range(1, a + 1))
+        # disjoint weight-2 rows: every pair's AND is empty, the level is 1
+        assert list(_divisor_levels([0b11, 0b1100, 0b110000])) == [1]
+        assert list(_divisor_levels([0b11, 0b1])) == []
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_divisible_codes_against_bruteforce(self, data):
+        # Reed-Muller subcodes at n = 16 and 32: an exact answer is the
+        # minimum; a bounded one is the search's unrounded bound, the
+        # value it returns without the divisor
+        from unittest import mock
+
+        from diagsynth import gf2
+        from diagsynth.families import rm_generator
+
+        m = data.draw(st.sampled_from([4, 5]))
+        gen = rm_generator(data.draw(st.integers(1, m - 1)), m).row_ints()
+        n = 1 << m
+        masks = data.draw(st.lists(st.integers(1, (1 << len(gen)) - 1), min_size=2, max_size=14))
+        big, _ = rref(BitMat(n, [BitVec(n, sum_rows(gen, mask)) for mask in masks]))
+        if big.num_rows < 2:
+            return
+        combos = data.draw(st.lists(st.integers(0, (1 << big.num_rows) - 1),
+                                    max_size=big.num_rows - 1))
+        small = BitMat(n, [BitVec(n, sum_rows(big.row_ints(), mask)) for mask in combos])
+        w_max = data.draw(st.integers(1, 6))
+        budget = data.draw(st.sampled_from([1, 4, 64, 1 << 10, 1 << 26]))
+        res = min_weight_excluding(big, small, w_max, budget)
+        with mock.patch.object(gf2, "_divisor_levels", lambda rows: iter(())):
+            plain = min_weight_excluding(big, small, w_max, budget)
+        red = Reducer(small)
+        brute = min(
+            v.bit_count() for v in span_ints(big.row_ints()) if not red.contains_int(v)
+        )
+        if res.exact:
+            assert res.value == brute
+        else:
+            assert w_max < res.value <= brute
+            assert res == plain
+        if plain.exact:
+            assert res == plain
+
+    def test_levels_are_read_when_a_round_pays_for_them(self):
+        # 16 disjoint weight-4 rows are 4-divisible; the search ends in
+        # round 1, which lists 64 words: level 1 (16 subsets) is read,
+        # level 2 (120 subsets) is not
+        from unittest import mock
+
+        from diagsynth import gf2
+
+        n = 64
+        big = BitMat(n, [BitVec(n, 0b1111 << 4 * i) for i in range(16)])
+        small = BitMat(n, big.rows[:15])
+        read, plain = [], gf2._divisor_levels
+
+        def recording(rows):
+            for level in plain(rows):
+                read.append(level)
+                yield level
+
+        assert list(plain(big.row_ints())) == [1, 2]
+        with mock.patch.object(gf2, "_divisor_levels", recording):
+            assert min_weight_excluding(big, small) == WeightResult(4, True)
+        assert read == [1]
+
+    def test_bound_flips_to_exact(self):
+        # C2-perp of qrm(2,8) is 4-divisible: the bound 3 rounds up to the
+        # lightest word found, 4; d_X stays a bound
+        from diagsynth.families import qrm_code
+
+        d_x, d_z = qrm_code(2, 8).distances(2, 1 << 16)
+        assert d_z == WeightResult(4, True)
+        assert d_x == WeightResult(19, False)
+
+    def test_flagship_x_side_lists_fewer_words(self):
+        # [[64,21]] of the flagship pipeline: C1 is 4-divisible, so the X
+        # side stops once its bound reaches 13, not 16 (561,200 words
+        # without the divisor)
+        from unittest import mock
+
+        from diagsynth import gf2
+        from diagsynth.families import qrm_pipeline
+
+        code = qrm_pipeline(1, 2).intermediate("add_x")
+        listed, plain = [0], gf2._weight_class
+
+        def counting(*args):
+            for block in plain(*args):
+                listed[0] += len(block)
+                yield block
+
+        with mock.patch.object(gf2, "_weight_class", counting):
+            d_x = min_weight_excluding(code.c1, code.x_stab, 4)
+        assert (code.n, code.k, d_x) == (64, 21, WeightResult(16, True))
+        assert listed[0] <= 150_000
+
+
 @pytest.mark.parametrize("r, d, s", [(1, 0, 1), (6, 0, 3), (5, 3, 2), (1, 17, 0), (2, 18, 2)])
 def test_weight_class_lists_each_word_once(r, d, s):
     # every XOR of an s-subset of head with a subset of tail, once; past
@@ -475,7 +614,7 @@ def sum_rows(rows: list[int], mask: int) -> int:
 class TestQrmDistances:
     """Quantum Reed-Muller codes have d_X = 2^(m-r) and d_Z = 2^r."""
 
-    @pytest.mark.parametrize("r, m", [(1, 7), (6, 7), (1, 8), (7, 8)])
+    @pytest.mark.parametrize("r, m", [(1, 7), (6, 7), (1, 8), (7, 8), (2, 7)])
     def test_both_sides_exact(self, r, m):
         from diagsynth.families import qrm_code
 
