@@ -189,9 +189,6 @@ class CssCode:
         d_z = gf2.min_weight_excluding(self.c2perp, self.z_stab, w_max, budget)
         return d_x, d_z
 
-    def params_str(self) -> str:
-        return f"[[{self.n},{self.k}]]"
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CssCode)

@@ -489,8 +489,11 @@ def _point_count(dim: int, top: int) -> int:
     return sum(comb(dim, s) for s in range(1, top + 1))
 
 
-def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
-    """Exact preservation test on the span points of weight at most D.
+def _low_degree(
+    code: CssCode, gate: DiagonalGate, budget: int
+) -> tuple[BitVec, BitVec] | None:
+    """Exact preservation test on the span points of weight at most D:
+    None when the code is preserved, else the first point that fails.
 
     With C1 words y ^ sum_i a_i b_i over the span table's basis
     (X-stabilizer rows, then X-logical rows) and e(a) the gate's exponent
@@ -513,8 +516,11 @@ def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
 
     The points are the XORs of s-subsets of the basis rows, s = 1..D
     (``gf2._weight_class``); each logical row carries a copy of itself
-    above the word, so a point holds the word and its logical part.
-    Refused when sum_{s <= D} C(dim C1, s) exceeds the budget.
+    above the word, so a point holds the word and its logical part.  A
+    failing point is returned as the words u = y ^ c and v = y ^ c' of
+    one coset, c' the logical part of c: u ^ v lies in C2 and the gate's
+    exponents at u and v differ.  Refused when sum_{s <= D} C(dim C1, s)
+    exceeds the budget.
     """
     dim, top = code.dim_c1, low_degree_bound(gate)
     points = _point_count(dim, top)
@@ -529,9 +535,15 @@ def _low_degree(code: CssCode, gate: DiagonalGate, budget: int) -> bool:
     exps, y = _word_exponents(gate), gf2.int_words(code.y.bits, code.n)
     for s in range(1, min(top, dim) + 1):
         for block in gf2._weight_class(rows, [], s, 64 * words + code.n):
-            if (exps(block[:, :words] ^ y) != exps(block[:, words:] ^ y)).any():
-                return False
-    return True
+            u, v = block[:, :words] ^ y, block[:, words:] ^ y
+            fails = exps(u) != exps(v)
+            if fails.any():
+                i = int(fails.argmax())
+                return tuple(
+                    BitVec(code.n, int.from_bytes(w[i].astype("<u8").tobytes(), "little"))
+                    for w in (u, v)
+                )
+    return None
 
 
 def is_preserved(
@@ -561,7 +573,7 @@ def is_preserved(
             norm_exc = exc
     if res is None:
         try:
-            preserved = _low_degree(code, gate, budget)
+            preserved = _low_degree(code, gate, budget) is None
         except BudgetExceeded as exc:
             raise norm_exc or exc
         top = low_degree_bound(gate)

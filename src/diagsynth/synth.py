@@ -7,7 +7,10 @@ coefficient in two; adding an X-stabilizer halves the logicals and reshapes
 the coefficient table.  Either may break preservation, so both return the
 new code together with an exact admissibility verdict, decided at every
 k by one rule: whether the gate preserves the new code (``_verdict``;
-None only when no gate is given or the check is skipped).
+None only when no gate is given or the check is skipped).  An
+inadmissible step names a witness: two words of one coset of the new
+code where the gate differs, the point at which the low-degree
+certificate (``gencoeff._low_degree``) fails.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from typing import Sequence
 
 from . import gencoeff, gf2
 from .csscode import CssCode
-from .cyclo import Cyclo
-from .errors import InadmissibleStep, OddComponent
-from .gates import DiagonalGate, gate_from_json, lift, _as_zrot
+from .errors import BudgetExceeded, InadmissibleStep, OddComponent
+from .gates import DiagonalGate, entry_exponent, gate_from_json, lift, _as_zrot
 from .gf2 import BitMat, BitVec
 
 
@@ -36,26 +38,40 @@ def concatenate(code: CssCode) -> CssCode:
     return CssCode(2 * n, BitMat(2 * n, x_rows), BitMat(2 * n, z_rows), y2)
 
 
+# two words of one coset of the new code, u ^ v in C2, where the gate's
+# exponents differ
+Witness = tuple[BitVec, BitVec]
+
+
 @dataclass
 class RemovalResult:
     code: CssCode
     gamma0: BitVec
     admissible: bool | None  # None when no gate is given or check="skip"
-    new_row_norm: Cyclo | None = None
+    witness: Witness | None = None
 
 
 def _verdict(
     new_code: CssCode, gate: DiagonalGate | None, check: str, budget: int
-) -> gencoeff.PreservationResult | None:
-    """A growth step's admissibility: whether the gate preserves the code
-    the step produces.  ``check`` is "auto" or "full" (the same exact
-    check) or "skip"; None when it is "skip" or no gate is given."""
+) -> tuple[bool | None, Witness | None]:
+    """A growth step's admissibility, whether the gate preserves the code
+    the step produces, and the witness of an inadmissible step: the
+    low-degree certificate's first failing point, None only when the
+    certificate's point count exceeds the budget.  ``check`` is "auto" or
+    "skip"; the verdict is None when it is "skip" or no gate is given."""
     # a step's check comes from user scripts
-    if check not in ("auto", "full", "skip"):
-        raise ValueError(f'check must be "auto", "full" or "skip", got {check!r}')
+    if check not in ("auto", "skip"):
+        raise ValueError(f'check must be "auto" or "skip", got {check!r}')
     if gate is None or check == "skip":
-        return None
-    return gencoeff.is_preserved(new_code, gate, budget)
+        return None, None
+    if gencoeff.is_preserved(new_code, gate, budget).preserved:
+        return True, None
+    try:
+        point = gencoeff._low_degree(new_code, gate, budget)
+    except BudgetExceeded:
+        return False, None
+    assert point is not None, "the certificate is exact"
+    return False, point
 
 
 def _split_z_stab(code: CssCode, w0: BitVec) -> tuple[BitMat, BitVec]:
@@ -77,18 +93,14 @@ def remove_z(
     """Remove the Z-stabilizer paired with the new X-logical w0.
 
     The new code always comes back; ``admissible`` reports whether the gate
-    still preserves it (``_verdict``: the row norm, kept as
-    ``new_row_norm``, or the low-degree test).
+    still preserves it, and ``witness`` where it fails (``_verdict``).
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
     new_code = CssCode(code.n, code.x_stab, new_z, code.y)
     assert new_code.k == code.k + 1
-    pres = _verdict(new_code, gate, check, budget)
-    if pres is None:
-        return RemovalResult(new_code, gamma0, None)
-    return RemovalResult(new_code, gamma0, pres.preserved, pres.norm)
+    return RemovalResult(new_code, gamma0, *_verdict(new_code, gate, check, budget))
 
 
 def add_z(code: CssCode, gamma0: BitVec) -> CssCode:
@@ -107,7 +119,7 @@ class AdditionResult:
     code: CssCode
     mu0: BitVec
     admissible: bool | None  # None when no gate is given or check="skip"
-    witness: tuple[BitVec, Cyclo] | None = None  # nonzero coefficient blocking it
+    witness: Witness | None = None
 
 
 def add_x(
@@ -119,17 +131,14 @@ def add_x(
 ) -> AdditionResult:
     """Adjoin the X-logical x0 as a new X-stabilizer.
 
-    Admissible exactly when the gate preserves the new code (``_verdict``).
-    The displaced Z-logical mu0 becomes a syndrome representative of the
-    new code.
+    Admissible exactly when the gate preserves the new code, and
+    ``witness`` names where it fails (``_verdict``).  The displaced
+    Z-logical mu0 becomes a syndrome representative of the new code.
 
     A new coset joins two old ones, x_beta + C2 and x_beta + x0 + C2, so
-    the new code is preserved iff the input is and its induced diagonal
-    zeta^E(beta) is invariant under the shift by x0; on a preserved input
-    that holds iff the half row, E's transform on the gamma that pair with
-    x0, vanishes (the paper's criterion).  An inadmissible addition reports
-    the first nonzero half-row value, in frame order, as its witness; the
-    half row vanishes, leaving no witness, only on a non-preserved input.
+    an admissible addition needs a preserved input; only on one does the
+    paper's half-row criterion (the induced diagonal's transform vanishes
+    on the gamma that pair with x0) give the same verdict.
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
@@ -144,25 +153,7 @@ def add_x(
     new_x = BitMat(code.n, list(code.x_stab.rows) + [x0])
     new_code = CssCode(code.n, new_x, code.z_stab, code.y)
     assert new_code.k == code.k - 1
-    pres = _verdict(new_code, gate, check, budget)
-    if pres is None:
-        return AdditionResult(new_code, mu0, None)
-    if pres.preserved:
-        return AdditionResult(new_code, mu0, True)
-    # the logicals that pair with x0, in frame order
-    basis = code.frame.z_logical_basis.row_ints()
-    gammas = [
-        BitVec(code.n, g)
-        for g in gf2.span_ints(basis, budget)
-        if (g & x0.bits).bit_count() & 1
-    ]
-    row = gencoeff.syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
-    nonzero = row.ints.any(axis=1)
-    witness = None
-    if nonzero.any():
-        i = int(nonzero.argmax())
-        witness = (gammas[i], Cyclo(gate.level, row.ints[i].tolist(), row.denom))
-    return AdditionResult(new_code, mu0, False, witness)
+    return AdditionResult(new_code, mu0, *_verdict(new_code, gate, check, budget))
 
 
 def remove_x(code: CssCode, x0: BitVec) -> CssCode:
@@ -305,33 +296,20 @@ def run_pipeline(
                 gate = lift(gate, policy)
                 detail["lift"] = policy
             steps.append(SynthStep("concat", dict(entry), before, _summary(code), True, detail))
-        elif op == "remove_z":
-            w0 = BitVec.from_string(entry["w0"])
-            res = remove_z(code, gate, w0, check=entry.get("check", "auto"), budget=budget)
-            code = res.code
-            steps.append(
-                SynthStep(
-                    "remove_z",
-                    {"w0": entry["w0"]},
-                    before,
-                    _summary(code),
-                    res.admissible,
-                    {"gamma0": res.gamma0.to01()},
-                )
+        elif op in ("remove_z", "add_x"):
+            removal = op == "remove_z"
+            key = "w0" if removal else "x0"
+            word = BitVec.from_string(entry[key])
+            res = (remove_z if removal else add_x)(
+                code, gate, word, check=entry.get("check", "auto"), budget=budget
             )
-        elif op == "add_x":
-            x0 = BitVec.from_string(entry["x0"])
-            res = add_x(code, gate, x0, check=entry.get("check", "auto"), budget=budget)
             code = res.code
-            detail = {"mu0": res.mu0.to01()}
+            detail = {"gamma0": res.gamma0.to01()} if removal else {"mu0": res.mu0.to01()}
             if res.witness is not None:
-                detail["witness"] = {
-                    "gamma": res.witness[0].to01(),
-                    "value": res.witness[1].serialize(),
-                }
-            steps.append(
-                SynthStep("add_x", {"x0": entry["x0"]}, before, _summary(code), res.admissible, detail)
-            )
+                u, v = res.witness
+                exps = [entry_exponent(gate, u), entry_exponent(gate, v)]
+                detail["witness"] = {"u": u.to01(), "v": v.to01(), "exponents": exps}
+            steps.append(SynthStep(op, {key: entry[key]}, before, _summary(code), res.admissible, detail))
         elif op == "set_gate":
             gate = gate_from_json(entry["gate"])
             steps.append(SynthStep("set_gate", dict(entry), before, _summary(code), True))

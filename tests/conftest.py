@@ -15,6 +15,7 @@ from diagsynth.gates import (
     LocalDiag,
     QfdGate,
     block_gate,
+    entry_exponent,
     qfd_gate,
     transversal_zrot,
 )
@@ -38,6 +39,21 @@ def z_side(code, gate, shift, budget):
     """One Z-side coefficient, read as a one-shift row, as a ring element."""
     ints, denom = gencoeff._sum_z_rows(code, gate, [shift], budget)
     return Cyclo(gate.level, ints[0].tolist(), denom)
+
+
+def assert_point_witness(code, gate, witness):
+    """Re-check a point witness by direct gate evaluation: two words u, v
+    of one coset x_beta + C2 + y of ``code`` (u ^ y in C1, u ^ v in C2)
+    where the gate's exponents differ.  ``witness`` is a step result's
+    (u, v) pair or its JSON form, whose exponents must be the gate's."""
+    if isinstance(witness, dict):
+        u, v = BitVec.from_string(witness["u"]), BitVec.from_string(witness["v"])
+        assert witness["exponents"] == [entry_exponent(gate, u), entry_exponent(gate, v)]
+    else:
+        u, v = witness
+    assert code.c1_reducer.contains(u ^ code.y)
+    assert code.c2_reducer.contains(u ^ v)
+    assert entry_exponent(gate, u) != entry_exponent(gate, v)
 
 
 def table_coefficient(table, s):

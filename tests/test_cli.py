@@ -7,12 +7,14 @@ import pytest
 
 from diagsynth import gencoeff
 from diagsynth.cli import main
-from diagsynth.csscode import CssCode, code_to_json
+from diagsynth.csscode import CssCode, code_from_json, code_to_json
 from diagsynth.errors import BudgetExceeded
 from diagsynth.families import qrm_code, qrm_gate
 from diagsynth.gates import gate_from_json, gate_to_json, transversal_zrot
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.report import build_report
+
+from conftest import assert_point_witness
 
 
 def run(capsys, *argv):
@@ -237,12 +239,17 @@ class TestTransforms:
             "--w0", "1000000", "--out", str(out), "--strict",
         )
         assert rc == 5
-        assert json.loads(text) == {
+        step = json.loads(text)
+        assert step == {
             "admissible": False, "gamma0": "1001011", "k": 2, "n": 7,
             "op": "remove_z", "w0": "1000000",
+            "witness": {"u": "1000000", "v": "0001011", "exponents": [3, 7]},
         }
         # the file is written before the strict exit
         assert json.loads(out.read_text())["z_stabilizers"] == ["0101101", "0011110"]
+        new_code = code_from_json(json.loads(out.read_text()))
+        gate = gate_from_json(json.loads(gate_path.read_text()))
+        assert_point_witness(new_code, gate, step["witness"])
 
     def test_add_x_reports_witness(self, steane_files, tmp_path, capsys):
         code_path, gate_path = steane_files
@@ -259,15 +266,19 @@ class TestTransforms:
             "--x0", "1" * 7 + "0" * 7, "--out", str(out),
         )
         assert rc == 0
-        assert json.loads(text) == {
+        step = json.loads(text)
+        assert step == {
             "admissible": False, "k": 1, "mu0": "00000010000001", "n": 14, "op": "add_x",
-            "witness": {"gamma": "00000010000001", "value": "2^-2 * [-2,1,0,-1] @ 3"},
+            "witness": {"u": "00001111111000", "v": "00000000000000", "exponents": [0, 2]},
             "x0": "11111110000000",
         }
+        new_code = code_from_json(json.loads(out.read_text()))
+        gate = gate_from_json(json.loads(gate14.read_text()))
+        assert_point_witness(new_code, gate, step["witness"])
 
     def test_add_x_to_a_non_preserved_input(self, tmp_path, capsys):
         # the half row of this [[8,1]] code vanishes, but the new code is not
-        # preserved: the step is inadmissible with no witness
+        # preserved: the step is inadmissible, with a witness on the new code
         code = CssCode(
             8,
             BitMat.from_strings(["11010000", "00001110", "00000001"]),
@@ -282,10 +293,13 @@ class TestTransforms:
             "--x0", "00010010", "--out", str(tmp_path / "c80.json"), "--strict",
         )
         assert rc == 5
+        witness = {"u": "10011011", "v": "10011010", "exponents": [2, 0]}
         assert json.loads(text) == {
             "admissible": False, "k": 0, "mu0": "00000110", "n": 8, "op": "add_x",
-            "x0": "00010010",
+            "witness": witness, "x0": "00010010",
         }
+        new_code = code_from_json(json.loads((tmp_path / "c80.json").read_text()))
+        assert_point_witness(new_code, transversal_zrot(8, 3), witness)
         script = tmp_path / "steps.json"
         script.write_text(json.dumps([{"op": "add_x", "x0": "00010010"}]))
         rc, text = run(
@@ -294,7 +308,8 @@ class TestTransforms:
         )
         assert rc == 0
         (step,) = json.loads(text)["steps"]
-        assert step["admissible"] is False and step["detail"] == {"mu0": "00000110"}
+        assert step["admissible"] is False
+        assert step["detail"] == {"mu0": "00000110", "witness": witness}
 
 
 class TestPipeline:
@@ -371,16 +386,17 @@ class TestPipeline:
         "step", [{"op": "remove_z", "w0": "1000000"}, {"op": "add_x", "x0": "1111111"}]
     )
     def test_unknown_check_mode(self, steane_files, tmp_path, capsys, step):
-        # only "auto", "full" and "skip" are modes; anything else used to
-        # run the check
+        # only "auto" and "skip" are modes; anything else used to run the
+        # check, and "full" was the same check as "auto"
         code_path, gate_path = steane_files
         script = tmp_path / "steps.json"
-        script.write_text(json.dumps([dict(step, check="none")]))
-        rc, text = run(
-            capsys, "pipeline", "--code", str(code_path), "--gate", str(gate_path),
-            "--script", str(script),
-        )
-        assert rc == 2 and text == ""
+        for mode in ("none", "full"):
+            script.write_text(json.dumps([dict(step, check=mode)]))
+            rc, text = run(
+                capsys, "pipeline", "--code", str(code_path), "--gate", str(gate_path),
+                "--script", str(script),
+            )
+            assert rc == 2 and text == ""
 
 
 class TestLargeVerify:

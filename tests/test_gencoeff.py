@@ -356,12 +356,12 @@ class TestBudget:
 class TestLowDegreeCertificate:
     def test_certificate_on_preserved_code(self):
         code, gate = steane_code(), transversal_zrot(7, 2)
-        assert gencoeff._low_degree(code, gate, 1 << 26)
+        assert gencoeff._low_degree(code, gate, 1 << 26) is None
         assert is_preserved(code, gate).preserved
 
     def test_certificate_flags_nonpreserved(self):
         code, gate = four22_code(), transversal_zrot(4, 3)
-        assert not gencoeff._low_degree(code, gate, 1 << 26)
+        assert gencoeff._low_degree(code, gate, 1 << 26) is not None
         assert not is_preserved(code, gate).preserved
 
     def test_degree_bound_is_needed(self, monkeypatch):
@@ -376,7 +376,7 @@ class TestLowDegreeCertificate:
         gate = transversal_zrot(8, 3)
         assert gencoeff.low_degree_bound(gate) == 3 == code.dim_c1
         monkeypatch.setattr(gencoeff, "low_degree_bound", lambda g: 2)
-        assert gencoeff._low_degree(code, gate, 1 << 26)
+        assert gencoeff._low_degree(code, gate, 1 << 26) is None
         assert not is_preserved(code, gate).preserved
 
     def test_degree_bounds(self):

@@ -1,6 +1,7 @@
 """Code transformations: concatenation, removals, additions, switching."""
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -8,8 +9,9 @@ import hypothesis.strategies as st
 
 from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
+from diagsynth.cyclo import ONE
 from diagsynth.errors import InadmissibleStep, OddComponent
-from diagsynth.families import four22_code, steane_code
+from diagsynth.families import four22_code, qrm_pipeline, steane_code
 from diagsynth.gates import (
     gate_to_json,
     lift,
@@ -27,7 +29,7 @@ from diagsynth.synth import (
     run_pipeline,
 )
 
-from conftest import codes_with_gates, css_codes
+from conftest import assert_point_witness, codes_with_gates, css_codes
 
 
 def add_x_reference(code, gate, x0):
@@ -220,10 +222,9 @@ class TestAddX:
         x0 = BitVec.ones(7).concat(BitVec.zeros(7))
         res = add_x(code, gate, x0)
         assert res.admissible is False
-        assert res.witness is not None
-        gamma_w, val = res.witness
-        assert gamma_w.dot(x0) == 1 and not val.is_zero()
-        assert val == gencoeff.coefficient(code, gate, BitVec.zeros(14), gamma_w)
+        # the input is preserved, so the paper's half-row criterion agrees
+        assert add_x_reference(code, gate, x0)[0] is False
+        assert_point_witness(res.code, gate, res.witness)
 
     def test_x0_validation(self):
         code = four22_code()
@@ -268,16 +269,16 @@ class TestAddX:
         assert a_same == gencoeff.coefficient(code, gate, BitVec.zeros(code.n), gamma_new)
         a_shift = gencoeff.coefficient(new_code, gate, mu0, gamma_new)
         assert a_shift == gencoeff.coefficient(code, gate, BitVec.zeros(code.n), gamma_new ^ mu0)
-        # the checked addition reads one row; the reference reads per logical
-        checked = add_x(code, gate, x0, check="full")
-        admissible, witness = add_x_reference(code, gate, x0)
+        # the checked addition is the new code's verdict; the reference
+        # reads the half row one coefficient at a time
+        checked = add_x(code, gate, x0)
+        admissible, _ = add_x_reference(code, gate, x0)
         if gencoeff.is_preserved(code, gate).preserved:
             assert checked.admissible == admissible
-        if witness is None:
+        if checked.admissible:
             assert checked.witness is None
         else:
-            assert checked.witness[0] == witness[0]
-            assert checked.witness[1].serialize() == witness[1].serialize()
+            assert_point_witness(checked.code, gate, checked.witness)
 
 
 def _thirteen_logicals(y_bits):
@@ -306,18 +307,38 @@ class TestAddXPastRowCap:
         above = add_x(code, gate, x0)
         assert above.admissible == gencoeff.is_preserved(above.code, gate).preserved
         assert above.admissible == (y_bits == 0 and which == "x1")
-        # the witness is the first nonzero value of the half row
+        # on the preserved input the half row vanishes iff the step is
+        # admissible (the paper's criterion)
         gammas = [code.z_logical(a) for a in range(1 << code.k)]
         half = gencoeff.trivial_row(code, gate, [g for g in gammas if g.dot(x0)])
-        nonzero = [(g, v) for g, v in half.entries.items() if not v.is_zero()]
-        if above.admissible:
-            assert not nonzero
-        assert above.witness == (nonzero[0] if nonzero else None)
-        # the new code's verdict is the same on the other side of the row cap
+        nonzero = [g for g, v in half.entries.items() if not v.is_zero()]
+        if y_bits == 0:
+            assert above.admissible == (not nonzero)
+        if not above.admissible:
+            assert_point_witness(above.code, gate, above.witness)
+        # the new code's verdict and witness are the same on the other side
+        # of the row cap
         for cap in (1 << 11, 1 << 13):
             monkeypatch.setattr(gencoeff, "_ROW_CAP", cap)
             moved = add_x(code, gate, x0)
             assert (moved.admissible, moved.witness) == (above.admissible, above.witness)
+
+
+    def test_past_the_logical_span_budget(self):
+        # qrm_pipeline(1, 3)'s [[256,36]] before its additions, with x0 the
+        # XOR of three X-logicals: the witness needs no list of the 2^36
+        # Z-logicals (past the default budget), only the new code's verdict
+        pipe = qrm_pipeline(1, 3)
+        code, gate = pipe.pre_addition, pipe.gate
+        assert (code.n, code.k) == (256, 36)
+        x0 = BitVec(code.n, 0)
+        for row in code.frame.x_logical_basis.rows[:3]:
+            x0 ^= row
+        t0 = time.perf_counter()
+        res = add_x(code, gate, x0)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.admissible is False
+        assert_point_witness(res.code, gate, res.witness)
 
 
 class TestAdmissibilityNorm:
@@ -325,9 +346,9 @@ class TestAdmissibilityNorm:
         # after a bad removal, the missing trivial-row norm shows up as
         # weight on the other syndromes (numeric, to 1e-9)
         code, gate = steane_code(), transversal_zrot(7, 2)
-        res = remove_z(code, gate, BitVec.from_string("1000000"), check="full")
+        res = remove_z(code, gate, BitVec.from_string("1000000"))
         assert res.admissible is False
-        deficit = 1.0 - res.new_row_norm.to_complex().real
+        deficit = 1.0 - gencoeff.is_preserved(res.code, gate).norm.to_complex().real
         leakage = 0.0
         for mu in res.code.syndrome_reps()[1:]:
             row = gencoeff.syndrome_row(res.code, gate, mu)
@@ -345,10 +366,12 @@ class TestAdmissibilityNorm:
         assume(gencoeff.is_preserved(code, gate).preserved)
         w0 = BitVec(code.n, w0_bits & ((1 << code.n) - 1))
         assume(not code.c1_reducer.contains(w0))
-        res = remove_z(code, gate, w0, check="full")
+        res = remove_z(code, gate, w0)
         direct = gencoeff.is_preserved(res.code, gate)
         assert res.admissible == direct.preserved
-        assert res.new_row_norm == direct.norm
+        # below the row cap the new code's trivial-row norm decides
+        assert direct.method == "coefficient-norm"
+        assert res.admissible == (direct.norm == ONE)
 
     @given(codes_with_gates(max_n=6, min_k=1), st.integers(1, 63))
     @settings(
@@ -364,13 +387,14 @@ class TestAdmissibilityNorm:
             if (mask >> j) & 1:
                 x0 ^= row
         assume(not code.c2_reducer.contains(x0))
-        res = add_x(code, gate, x0, check="full")
+        res = add_x(code, gate, x0)
         assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
 
     def test_addition_flag_needs_a_preserved_input(self):
         # the smallest case found where the half-row criterion fails: the
         # input is not preserved, its half row vanishes, and the new code is
-        # not preserved either; the verdict is the new code's, with no witness
+        # not preserved either; the verdict is the new code's, and so is the
+        # witness
         code = CssCode(
             8,
             BitMat.from_strings(["11010000", "00001110", "00000001"]),
@@ -384,7 +408,8 @@ class TestAdmissibilityNorm:
         x0 = BitVec.from_string("00010010")
         assert add_x_reference(code, gate, x0) == (True, None)
         res = add_x(code, gate, x0)
-        assert res.admissible is False and res.witness is None
+        assert res.admissible is False
+        assert_point_witness(res.code, gate, res.witness)
         assert not gencoeff.is_preserved(res.code, gate).preserved
 
     @given(codes_with_gates(max_n=6, min_k=1), st.integers(0, 63), st.booleans())
@@ -397,20 +422,64 @@ class TestAdmissibilityNorm:
         # the new code's cosets are unions of the input's (an addition) or
         # include them (a removal), so an admissible step has a preserved input
         code, gate = cg
-        if addition:
-            word = BitVec(code.n, 0)
-            for j, row in enumerate(code.c1.rows):
-                if (bits >> j) & 1:
-                    word ^= row
-            assume(not code.c2_reducer.contains(word))
-            res = add_x(code, gate, word)
-        else:
-            word = BitVec(code.n, bits & ((1 << code.n) - 1))
-            assume(not code.c1_reducer.contains(word))
-            res = remove_z(code, gate, word)
+        res = _drawn_step(code, gate, bits, addition)
         assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
         if res.admissible:
             assert gencoeff.is_preserved(code, gate).preserved
+
+
+def _drawn_step(code, gate, bits, addition):
+    """The addition of the C1 word that picks the rows of ``code.c1`` named
+    by ``bits``, or the removal of the word ``bits``; draws that name no
+    step are rejected."""
+    if addition:
+        word = BitVec(code.n, 0)
+        for j, row in enumerate(code.c1.rows):
+            if (bits >> j) & 1:
+                word ^= row
+        assume(not code.c2_reducer.contains(word))
+        return add_x(code, gate, word)
+    word = BitVec(code.n, bits & ((1 << code.n) - 1))
+    assume(not code.c1_reducer.contains(word))
+    return remove_z(code, gate, word)
+
+
+class TestPointWitness:
+    @given(codes_with_gates(min_k=1), st.integers(0, 255), st.booleans())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    def test_every_inadmissible_step_has_a_witness(self, cg, bits, addition):
+        # both steps, on preserved and non-preserved inputs: an inadmissible
+        # step names two words of one coset of the new code where the gate
+        # differs, re-checked by direct gate evaluation
+        code, gate = cg
+        res = _drawn_step(code, gate, bits, addition)
+        assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
+        if res.admissible:
+            assert res.witness is None
+            return
+        assert_point_witness(res.code, gate, res.witness)
+        # negative control: u moved off the coset by a bit outside C2
+        n, (u, v) = code.n, res.witness
+        outside = [q for q in range(n) if not res.code.c2_reducer.contains(BitVec.unit(n, q))]
+        if outside:
+            with pytest.raises(AssertionError):
+                assert_point_witness(res.code, gate, (u ^ BitVec.unit(n, outside[0]), v))
+
+    def test_no_refusal_after_the_verdict(self):
+        # Steane with T less a Z-stabilizer: the [[7,2]] code's trivial row
+        # fits a budget of 8 on its Z side (2^2 words), the certificate's 15
+        # points do not, so the step answers without a witness
+        code, gate = steane_code(), transversal_zrot(7, 2)
+        w0 = BitVec.from_string("1000000")
+        res = remove_z(code, gate, w0, budget=8)
+        assert res.admissible is False and res.witness is None
+        full = remove_z(code, gate, w0, budget=16)
+        assert full.admissible is False
+        assert_point_witness(full.code, gate, full.witness)
 
 
 class TestDfsSwitch:

@@ -34,7 +34,7 @@ from diagsynth.gates import (
 )
 from diagsynth.gf2 import BitMat, BitVec
 
-from conftest import random_code, x_side, z_side
+from conftest import assert_point_witness, random_code, x_side, z_side
 
 
 def ref_z_walk(code, gate, shift):
@@ -406,4 +406,5 @@ def test_add_x_half_row_past_the_row_cap():
     for i, row in zip(picks, want.tolist()):
         assert Cyclo(gate.level, full[i].tolist(), denom) == Cyclo(gate.level, row, want_denom)
     res = synth.add_x(code, gate, x0)
-    assert res.admissible is False and res.witness is not None
+    assert res.admissible is False
+    assert_point_witness(res.code, gate, res.witness)
