@@ -323,7 +323,6 @@ class TestAddXPastRowCap:
             moved = add_x(code, gate, x0)
             assert (moved.admissible, moved.witness) == (above.admissible, above.witness)
 
-
     def test_past_the_logical_span_budget(self):
         # qrm_pipeline(1, 3)'s [[256,36]] before its additions, with x0 the
         # XOR of three X-logicals: the witness needs no list of the 2^36
