@@ -3,6 +3,8 @@
 rotation, and write one JSON report per family to an output directory.
 
 Usage: python scripts/reproduce_families.py [outdir]
+
+Exits 1 when some family is not preserved by its rotation.
 """
 
 import json
@@ -34,6 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     outdir = pathlib.Path(args[0] if args else "out")
     outdir.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for name, params in RUNS:
         tag = "_".join([name] + [str(p) for p in params])
         t0 = time.perf_counter()
@@ -42,12 +45,13 @@ def main(argv: list[str] | None = None) -> int:
         path = outdir / f"{tag}.json"
         path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
         status = "preserved" if rep.get("preserved") else "NOT preserved"
+        failed += not rep.get("preserved")
         lvl = rep.get("logical", {}).get("level", "-")
         print(
             f"{tag:12s} [[{fb.code.n},{fb.code.k}]] {status}, logical level {lvl} "
             f"({time.perf_counter() - t0:.2f}s) -> {path}"
         )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ vectors on zeta^0..zeta^(2^(L-1)-1) over one power-of-two denominator, a
 row's norm folds their Gram matrix into one ring element, and an entry
 becomes an exact ring element only when it is read.
 
-Preservation is the trivial row's norm while the row fits the row cap and
-the budget, and otherwise the low-degree test (``_low_degree``).  On a
+Preservation (``is_preserved``) is the trivial row's norm while the row
+fits the row cap and the budget, and otherwise the low-degree test
+(``_low_degree``), which alone decides a growth step.  On a
 preserved code every coset is constant, so the induced logical diagonal
 is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
 """
@@ -67,7 +68,7 @@ from .gf2 import BitVec
 # generic Z-side walks past this many words are refused: each holds a
 # row of 2^(L-1) integers per factor product
 _PY_SPAN_CAP = 1 << 16
-_ROW_CAP = 1 << 12  # above this, preservation comes from the low-degree test
+_ROW_CAP = 1 << 12  # above this, is_preserved asks the low-degree test
 
 
 # ----------------------------------------------------------------------
@@ -427,10 +428,6 @@ def trivial_row(
 ) -> GenCoeffRow:
     """All coefficients for the trivial syndrome, or a sampled subset when
     an explicit gamma list is supplied."""
-    _check_gate(code, gate)
-    for g in gammas or ():
-        if not code.c2perp_reducer.contains(g):
-            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
     return syndrome_row(code, gate, BitVec.zeros(code.n), gammas, budget)
 
 
@@ -443,12 +440,13 @@ def syndrome_row(
 ) -> GenCoeffRow:
     """Like trivial_row but for an arbitrary syndrome representative."""
     _check_gate(code, gate)
-    if gammas is None:
-        gammas = _all_gammas(code)
-        exactness = "exact-full"
-    else:
-        exactness = "exact-sampled"
-    gammas = list(dict.fromkeys(gammas))
+    if mu.n != code.n:
+        raise ValueError("mu must have length n")
+    for g in gammas or ():
+        if not code.c2perp_reducer.contains(g):
+            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
+    exactness = "exact-full" if gammas is None else "exact-sampled"
+    gammas = list(dict.fromkeys(_all_gammas(code) if gammas is None else gammas))
     ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for g in gammas], budget)
     return GenCoeffRow(code, mu, gammas, ints, denom, gate.level, exactness)
 
@@ -522,6 +520,7 @@ def _low_degree(
     exponents at u and v differ.  Refused when sum_{s <= D} C(dim C1, s)
     exceeds the budget.
     """
+    _check_gate(code, gate)
     dim, top = code.dim_c1, low_degree_bound(gate)
     points = _point_count(dim, top)
     if points > budget:
@@ -649,6 +648,9 @@ def split_values(
         raise ValueError("w0 must have length n")
     if code.c1_reducer.contains(w0):
         raise ValueError("w0 lies in C1: removal would not create a new logical")
+    for g in gammas or ():
+        if not code.c2perp_reducer.contains(g):
+            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
     if gammas is None:
         gammas = _all_gammas(code)
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)

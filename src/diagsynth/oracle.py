@@ -145,17 +145,15 @@ def compare_with_engine(
     code: CssCode,
     gate: DiagonalGate,
     pres: gencoeff.PreservationResult,
-    row: gencoeff.GenCoeffRow | None,
     tol: float = DEFAULT_TOL,
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> CrosscheckReport:
     """Build the float half and compare it with the engine's verdict and
-    exact-full trivial row.  A verdict without a row (past the row cap or
-    the budget) had its row refused, and asking again raises that refusal;
-    the block's own size check comes first."""
+    exact-full trivial row (``pres.row``).  A verdict without a row (past
+    the row cap or the budget) had its row refused, and asking again raises
+    that refusal; the block's own size check comes first."""
     _check_block_size(code, gate)
-    if row is None:
-        row = gencoeff.trivial_row(code, gate, budget=budget)
+    row = pres.row or gencoeff.trivial_row(code, gate, budget=budget)
     block, unitary = float_block(code, gate, tol)
     max_diag, max_off = compare_block_with_row(block, row)
     return CrosscheckReport(
@@ -179,4 +177,4 @@ def crosscheck(
     The engine answers (or refuses) before the float block is built."""
     _check_block_size(code, gate)
     pres = gencoeff.is_preserved(code, gate, budget=budget)
-    return compare_with_engine(code, gate, pres, pres.row, tol, budget)
+    return compare_with_engine(code, gate, pres, tol, budget)

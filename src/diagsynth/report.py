@@ -78,7 +78,7 @@ def build_report(
         rep["logical"] = logical_summary(code, gate, budget)
     if include_oracle and code.n <= oracle.MAX_N:
         try:
-            chk = oracle.compare_with_engine(code, gate, pres, row, tol, budget)
+            chk = oracle.compare_with_engine(code, gate, pres, tol, budget)
         except BudgetExceeded as exc:
             rep["oracle"] = {"available": False, "reason": str(exc)}
         else:

@@ -7,10 +7,11 @@ coefficient in two; adding an X-stabilizer halves the logicals and reshapes
 the coefficient table.  Either may break preservation, so both return the
 new code together with an exact admissibility verdict, decided at every
 k by one rule: whether the gate preserves the new code (``_verdict``;
-None only when no gate is given or the check is skipped).  An
-inadmissible step names a witness: two words of one coset of the new
-code where the gate differs, the point at which the low-degree
-certificate (``gencoeff._low_degree``) fails.
+None only when no gate is given or the check is skipped).  One walk of
+the low-degree certificate (``gencoeff._low_degree``) settles it: the
+step is admissible iff no point fails, and an inadmissible step names
+the first failing point as its witness, two words of one coset of the
+new code where the gate differs.
 """
 
 from __future__ import annotations
@@ -54,24 +55,21 @@ class RemovalResult:
 def _verdict(
     new_code: CssCode, gate: DiagonalGate | None, check: str, budget: int
 ) -> tuple[bool | None, Witness | None]:
-    """A growth step's admissibility, whether the gate preserves the code
-    the step produces, and the witness of an inadmissible step: the
-    low-degree certificate's first failing point, None only when the
-    certificate's point count exceeds the budget.  ``check`` is "auto" or
+    """Whether the gate preserves the code a step produces, with the
+    witness: admissible iff no point of the low-degree certificate fails,
+    the first failing point being the witness.  Past the budget
+    ``is_preserved`` decides, with no witness.  ``check`` is "auto" or
     "skip"; the verdict is None when it is "skip" or no gate is given."""
     # a step's check comes from user scripts
     if check not in ("auto", "skip"):
         raise ValueError(f'check must be "auto" or "skip", got {check!r}')
     if gate is None or check == "skip":
         return None, None
-    if gencoeff.is_preserved(new_code, gate, budget).preserved:
-        return True, None
     try:
         point = gencoeff._low_degree(new_code, gate, budget)
     except BudgetExceeded:
-        return False, None
-    assert point is not None, "the certificate is exact"
-    return False, point
+        return gencoeff.is_preserved(new_code, gate, budget).preserved, None
+    return point is None, point
 
 
 def _split_z_stab(code: CssCode, w0: BitVec) -> tuple[BitMat, BitVec]:

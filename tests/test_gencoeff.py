@@ -107,6 +107,17 @@ class TestPaperValues:
                 BitVec.from_string("1000"),
             )
 
+    def test_syndrome_row_refuses_a_short_mu(self):
+        with pytest.raises(ValueError, match="mu must have length n"):
+            syndrome_row(steane_code(), transversal_zrot(7, 2), BitVec(3, 5))
+
+    def test_syndrome_row_refuses_a_gamma_outside_c2perp(self):
+        code = steane_code()
+        gamma = BitVec.from_string("1000000")
+        assert not code.c2perp_reducer.contains(gamma)
+        with pytest.raises(ValueError, match="not in C2-perp"):
+            syndrome_row(code, transversal_zrot(7, 2), BitVec.zeros(7), [gamma])
+
 
 class TestSplitValues:
     def test_concatenated_half_support(self):
@@ -134,6 +145,13 @@ class TestSplitValues:
         code = four22_code()
         with pytest.raises(ValueError):
             split_values(code, transversal_zrot(4, 2), BitVec.from_string("1100"))
+
+    def test_gamma_outside_c2perp_rejected(self):
+        code = steane_code()
+        w0, gamma = BitVec.from_string("1000000"), BitVec(7, 1)
+        assert not code.c2perp_reducer.contains(gamma)
+        with pytest.raises(ValueError, match="not in C2-perp"):
+            split_values(code, transversal_zrot(7, 2), w0, [gamma])
 
     def test_dual_route_matches_direct(self):
         # a tight budget refuses the split code's X side (2^5 words) but

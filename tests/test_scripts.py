@@ -29,6 +29,17 @@ def test_reproduce_families(tmp_path, capsys):
     assert steane["oracle"]["verdicts_agree"]
 
 
+def test_reproduce_families_fails_when_not_preserved(tmp_path, monkeypatch, capsys):
+    # a report that calls four22 not preserved makes the script exit 1
+    script = load("reproduce_families")
+    monkeypatch.setattr(script, "RUNS", [("steane", []), ("four22", [])])
+    monkeypatch.setattr(script, "build_report", lambda code, gate, **kw: {"preserved": code.n == 7})
+    assert script.main([str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ["NOT preserved" in line for line in lines] == [False, True]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["four22.json", "steane.json"]
+
+
 def test_run_qrm_pipeline(tmp_path, capsys):
     out = tmp_path / "final.json"
     assert load("run_qrm_pipeline").main(["--out", str(out)]) == 0

@@ -300,16 +300,19 @@ class TestPastOneWord:
         assert gencoeff.is_preserved(res.code, gate).norm == norm
 
     def test_wide_removal_reads_the_span_table(self):
-        # [[256,3]] after five concatenations: the removal check must come
-        # from the new code's table, not from a per-entry Python walk
+        # [[256,3]] after five concatenations: the removal check is the
+        # low-degree certificate's array walk, not a per-entry Python walk,
+        # and it builds no span table; its verdict is is_preserved's
         code = qrm_code(1, 3)
         for _ in range(5):
             code = concatenate(code)
         w0 = gf2.quotient_basis(rm_generator(2, 8), code.c1).rows[0]
-        res = remove_z(code, transversal_zrot(256, 4), w0)
+        gate = transversal_zrot(256, 4)
+        res = remove_z(code, gate, w0)
         assert (res.code.n, res.code.k) == (256, 4)
         assert res.admissible is True
-        assert res.code._caches.get("span_table")
+        assert "span_table" not in res.code._caches
+        assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
 
 
 class TestScan:
@@ -432,14 +435,16 @@ class TestGenericGates:
         assert witness[1].abs_sq() != Cyclo.one()
 
     def test_block_gate_removal_reads_the_span_table(self):
-        # the removal check reads the new code's table, as for rotations
+        # the removal check walks the certificate, as for rotations, and
+        # builds no span table; its verdict is is_preserved's
         n = 65
         z_rows = [BitVec.from_support(n, range(4))] + [BitVec.unit(n, q) for q in range(4, n)]
         code = CssCode(n, BitMat(n, z_rows[:1]), BitMat(n, z_rows))
         gate = block_gate(n, [((0, 1, 2), elementary_ckz(2, 0)), ((63, 64), elementary_ckz(1, 1))])
         res = remove_z(code, gate, BitVec.unit(n, 64))
         assert res.code.k == 3 and res.admissible is not None
-        assert res.code._caches.get("span_table")
+        assert "span_table" not in res.code._caches
+        assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
 
     def test_qfd_removal_past_the_dense_expansion(self):
         # a general quadratic form on 24 qubits with dim C1 = dim C1perp = 12:

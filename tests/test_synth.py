@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE
-from diagsynth.errors import InadmissibleStep, OddComponent
+from diagsynth.errors import BudgetExceeded, InadmissibleStep, OddComponent
 from diagsynth.families import four22_code, qrm_pipeline, steane_code
 from diagsynth.gates import (
     gate_to_json,
@@ -479,6 +479,43 @@ class TestPointWitness:
         full = remove_z(code, gate, w0, budget=16)
         assert full.admissible is False
         assert_point_witness(full.code, gate, full.witness)
+
+    @pytest.mark.parametrize("addition", [False, True])
+    def test_both_refusals_match_is_preserved(self, addition):
+        # at a budget of 2 the new code's certificate and its trivial row
+        # are both refused: the step raises is_preserved's refusal
+        code, gate = steane_code(), transversal_zrot(7, 2)
+        if addition:
+            step, word = add_x, code.frame.x_logical_basis.rows[0]
+        else:
+            step, word = remove_z, BitVec.from_string("1000000")
+        new = step(code, gate, word, check="skip").code
+        with pytest.raises(BudgetExceeded) as want:
+            gencoeff.is_preserved(new, gate, 2)
+        with pytest.raises(BudgetExceeded) as got:
+            step(code, gate, word, budget=2)
+        assert str(got.value) == str(want.value)
+        assert got.value.required_log2 == want.value.required_log2
+
+    def test_one_certificate_walk_per_step(self, monkeypatch):
+        # qrm_pipeline(1,2)'s 25 removals and additions: each step walks
+        # the certificate once and never asks is_preserved
+        walks = []
+        walk = gencoeff._low_degree
+
+        def counted(code, gate, budget):
+            walks.append(code)
+            return walk(code, gate, budget)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step asked is_preserved")
+
+        monkeypatch.setattr(gencoeff, "_low_degree", counted)
+        monkeypatch.setattr(gencoeff, "is_preserved", refuse)
+        res = qrm_pipeline(1, 2)
+        stepped = [s for s in res.steps if s.kind in ("remove_z", "add_x")]
+        assert len(stepped) == len(walks) == 25
+        assert all(s.admissible for s in stepped)
 
 
 class TestDfsSwitch:
