@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     outdir = pathlib.Path(args[0] if args else "out")
     outdir.mkdir(parents=True, exist_ok=True)
-    failed = 0
+    failed = []
     for name, params in RUNS:
         tag = "_".join([name] + [str(p) for p in params])
         t0 = time.perf_counter()
@@ -45,7 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         path = outdir / f"{tag}.json"
         path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
         status = "preserved" if rep.get("preserved") else "NOT preserved"
-        failed += not rep.get("preserved")
+        if not rep.get("preserved"):
+            failed.append(tag)
         lvl = rep.get("logical", {}).get("level", "-")
         print(
             f"{tag:12s} [[{fb.code.n},{fb.code.k}]] {status}, logical level {lvl} "

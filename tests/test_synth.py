@@ -443,6 +443,13 @@ def _drawn_step(code, gate, bits, addition):
     return remove_z(code, gate, word)
 
 
+def _steane_step(code, addition):
+    """add_x of Steane's X-logical, or remove_z of the word 1000000."""
+    if addition:
+        return add_x, code.frame.x_logical_basis.rows[0]
+    return remove_z, BitVec.from_string("1000000")
+
+
 class TestPointWitness:
     @given(codes_with_gates(min_k=1), st.integers(0, 255), st.booleans())
     @settings(
@@ -485,10 +492,7 @@ class TestPointWitness:
         # at a budget of 2 the new code's certificate and its trivial row
         # are both refused: the step raises is_preserved's refusal
         code, gate = steane_code(), transversal_zrot(7, 2)
-        if addition:
-            step, word = add_x, code.frame.x_logical_basis.rows[0]
-        else:
-            step, word = remove_z, BitVec.from_string("1000000")
+        step, word = _steane_step(code, addition)
         new = step(code, gate, word, check="skip").code
         with pytest.raises(BudgetExceeded) as want:
             gencoeff.is_preserved(new, gate, 2)
@@ -515,7 +519,15 @@ class TestPointWitness:
         res = qrm_pipeline(1, 2)
         stepped = [s for s in res.steps if s.kind in ("remove_z", "add_x")]
         assert len(stepped) == len(walks) == 25
+        assert [s.after for s in stepped] == [{"n": c.n, "k": c.k} for c in walks]
         assert all(s.admissible for s in stepped)
+
+    @pytest.mark.parametrize("addition", [False, True])
+    def test_gate_size_is_checked(self, addition):
+        code = steane_code()
+        step, word = _steane_step(code, addition)
+        with pytest.raises(ValueError, match="gate on 8 qubits vs code on 7"):
+            step(code, transversal_zrot(8, 2), word)
 
 
 class TestDfsSwitch:
