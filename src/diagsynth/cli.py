@@ -57,6 +57,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[CssCode, DiagonalGate | None
 def cmd_family(args: argparse.Namespace) -> int:
     params = [int(p) for p in args.params]
     if args.name == "qrm_pipeline":
+        if len(params) != 2:
+            raise ValueError("family qrm_pipeline takes 2 parameter(s)")
         res = families.qrm_pipeline(*params, budget=args.budget)
         code, gate = res.final, res.gate
         out = {
@@ -178,8 +180,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=gf2.DEFAULT_BUDGET,
                    help="enumeration budget in vectors (default 2^26)")
-    p.add_argument("--wmax", type=int, default=6,
-                   help="distances up to this are always exact")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -201,6 +201,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--gate", required=True)
     p.add_argument("--no-row", action="store_true", help="omit the coefficient row")
+    p.add_argument("--wmax", type=int, default=6, help="distances up to this are always exact")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -208,6 +209,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
     p.add_argument("--gate")
     p.add_argument("--oracle", action="store_true", help="append the float crosscheck")
+    p.add_argument("--wmax", type=int, default=6, help="distances up to this are always exact")
     _add_common(p)
     p.set_defaults(func=cmd_report)
 

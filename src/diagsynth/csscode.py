@@ -54,8 +54,8 @@ class CssCode:
                         f"X row {x.to01()} anticommutes with Z row {BitVec(n, z).to01()}"
                     )
         self.n = n
-        self.x_stab, self.x_pivots = gf2.rref(x_stab)
-        self.z_stab, self.z_pivots = gf2.rref(z_stab)
+        self.x_stab, _ = gf2.rref(x_stab)
+        self.z_stab, _ = gf2.rref(z_stab)
         if y is None:
             y = BitVec.zeros(n)
         if y.n != n:
@@ -275,6 +275,8 @@ def code_to_json(code: CssCode) -> dict:
 
 
 def code_from_json(d: dict) -> CssCode:
+    if not isinstance(d, dict) or "n" not in d:
+        raise ValueError("code JSON: expected an object with key 'n'")
     n = int(d["n"])
     x = BitMat.from_strings(d.get("x_stabilizers", []), n) if d.get("x_stabilizers") else BitMat.empty(n)
     z = BitMat.from_strings(d.get("z_stabilizers", []), n) if d.get("z_stabilizers") else BitMat.empty(n)

@@ -269,20 +269,6 @@ ZERO = Cyclo.zero()
 ONE = Cyclo.one()
 
 
-def cyclo_pow(base: Cyclo, exponent: int) -> Cyclo:
-    if exponent < 0:
-        raise ValueError("negative powers are not defined in this ring")
-    result = ONE
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * b
-        b = b * b
-        e >>= 1
-    return result
-
-
 def sqrt2() -> Cyclo:
     """The exact square root of 2, zeta_8 - zeta_8^3."""
     return Cyclo(3, [0, 1, 0, -1])

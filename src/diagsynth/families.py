@@ -225,6 +225,8 @@ def qrm_pipeline(r: int, m: int, budget: int = gf2.DEFAULT_BUDGET) -> QrmPipelin
     step carries its exact admissibility verdict, and the final code is
     checked against the direct construction.
     """
+    if not 1 <= r < m:
+        raise ValueError("need 1 <= r < m")
     if m % r:
         raise ValueError("need r | m")
     h = r + m // r + 1

@@ -53,9 +53,6 @@ class LocalDiag:
         mod = 1 << self.level
         object.__setattr__(self, "exps", tuple(e % mod for e in self.exps))
 
-    def dagger(self) -> "LocalDiag":
-        return LocalDiag(self.b, self.level, tuple(-e for e in self.exps))
-
 
 def elementary_ckz(controls: int, root: int, dagger: bool = False) -> LocalDiag:
     """The gate with i controls and phase e^(i pi / 2^root) on |1...1>."""
@@ -297,10 +294,6 @@ def entry_exponent(gate: DiagonalGate, u: BitVec) -> int:
     return entry_exponent_int(gate, u.bits)
 
 
-def d_entry(gate: DiagonalGate, u: BitVec) -> Cyclo:
-    return Cyclo.root_of_unity(gate.level, entry_exponent(gate, u))
-
-
 # ----------------------------------------------------------------------
 # Pauli expansion
 
@@ -510,24 +503,27 @@ def gate_to_json(gate: DiagonalGate) -> dict:
 
 
 def gate_from_json(d: dict) -> DiagonalGate:
-    kind = d["kind"]
-    if kind == "transversal_zrot":
-        return transversal_zrot(int(d["n"]), int(d["l"]))
-    if kind == "blocks":
-        blocks = []
-        for b in d["blocks"]:
-            g = b["gate"]
-            if g["type"] == "CkZ":
-                local = elementary_ckz(int(g["controls"]), int(g["root"]), bool(g.get("dagger", False)))
-            elif g["type"] == "diag":
-                exps = [int(x) for x in g["exps"]]
-                size = len(exps)
-                bsz = size.bit_length() - 1
-                local = LocalDiag(bsz, int(g["level"]), tuple(exps))
-            else:
-                raise ValueError(f"unknown local gate type {g['type']!r}")
-            blocks.append((tuple(int(q) for q in b["qubits"]), local))
-        return BlockProductGate(int(d["n"]), tuple(blocks))
-    if kind == "qfd":
-        return qfd_gate(int(d["n"]), int(d["l"]), d["R"])
+    try:
+        kind = d["kind"]
+        if kind == "transversal_zrot":
+            return transversal_zrot(int(d["n"]), int(d["l"]))
+        if kind == "blocks":
+            blocks = []
+            for b in d["blocks"]:
+                g = b["gate"]
+                if g["type"] == "CkZ":
+                    local = elementary_ckz(int(g["controls"]), int(g["root"]), bool(g.get("dagger", False)))
+                elif g["type"] == "diag":
+                    exps = [int(x) for x in g["exps"]]
+                    size = len(exps)
+                    bsz = size.bit_length() - 1
+                    local = LocalDiag(bsz, int(g["level"]), tuple(exps))
+                else:
+                    raise ValueError(f"unknown local gate type {g['type']!r}")
+                blocks.append((tuple(int(q) for q in b["qubits"]), local))
+            return BlockProductGate(int(d["n"]), tuple(blocks))
+        if kind == "qfd":
+            return qfd_gate(int(d["n"]), int(d["l"]), d["R"])
+    except KeyError as exc:
+        raise ValueError(f"gate JSON: missing key {exc}") from None
     raise ValueError(f"unknown gate kind {kind!r}")

@@ -330,13 +330,11 @@ class GenCoeffRow:
     first.
 
     Row i of ``ints`` holds the coefficients on zeta^0..zeta^(2^(L-1)-1)
-    of 2^denom A(mu ^ gammas[i]), L = ``level``.  ``entries``, ``values()``
-    and ``to_json()`` build the ring elements when first read; ``norm()``
-    builds one.
+    of 2^denom A(mu ^ gammas[i]), mu the syndrome representative it was
+    read at, L = ``level``.  ``entries``, ``values()`` and ``to_json()``
+    build the ring elements when first read; ``norm()`` builds one.
     """
 
-    code: CssCode
-    mu: BitVec
     gammas: list[BitVec]
     ints: np.ndarray = field(repr=False)
     denom: int
@@ -448,7 +446,7 @@ def syndrome_row(
     exactness = "exact-full" if gammas is None else "exact-sampled"
     gammas = list(dict.fromkeys(_all_gammas(code) if gammas is None else gammas))
     ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for g in gammas], budget)
-    return GenCoeffRow(code, mu, gammas, ints, denom, gate.level, exactness)
+    return GenCoeffRow(gammas, ints, denom, gate.level, exactness)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +515,8 @@ def _low_degree(
     above the word, so a point holds the word and its logical part.  A
     failing point is returned as the words u = y ^ c and v = y ^ c' of
     one coset, c' the logical part of c: u ^ v lies in C2 and the gate's
-    exponents at u and v differ.  Refused when sum_{s <= D} C(dim C1, s)
+    exponents at u and v differ.  The verdict goes into the code's memo
+    (``_record_verdict``).  Refused when sum_{s <= D} C(dim C1, s)
     exceeds the budget.
     """
     _check_gate(code, gate)
@@ -538,11 +537,18 @@ def _low_degree(
             fails = exps(u) != exps(v)
             if fails.any():
                 i = int(fails.argmax())
+                _record_verdict(code, gate, False)
                 return tuple(
                     BitVec(code.n, int.from_bytes(w[i].astype("<u8").tobytes(), "little"))
                     for w in (u, v)
                 )
+    _record_verdict(code, gate, True)
     return None
+
+
+def _record_verdict(code: CssCode, gate: DiagonalGate, preserved: bool) -> None:
+    """Memoize an exact verdict under the span table's key."""
+    code._caches.setdefault("verdicts", {})[gate.weight_affine or gate] = preserved
 
 
 def is_preserved(
@@ -579,7 +585,7 @@ def is_preserved(
         res = PreservationResult(
             preserved, None, "low-degree", degree=top, points=_point_count(code.dim_c1, top)
         )
-    code._caches.setdefault("verdicts", {})[gate.weight_affine or gate] = res.preserved
+    _record_verdict(code, gate, res.preserved)
     return res
 
 
@@ -608,7 +614,8 @@ def induced_logical(
 
     The gate is constant on every coset x_beta + C2 + y of a preserved
     code, so entry beta is its exponent at y ^ x_beta.  The verdict is
-    ``is_preserved``'s or its memo; 2^k past the budget is refused.
+    the memo that ``is_preserved`` and ``_low_degree`` (a growth step's
+    check) leave, else ``is_preserved``'s; 2^k past the budget is refused.
     """
     _check_gate(code, gate)
     preserved = code._caches.get("verdicts", {}).get(gate.weight_affine or gate)

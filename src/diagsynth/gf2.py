@@ -28,7 +28,6 @@ import numpy as np
 from .errors import BudgetExceeded, LengthMismatch
 
 DEFAULT_BUDGET = 1 << 26
-_NUMPY_SPAN_MIN = 1 << 12  # below this a plain Python loop is cheaper
 
 
 class BitVec:
@@ -471,20 +470,12 @@ def signed_weight_counts(
     over span elements c of (-1)^{parity(c & sign_mask)} restricted to
     weight(c ^ weight_shifts[r]) == w.  Exact integers.  The span is built
     in rows of at most 2^16 elements, and each row meets the shifts in
-    blocks of at most 2^16 words, to bound the memory.  Fewer than
-    _NUMPY_SPAN_MIN (shift, element) pairs are counted in Python.  Refused
-    when the span (2^m elements) exceeds the budget.
+    blocks of at most 2^16 words, to bound the memory.  Refused when the
+    span (2^m elements) exceeds the budget.
     """
     m = len(basis)
     if 1 << m > budget:
         raise BudgetExceeded(f"2^{m} coset enumeration", required_log2=m)
-    if len(weight_shifts) << m < _NUMPY_SPAN_MIN:
-        counts = np.zeros((len(weight_shifts), n + 1), dtype=np.int64)
-        span = span_ints(basis, budget)
-        for row, shift in zip(counts, weight_shifts):
-            for c in span:
-                row[(c ^ shift).bit_count()] += -1 if (c & sign_mask).bit_count() & 1 else 1
-        return counts
     low = span_words(basis[:16], n)
     shifts, mask = int_rows(weight_shifts, n), int_words(sign_mask, n)
     per, bins = max(1, (1 << 16) >> min(m, 16)), 2 * (n + 1)

@@ -48,9 +48,6 @@ class PhasePolynomial:
         cleaned = {m: c % mod for m, c in coeffs.items() if c % mod}
         return cls(k, level, tuple(sorted(cleaned.items())))
 
-    def coeff_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
     def promoted(self, level: int) -> "PhasePolynomial":
         if level < self.level:
             raise ValueError("cannot lower the level of a phase polynomial")
@@ -271,18 +268,13 @@ def standard_templates(k: int) -> list[tuple[PhasePolynomial, str]]:
     return out
 
 
-def identify(
-    exps: Sequence[int], k: int, lvl: int, allow_basis_change: bool | None = None
-) -> GateMatch:
+def identify(exps: Sequence[int], k: int, lvl: int) -> GateMatch:
     """Try the standard templates, preferring the most structured match:
     plain, then with Pauli-Z factors, then with a basis change, then both.
-    Basis change is searched by default up to k = BASIS_CHANGE_MAX_K;
-    requesting it above that raises BudgetExceeded (see ``match``)."""
-    if allow_basis_change is None:
-        allow_basis_change = k <= BASIS_CHANGE_MAX_K
+    Basis change is searched for 2 <= k <= BASIS_CHANGE_MAX_K only."""
     own_level = level(phase_polynomial(exps, k, lvl))
     for allow_pz, allow_bc in ((False, False), (True, False), (False, True), (True, True)):
-        if allow_bc and (not allow_basis_change or k < 2):
+        if allow_bc and not 2 <= k <= BASIS_CHANGE_MAX_K:
             continue
         for tpl, name in standard_templates(k):
             # the searched transformations preserve level (above level 1),

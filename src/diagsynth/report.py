@@ -47,7 +47,6 @@ def build_report(
     budget: int = gf2.DEFAULT_BUDGET,
     include_row: bool = True,
     include_oracle: bool = False,
-    tol: float = oracle.DEFAULT_TOL,
 ) -> dict[str, Any]:
     # the verdict comes first, so that a refusal does not wait for the
     # distance search; the code summary still leads the report.  The
@@ -78,7 +77,7 @@ def build_report(
         rep["logical"] = logical_summary(code, gate, budget)
     if include_oracle and code.n <= oracle.MAX_N:
         try:
-            chk = oracle.compare_with_engine(code, gate, pres, tol, budget)
+            chk = oracle.compare_with_engine(code, gate, pres, budget=budget)
         except BudgetExceeded as exc:
             rep["oracle"] = {"available": False, "reason": str(exc)}
         else:

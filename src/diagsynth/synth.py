@@ -17,7 +17,6 @@ new code where the gate differs.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 from . import gencoeff, gf2
 from .csscode import CssCode
@@ -271,7 +270,7 @@ def _summary(code: CssCode) -> dict:
 def run_pipeline(
     code: CssCode,
     gate: DiagonalGate | None,
-    script: Sequence[dict],
+    script: list[dict],
     strict: bool = False,
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> PipelineResult:
@@ -280,9 +279,16 @@ def run_pipeline(
     Ops: {"op": "concat", "lift": policy?}, {"op": "remove_z", "w0": bits},
     {"op": "add_x", "x0": bits}, {"op": "set_gate", "gate": {...}} and
     {"op": "verify"}.  With strict=True an inadmissible step raises."""
+    if not isinstance(script, list):
+        raise ValueError("pipeline script: expected a list of steps")
     steps: list[SynthStep] = []
-    for entry in script:
+    for i, entry in enumerate(script, 1):
+        if not isinstance(entry, dict) or not isinstance(entry.get("op"), str):
+            raise ValueError(f"pipeline step {i}: expected an object with a string 'op'")
         op = entry["op"]
+        key = {"remove_z": "w0", "add_x": "x0", "set_gate": "gate"}.get(op)
+        if key is not None and key not in entry:
+            raise ValueError(f"pipeline step {i} ({op}): missing key {key!r}")
         before = _summary(code)
         if op == "concat":
             policy = entry.get("lift")
@@ -296,7 +302,6 @@ def run_pipeline(
             steps.append(SynthStep("concat", dict(entry), before, _summary(code), True, detail))
         elif op in ("remove_z", "add_x"):
             removal = op == "remove_z"
-            key = "w0" if removal else "x0"
             word = BitVec.from_string(entry[key])
             res = (remove_z if removal else add_x)(
                 code, gate, word, check=entry.get("check", "auto"), budget=budget

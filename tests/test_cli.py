@@ -76,6 +76,18 @@ class TestFamily:
         rc, _ = run(capsys, "family", "unknown")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["1"], "family qrm_pipeline takes 2 parameter(s)"),
+            (["1", "2", "3"], "family qrm_pipeline takes 2 parameter(s)"),
+            (["0", "2"], "need 1 <= r < m"),
+        ],
+    )
+    def test_bad_qrm_pipeline_params_exit_2(self, capsys, params, message):
+        assert main(["family", "qrm_pipeline", *params]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_preserved_exit_0(self, steane_files, capsys):
@@ -397,6 +409,35 @@ class TestPipeline:
                 "--script", str(script),
             )
             assert rc == 2 and text == ""
+
+    @pytest.mark.parametrize(
+        "bad, data, key",
+        [
+            ("script", [{"lift": "next_level_rotation"}], "'op'"),
+            ("script", [{"op": "remove_z"}], "'w0'"),
+            ("script", [{"op": "set_gate"}], "'gate'"),
+            ("script", {"op": "concat"}, "list of steps"),
+            ("gate", {"kind": "blocks", "n": 7}, "'blocks'"),
+            ("code", {"x_stabilizers": []}, "'n'"),
+        ],
+    )
+    def test_malformed_json_exit_2(self, steane_files, tmp_path, capsys, bad, data, key):
+        files = {"code": steane_files[0], "gate": steane_files[1], "script": tmp_path / "s.json"}
+        files["script"].write_text("[]")
+        files[bad] = tmp_path / "bad.json"
+        files[bad].write_text(json.dumps(data))
+        argv = ["pipeline"] + [a for k, path in files.items() for a in (f"--{k}", str(path))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    def test_wmax_only_on_verify_and_report(self, steane_files, tmp_path, capsys):
+        inputs = ["--code", str(steane_files[0]), "--gate", str(steane_files[1])]
+        assert run(capsys, "verify", *inputs, "--wmax", "4")[0] == 0
+        assert run(capsys, "report", *inputs, "--wmax", "4")[0] == 0
+        script = tmp_path / "s.json"
+        script.write_text("[]")
+        assert run(capsys, "pipeline", *inputs, "--script", str(script), "--wmax", "4")[0] == 2
 
 
 class TestLargeVerify:

@@ -10,7 +10,6 @@ from diagsynth.cyclo import (
     ONE,
     Cyclo,
     cos_pi_over,
-    cyclo_pow,
     minus_i_sin_pi_over,
     sqrt2,
 )
@@ -124,14 +123,6 @@ class TestRingAxioms:
         assert sq == sq.conj()
         assert sq.to_complex().imag == pytest.approx(0.0, abs=1e-9)
         assert abs(sq.to_complex().real - abs(a.to_complex()) ** 2) < 1e-9
-
-    @given(cyclos(max_level=4, max_coeff=3), st.integers(0, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_pow_matches_repeated_mul(self, a, e):
-        acc = ONE
-        for _ in range(e):
-            acc = acc * a
-        assert cyclo_pow(a, e) == acc
 
     @given(cyclos(), st.integers(1, 3))
     @settings(max_examples=300, deadline=None)

@@ -14,7 +14,6 @@ from diagsynth.gates import (
     BlockProductGate,
     LocalDiag,
     block_gate,
-    d_entry,
     elementary_ckz,
     entry_exponent,
     entry_exponent_int,
@@ -33,16 +32,18 @@ from conftest import block_gates, full_words, qfd_gates, seeded_gates
 
 class TestConstructors:
     def test_zrot_1_1_is_minus_i_i(self):
+        # zeta_4^-1 = -i and zeta_4 = i
         g = transversal_zrot(1, 1)
-        assert d_entry(g, BitVec(1, 0)) == Cyclo.root_of_unity(2, -1)
-        assert d_entry(g, BitVec(1, 1)) == Cyclo.root_of_unity(2, 1)
+        assert g.level == 2
+        assert entry_exponent(g, BitVec(1, 0)) == -1 % 4
+        assert entry_exponent(g, BitVec(1, 1)) == 1
 
     def test_zrot_7_2_global_phase(self):
         g = transversal_zrot(7, 2)
         # entry at 0 is e^{-7 i pi / 4}; transversal phase-gate entries
         # match after factoring it out
-        d0 = d_entry(g, BitVec(7, 0))
-        assert d0 == Cyclo.root_of_unity(3, -7)
+        assert g.level == 3
+        assert entry_exponent(g, BitVec(7, 0)) == -7 % 8
         for u in range(128):
             w = u.bit_count()
             expect = (-7 + 2 * w) % 16
@@ -51,8 +52,8 @@ class TestConstructors:
 
     def test_zrot_14_3_is_transversal_t_up_to_phase(self):
         g = transversal_zrot(14, 3)
-        d0 = d_entry(g, BitVec(14, 0))
-        assert d0 == Cyclo.root_of_unity(4, -14)
+        assert g.level == 4
+        assert entry_exponent(g, BitVec(14, 0)) == -14 % 16
         for u in (0, 1, 0b11, 0b111):
             k = entry_exponent_int(g, u)
             assert (k - entry_exponent_int(g, 0)) % 16 == (2 * u.bit_count()) % 16
@@ -81,8 +82,9 @@ class TestConstructors:
 class TestEntries:
     def test_qfd_pp(self):
         g = qfd_gate(2, 2, [[1, 0], [0, 1]])
+        # zeta_4^2 = -1
+        assert g.level == 2
         assert entry_exponent(g, BitVec.from_string("11")) == 2
-        assert d_entry(g, BitVec.from_string("11")) == Cyclo.integer(-1)
 
     def test_entry_deterministic(self):
         g = transversal_zrot(5, 2)
@@ -91,8 +93,9 @@ class TestEntries:
 
     def test_qfd_cz_representation(self):
         g = qfd_gate(2, 2, [[0, 1], [1, 0]])
-        entries = [d_entry(g, BitVec(2, u)) for u in range(4)]
-        assert entries == [ONE, ONE, ONE, Cyclo.integer(-1)]
+        # diag(1, 1, 1, -1) at level 2
+        assert g.level == 2
+        assert [entry_exponent(g, BitVec(2, u)) for u in range(4)] == [0, 0, 0, 2]
 
 
 class TestPauliCoeff:

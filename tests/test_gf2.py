@@ -647,8 +647,8 @@ class TestSignedWeightCounts:
     )
     @settings(max_examples=150)
     def test_matches_direct_enumeration(self, n, basis, shifts, sign):
-        # one row per shift, none for an empty shift list; fewer than 2^12
-        # (shift, element) pairs take the Python route
+        # one row per shift, none for an empty shift list; spans of at
+        # most 2^8 elements, with n up to 16 in one word
         mask = (1 << n) - 1
         basis = [b & mask for b in basis if b & mask]
         basis = list(dict.fromkeys(basis))
@@ -666,9 +666,9 @@ class TestSignedWeightCounts:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_word_arrays_match_direct_enumeration(self, data):
-        # 2^12..2^17 elements take the numpy route, past 2^16 in several
-        # rows; at 2^12 up to 40 shifts, which meet the span in blocks of
-        # 16; n up to 130 spans up to three words
+        # 2^12..2^17 elements, past 2^16 in several rows; at 2^12 up to 40
+        # shifts, which meet the span in blocks of 16; n up to 130 spans up
+        # to three words
         n = data.draw(st.sampled_from([63, 64, 65, 128, 129, 130]) | st.integers(2, 130))
         m = data.draw(st.integers(12, 17))
         basis = [data.draw(full_words(n)) for _ in range(m)]

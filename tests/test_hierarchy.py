@@ -153,16 +153,16 @@ def match_cases(draw):
 class TestAnf:
     def test_t_gate(self):
         p = phase_polynomial([0, 1], 1, 3)
-        assert p.coeff_dict() == {1: 1}
+        assert dict(p.coeffs) == {1: 1}
 
     def test_cz(self):
         p = phase_polynomial([0, 0, 0, 1], 2, 1)
-        assert p.coeff_dict() == {3: 1}
+        assert dict(p.coeffs) == {3: 1}
 
     def test_mixed_diagonal(self):
         # diag(e^{i pi/4}, e^{-i pi/4}, 1, 1) at level 3
         p = phase_polynomial([1, 7, 0, 0], 2, 3)
-        assert p.coeff_dict() == {0: 1, 1: 6, 2: 7, 3: 2}
+        assert dict(p.coeffs) == {0: 1, 1: 6, 2: 7, 3: 2}
 
     @given(exponent_tables())
     @settings(max_examples=1000, deadline=None)
@@ -217,9 +217,6 @@ class TestMatch:
         exps = [1] + [0] * 31  # no template match, so a search would be exhaustive
         with pytest.raises(BudgetExceeded, match="k <= 4") as exc:
             match(exps, 5, 1, tpl, name, allow_basis_change=True)
-        assert exc.value.required_log2 == 24
-        with pytest.raises(BudgetExceeded, match="k <= 4") as exc:
-            identify(exps, 5, 1, allow_basis_change=True)
         assert exc.value.required_log2 == 24
 
     def test_identity_first_in_enumeration(self):

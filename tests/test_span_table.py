@@ -702,11 +702,8 @@ class TestGramFold:
             parts = [b - a for a, b in zip([0] + cuts, cuts + [1 << denom])]
             rows.append([p if rng.random() < 0.5 else -p for p in parts])
         ints = np.array(rows, dtype=np.int64 if denom <= 62 else object)
-        code = four22_code()
-        gammas = [BitVec(code.n, i) for i in range(len(rows))]
-        row = gencoeff.GenCoeffRow(
-            code, BitVec.zeros(code.n), gammas, ints, denom, level, "exact-sampled"
-        )
+        gammas = [BitVec(4, i) for i in range(len(rows))]
+        row = gencoeff.GenCoeffRow(gammas, ints, denom, level, "exact-sampled")
         want = old_norm(Cyclo(level, r, denom) for r in rows)
         assert row.norm() == want
         assert row.values() == [Cyclo(level, r, denom) for r in rows]

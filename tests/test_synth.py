@@ -522,6 +522,17 @@ class TestPointWitness:
         assert [s.after for s in stepped] == [{"n": c.n, "k": c.k} for c in walks]
         assert all(s.admissible for s in stepped)
 
+    def test_steps_leave_the_verdict_in_the_memo(self, monkeypatch):
+        # the final step's certificate walk already decided the final code
+        res = qrm_pipeline(1, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verdict was decided again")
+
+        monkeypatch.setattr(gencoeff, "_low_degree", refuse)
+        monkeypatch.setattr(gencoeff, "is_preserved", refuse)
+        assert gencoeff.induced_logical(res.final, res.gate).k == 15
+
     @pytest.mark.parametrize("addition", [False, True])
     def test_gate_size_is_checked(self, addition):
         code = steane_code()
