@@ -70,7 +70,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             "additions": res.addition_count,
         }
     else:
-        build = families.build_family(args.name, params)
+        build = families.build_family(args.name, params, args.budget)
         code, gate = build.code, build.gate
         out = {
             "family": build.spec.name,

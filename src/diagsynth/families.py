@@ -357,10 +357,16 @@ FAMILIES = {
 }
 
 
-def build_family(name: str, params: list[int]) -> FamilyBuild:
+def build_family(
+    name: str, params: list[int], budget: int = gf2.DEFAULT_BUDGET
+) -> FamilyBuild:
+    """The named family member; the grown families run their steps under
+    the budget."""
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}")
     builder, arity = FAMILIES[name]
     if len(params) != arity:
         raise ValueError(f"family {name} takes {arity} parameter(s)")
+    if builder in (family_2l_l_2, triorthogonal_2):
+        return builder(*params, budget=budget)
     return builder(*params)

@@ -503,6 +503,8 @@ def gate_to_json(gate: DiagonalGate) -> dict:
 
 
 def gate_from_json(d: dict) -> DiagonalGate:
+    if not isinstance(d, dict):
+        raise ValueError("gate JSON: expected an object")
     try:
         kind = d["kind"]
         if kind == "transversal_zrot":
@@ -526,4 +528,6 @@ def gate_from_json(d: dict) -> DiagonalGate:
             return qfd_gate(int(d["n"]), int(d["l"]), d["R"])
     except KeyError as exc:
         raise ValueError(f"gate JSON: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"gate JSON: {exc}") from None
     raise ValueError(f"unknown gate kind {kind!r}")

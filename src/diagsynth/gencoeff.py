@@ -479,10 +479,38 @@ def low_degree_bound(gate: DiagonalGate) -> int:
     return gate.level
 
 
-def _point_count(dim: int, top: int) -> int:
-    """sum_{s = 1..D} C(dim C1, s): the span points that ``_low_degree``
-    evaluates, those of weight 1..D over the dim C1 basis rows."""
-    return sum(comb(dim, s) for s in range(1, top + 1))
+def _point_count(dim: int, weights: range) -> int:
+    """sum_{s in weights} C(dim, s): the points that ``_walk`` evaluates
+    over dim rows."""
+    return sum(comb(dim, s) for s in weights)
+
+
+def _walk(
+    gate: DiagonalGate, n: int, head: list[int], logical: list[int],
+    u0: int, v0: int, weights: range,
+) -> tuple[BitVec, BitVec] | None:
+    """The first point where the gate's exponents at u = u0 ^ c and
+    v = v0 ^ c' differ, as (u, v), else None.  c runs over the XORs of the
+    s-subsets of the rows head + logical, s in ``weights``, and c' keeps
+    the ``logical`` rows of c: each of them carries a copy of itself above
+    the word (``gf2._weight_class``)."""
+    words = gf2._num_words(n)
+    rows = head + [b | b << 64 * words for b in logical]
+    exps = _word_exponents(gate)
+    u0, v0 = gf2.int_words(u0, n), gf2.int_words(v0, n)
+    for s in weights:
+        if s > len(rows):
+            break
+        for block in gf2._weight_class(rows, [], s, 64 * words + n):
+            u, v = block[:, :words] ^ u0, block[:, words:] ^ v0
+            fails = exps(u) != exps(v)
+            if fails.any():
+                i = int(fails.argmax())
+                return tuple(
+                    BitVec(n, int.from_bytes(w[i].astype("<u8").tobytes(), "little"))
+                    for w in (u, v)
+                )
+    return None
 
 
 def _low_degree(
@@ -495,7 +523,8 @@ def _low_degree(
     (X-stabilizer rows, then X-logical rows) and e(a) the gate's exponent
     mod 2^L, the code is preserved iff e is constant on every coset
     x_beta + C2 + y, that is iff F(a) = e(a) - e(a') vanishes, where a'
-    keeps only the logical bits of a.
+    keeps only the logical bits of a.  Any complement of C2 in C1 serves
+    as the logical rows; this test reads the frame's.
 
     Degree: in a monomial c u_S of the gate's phase polynomial put
     u_q = (1 - s_q)/2 with s_q = +-prod_{i : b_iq = 1} (1 - 2 a_i).  Then
@@ -510,45 +539,44 @@ def _low_degree(
     points of weight <= D, so does every f_U with |U| <= D, the degree
     bound removes the rest, and F vanishes everywhere.
 
+    A growth step from a preserved code has F = b H, b the coordinate of
+    its new row: F vanishes at b = 0, where it is the parent's F, so
+    every f_U with U off b is zero.  Then H has degree at most D - 1 and
+    is decided on its points of weight at most D - 1 (``synth._verdict``).
+
     The points are the XORs of s-subsets of the basis rows, s = 1..D
-    (``gf2._weight_class``); each logical row carries a copy of itself
-    above the word, so a point holds the word and its logical part.  A
-    failing point is returned as the words u = y ^ c and v = y ^ c' of
-    one coset, c' the logical part of c: u ^ v lies in C2 and the gate's
-    exponents at u and v differ.  The verdict goes into the code's memo
-    (``_record_verdict``).  Refused when sum_{s <= D} C(dim C1, s)
-    exceeds the budget.
+    (``_walk``).  A failing point is returned as the words u = y ^ c and
+    v = y ^ c' of one coset, c' the logical part of c: u ^ v lies in C2
+    and the gate's exponents at u and v differ.  The verdict goes into the
+    code's memo (``_record_verdict``).  Refused when
+    sum_{s <= D} C(dim C1, s) exceeds the budget.
     """
     _check_gate(code, gate)
-    dim, top = code.dim_c1, low_degree_bound(gate)
-    points = _point_count(dim, top)
+    top = low_degree_bound(gate)
+    weights = range(1, top + 1)
+    points = _point_count(code.dim_c1, weights)
     if points > budget:
         raise BudgetExceeded(
             f"low-degree certificate: {points} points of weight <= {top}",
             required_log2=(points - 1).bit_length(),
         )
-    words = gf2._num_words(code.n)
-    rows = code.x_stab.row_ints()
-    rows += [b | b << 64 * words for b in code.frame.x_logical_basis.row_ints()]
-    exps, y = _word_exponents(gate), gf2.int_words(code.y.bits, code.n)
-    for s in range(1, min(top, dim) + 1):
-        for block in gf2._weight_class(rows, [], s, 64 * words + code.n):
-            u, v = block[:, :words] ^ y, block[:, words:] ^ y
-            fails = exps(u) != exps(v)
-            if fails.any():
-                i = int(fails.argmax())
-                _record_verdict(code, gate, False)
-                return tuple(
-                    BitVec(code.n, int.from_bytes(w[i].astype("<u8").tobytes(), "little"))
-                    for w in (u, v)
-                )
-    _record_verdict(code, gate, True)
-    return None
+    y = code.y.bits
+    point = _walk(
+        gate, code.n, code.x_stab.row_ints(),
+        code.frame.x_logical_basis.row_ints(), y, y, weights,
+    )
+    _record_verdict(code, gate, point is None)
+    return point
 
 
 def _record_verdict(code: CssCode, gate: DiagonalGate, preserved: bool) -> None:
     """Memoize an exact verdict under the span table's key."""
     code._caches.setdefault("verdicts", {})[gate.weight_affine or gate] = preserved
+
+
+def _recorded_verdict(code: CssCode, gate: DiagonalGate) -> bool | None:
+    """The memoized verdict, None if none was recorded."""
+    return code._caches.get("verdicts", {}).get(gate.weight_affine or gate)
 
 
 def is_preserved(
@@ -583,7 +611,8 @@ def is_preserved(
             raise norm_exc or exc
         top = low_degree_bound(gate)
         res = PreservationResult(
-            preserved, None, "low-degree", degree=top, points=_point_count(code.dim_c1, top)
+            preserved, None, "low-degree", degree=top,
+            points=_point_count(code.dim_c1, range(1, top + 1)),
         )
     _record_verdict(code, gate, res.preserved)
     return res
@@ -618,7 +647,7 @@ def induced_logical(
     check) leave, else ``is_preserved``'s; 2^k past the budget is refused.
     """
     _check_gate(code, gate)
-    preserved = code._caches.get("verdicts", {}).get(gate.weight_affine or gate)
+    preserved = _recorded_verdict(code, gate)
     if preserved is None:
         preserved = is_preserved(code, gate, budget).preserved
     if not preserved:

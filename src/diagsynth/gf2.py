@@ -60,7 +60,7 @@ class BitVec:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
-        if set(s) - {"0", "1"}:
+        if not isinstance(s, str) or set(s) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {s!r}")
         bits = 0
         for q, ch in enumerate(s):

@@ -9,7 +9,7 @@ from diagsynth import gencoeff
 from diagsynth.cli import main
 from diagsynth.csscode import CssCode, code_from_json, code_to_json
 from diagsynth.errors import BudgetExceeded
-from diagsynth.families import qrm_code, qrm_gate
+from diagsynth.families import family_2l_l_2, qrm_code, qrm_gate, triorthogonal_2
 from diagsynth.gates import gate_from_json, gate_to_json, transversal_zrot
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.report import build_report
@@ -50,6 +50,15 @@ class TestFamily:
         assert rc == 0
         parsed = json.loads(text)
         assert (parsed["n"], parsed["k"]) == (16, 4)
+
+    @pytest.mark.parametrize("name, param", [("two_l", 6), ("tri2", 2)])
+    def test_budget_reaches_grown_families(self, capsys, name, param):
+        # the CLI refuses as the builder does at the same budget
+        builder = {"two_l": family_2l_l_2, "tri2": triorthogonal_2}[name]
+        with pytest.raises(BudgetExceeded) as want:
+            builder(param, budget=4)
+        assert main(["family", name, str(param), "--budget", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"
 
     def test_qrm_pipeline(self, tmp_path, capsys):
         code_path = tmp_path / "q.json"
@@ -419,6 +428,9 @@ class TestPipeline:
             ("script", {"op": "concat"}, "list of steps"),
             ("gate", {"kind": "blocks", "n": 7}, "'blocks'"),
             ("code", {"x_stabilizers": []}, "'n'"),
+            ("gate", [{"kind": "transversal_zrot", "n": 7, "l": 2}], "expected an object"),
+            ("script", [{"op": "remove_z", "w0": 5}], "not a bitstring: 5"),
+            ("gate", {"kind": "qfd", "n": 2, "l": 2, "R": 5}, "not iterable"),
         ],
     )
     def test_malformed_json_exit_2(self, steane_files, tmp_path, capsys, bad, data, key):

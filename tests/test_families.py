@@ -247,8 +247,8 @@ class TestQrmPipelineSmall:
         assert [s.kind for s in res.steps] == (
             ["concat"] * 4 + ["remove_z"] * 19 + ["add_x"] * 6
         )
-        # every step is checked: the row norm while k <= 12, the low-degree
-        # test above it
+        # every step is checked exactly, all but the first removal on the
+        # points that hold its new row
         assert [s.admissible for s in res.steps] == [True] * 29
         for prev, step in zip(res.steps, res.steps[1:]):
             assert step.before == prev.after
@@ -263,6 +263,14 @@ class TestQrmPipelineSmall:
         assert (res.concat_count, res.removal_count, res.addition_count) == (5, 33, 8)
         assert [s.admissible for s in res.steps] == [True] * 46
         assert res.final == qrm_code(2, 8)
+
+    def test_scale_to_512_qubits(self):
+        # [[16,6,4]] -> [[512,84,8]]: 160 checked removals and additions
+        res = qrm_pipeline(2, 4)
+        assert (res.concat_count, res.removal_count + res.addition_count) == (5, 160)
+        assert [s.admissible for s in res.steps] == [True] * 165
+        assert (res.final.n, res.final.k) == (512, 84)
+        assert res.final == qrm_code(3, 9)
 
     def test_count_formulas(self):
         r, m = 1, 2

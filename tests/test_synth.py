@@ -11,8 +11,10 @@ from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE
 from diagsynth.errors import BudgetExceeded, InadmissibleStep, OddComponent
-from diagsynth.families import four22_code, qrm_pipeline, steane_code
+from diagsynth.families import four22_code, qrm_code, qrm_pipeline, steane_code
 from diagsynth.gates import (
+    LocalDiag,
+    block_gate,
     gate_to_json,
     lift,
     qfd_gate,
@@ -443,6 +445,20 @@ def _drawn_step(code, gate, bits, addition):
     return remove_z(code, gate, word)
 
 
+def _rotation_forms(n, l):
+    """transversal_zrot(n, l) for even n, then the same rotation as a
+    product of two-qubit blocks, and, up to a global phase, as a quadratic
+    form whose off-diagonal entries 2^l leave u R u^T unchanged."""
+    top = 1 << (l + 1)
+    pair = LocalDiag(2, l + 1, tuple((2 * w - 2) % top for w in (0, 1, 1, 2)))
+    rows = [[2 if i == j else (1 << l) * (i ^ j == 1) for j in range(n)] for i in range(n)]
+    return [
+        transversal_zrot(n, l),
+        block_gate(n, [((q, q + 1), pair) for q in range(0, n, 2)]),
+        qfd_gate(n, l + 1, rows),
+    ]
+
+
 def _steane_step(code, addition):
     """add_x of Steane's X-logical, or remove_z of the word 1000000."""
     if addition:
@@ -502,25 +518,49 @@ class TestPointWitness:
         assert got.value.required_log2 == want.value.required_log2
 
     def test_one_certificate_walk_per_step(self, monkeypatch):
-        # qrm_pipeline(1,2)'s 25 removals and additions: each step walks
-        # the certificate once and never asks is_preserved
-        walks = []
-        walk = gencoeff._low_degree
+        # qrm_pipeline(1,2)'s 25 removals and additions: the first removal
+        # follows the concatenations, so it walks the full certificate on
+        # its new code; each later step walks exactly the points of weight
+        # below D that hold its new row, and no step asks is_preserved
+        full, walked = [], []
+        low_degree, walk, weight_class = gencoeff._low_degree, gencoeff._walk, gf2._weight_class
 
-        def counted(code, gate, budget):
-            walks.append(code)
-            return walk(code, gate, budget)
+        def counted_low_degree(code, gate, budget):
+            full.append(code)
+            return low_degree(code, gate, budget)
+
+        def counted_walk(*args):
+            walked.append(0)
+            return walk(*args)
+
+        def counted_points(*args):
+            for block in weight_class(*args):
+                walked[-1] += len(block)
+                yield block
 
         def refuse(*args, **kwargs):
             raise AssertionError("a step asked is_preserved")
 
-        monkeypatch.setattr(gencoeff, "_low_degree", counted)
+        monkeypatch.setattr(gencoeff, "_low_degree", counted_low_degree)
+        monkeypatch.setattr(gencoeff, "_walk", counted_walk)
+        monkeypatch.setattr(gf2, "_weight_class", counted_points)
         monkeypatch.setattr(gencoeff, "is_preserved", refuse)
         res = qrm_pipeline(1, 2)
         stepped = [s for s in res.steps if s.kind in ("remove_z", "add_x")]
-        assert len(stepped) == len(walks) == 25
-        assert [s.after for s in stepped] == [{"n": c.n, "k": c.k} for c in walks]
+        assert len(stepped) == len(walked) == 25
         assert all(s.admissible for s in stepped)
+        assert [{"n": c.n, "k": c.k} for c in full] == [stepped[0].after]
+        top, m = gencoeff.low_degree_bound(res.gate), res.pre_removal.dim_c2
+        want = [gencoeff._point_count(m + stepped[0].after["k"], range(1, top + 1))]
+        for s in stepped[1:]:
+            k = s.before["k"]
+            if s.kind == "remove_z":
+                want.append(gencoeff._point_count(m + k, range(1, top)))
+            else:
+                want.append(gencoeff._point_count(k - 1, range(top)))
+        assert walked == want
+        # the final code was certified on its carried complement
+        assert "frame" not in vars(res.final)
 
     def test_steps_leave_the_verdict_in_the_memo(self, monkeypatch):
         # the final step's certificate walk already decided the final code
@@ -536,6 +576,121 @@ class TestPointWitness:
     @pytest.mark.parametrize("addition", [False, True])
     def test_gate_size_is_checked(self, addition):
         code = steane_code()
+        step, word = _steane_step(code, addition)
+        with pytest.raises(ValueError, match="gate on 8 qubits vs code on 7"):
+            step(code, transversal_zrot(8, 2), word)
+
+
+class TestStepRoute:
+    """A step from a code memoized as preserved walks only the points of
+    weight below D that hold its new row (``synth._verdict``)."""
+
+    @given(
+        codes_with_gates(max_n=7),
+        st.booleans(),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 127)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_step_verdict_matches_is_preserved(self, cg, strip, draws):
+        # rotation, block and quadratic-form gates on chains of steps: a
+        # code without X-stabilizers has one word per coset, so every gate
+        # preserves it; a parent that is not preserved (the negative
+        # control) takes the full route and carries no complement
+        code, gate = cg
+        if strip:
+            code = CssCode(code.n, BitMat.empty(code.n), code.z_stab, code.y)
+        for addition, bits in draws:
+            if addition:
+                word = BitVec(code.n, 0)
+                for j, row in enumerate(code.c1.rows):
+                    if bits >> j & 1:
+                        word ^= row
+                if code.c2_reducer.contains(word):
+                    continue
+            else:
+                word = BitVec(code.n, bits & ((1 << code.n) - 1))
+                if code.c1_reducer.contains(word):
+                    continue
+            parent = gencoeff.is_preserved(code, gate).preserved
+            res = (add_x if addition else remove_z)(code, gate, word)
+            assert ("complement" in res.code._caches) == parent
+            assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
+            if res.admissible:
+                assert res.witness is None
+            else:
+                assert_point_witness(res.code, gate, res.witness)
+            code = res.code
+
+    def test_qrm_parents(self):
+        # random steps from preserved Reed-Muller codes: the codes of
+        # qrm_pipeline(1,2) under its rotation, and qrm(1,3), qrm(1,4) and
+        # qrm(2,4) under rotations l = 1..3 in three forms
+        rng = random.Random(5)
+        res = qrm_pipeline(1, 2)
+        parents = [(c, res.gate) for c in (res.pre_removal, res.pre_addition, res.final)]
+        for r, m in [(1, 3), (1, 4), (2, 4)]:
+            for l in (1, 2, 3):
+                parents += [(qrm_code(r, m), g) for g in _rotation_forms(1 << m, l)]
+        kinds = set()
+        for code, gate in parents:
+            if not gencoeff.is_preserved(code, gate).preserved:
+                continue
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    word = code.x_word(rng.randrange(1, 1 << code.k))
+                    step = add_x(code, gate, word ^ rng.choice(code.x_stab.rows))
+                else:
+                    word = BitVec(code.n, rng.getrandbits(code.n))
+                    if code.c1_reducer.contains(word):
+                        continue
+                    step = remove_z(code, gate, word)
+                assert "complement" in step.code._caches
+                assert step.admissible == gencoeff.is_preserved(step.code, gate).preserved
+                if not step.admissible:
+                    assert_point_witness(step.code, gate, step.witness)
+                kinds.add((type(gate).__name__, gate.weight_affine is None, step.admissible))
+        # each form has admissible and inadmissible steps
+        assert len(kinds) == 6
+
+    def test_corrupted_gate_is_refused(self):
+        # qrm(1,3) is memoized as preserved under T; a T with one qubit's
+        # exponent flipped has no memo there, takes the full route, and the
+        # step is inadmissible with a witness
+        code, gate = qrm_code(1, 3), transversal_zrot(8, 3)
+        assert gencoeff.is_preserved(code, gate).preserved
+        blocks = [((q,), LocalDiag(1, 3, (0, 3 if q == 0 else 1))) for q in range(8)]
+        bad = block_gate(8, blocks)
+        for addition in (False, True):
+            if addition:
+                res = add_x(code, bad, code.frame.x_logical_basis.rows[0])
+            else:
+                res = remove_z(code, bad, BitVec.from_string("00101011"))
+            assert "complement" not in res.code._caches
+            assert res.admissible is False
+            assert not gencoeff.is_preserved(res.code, bad).preserved
+            assert_point_witness(res.code, bad, res.witness)
+
+    def test_walking_to_d_minus_two_is_wrong(self):
+        # D = 3 for T on qrm(1,3): the removal of 00101011 passes on every
+        # point of weight 1, and its first failing point has weight 2
+        code, gate = qrm_code(1, 3), transversal_zrot(8, 3)
+        assert gencoeff.is_preserved(code, gate).preserved
+        top = gencoeff.low_degree_bound(gate)
+        w0 = BitVec.from_string("00101011")
+        res = remove_z(code, gate, w0)
+        assert top == 3 and res.admissible is False
+        assert_point_witness(res.code, gate, res.witness)
+        u0 = code.y.bits ^ w0.bits
+        walk = (gate, 8, code.x_stab.row_ints(), code.frame.x_logical_basis.row_ints(), u0, u0)
+        assert gencoeff._walk(*walk, range(1, top - 1)) is None
+        assert gencoeff._walk(*walk, range(1, top)) == res.witness
+
+    @pytest.mark.parametrize("addition", [False, True])
+    def test_gate_size_is_checked_on_the_step_route(self, addition):
+        # Steane is memoized under the S rotation on 7 qubits, whose memo
+        # key the 8-qubit rotation shares
+        code = steane_code()
+        assert gencoeff.is_preserved(code, transversal_zrot(7, 2)).preserved
         step, word = _steane_step(code, addition)
         with pytest.raises(ValueError, match="gate on 8 qubits vs code on 7"):
             step(code, transversal_zrot(8, 2), word)
