@@ -685,6 +685,17 @@ class TestStepRoute:
         assert gencoeff._walk(*walk, range(1, top - 1)) is None
         assert gencoeff._walk(*walk, range(1, top)) == res.witness
 
+    def test_step_points_fit_where_the_certificate_does_not(self):
+        # the new code's certificate has 25 points, the step walks 10: at a
+        # budget of 10 the step still answers with a witness
+        code, gate = qrm_code(1, 3), transversal_zrot(8, 3)
+        assert gencoeff.is_preserved(code, gate).preserved
+        res = remove_z(code, gate, BitVec.from_string("00101011"), budget=10)
+        assert res.admissible is False
+        assert_point_witness(res.code, gate, res.witness)
+        with pytest.raises(BudgetExceeded, match="25 points"):
+            gencoeff._low_degree(res.code, gate, 10)
+
     @pytest.mark.parametrize("addition", [False, True])
     def test_gate_size_is_checked_on_the_step_route(self, addition):
         # Steane is memoized under the S rotation on 7 qubits, whose memo
