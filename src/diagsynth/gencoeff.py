@@ -36,7 +36,8 @@ becomes an exact ring element only when it is read.
 
 Preservation (``is_preserved``) is the trivial row's norm while the row
 fits the row cap and the budget, and otherwise the low-degree test
-(``_low_degree``), which alone decides a growth step.  On a
+(``_low_degree``).  A growth step walks that test's points (``_walk``),
+from a preserved input only those its new row adds.  On a
 preserved code every coset is constant, so the induced logical diagonal
 is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
 """
@@ -643,8 +644,8 @@ def induced_logical(
 
     The gate is constant on every coset x_beta + C2 + y of a preserved
     code, so entry beta is its exponent at y ^ x_beta.  The verdict is
-    the memo that ``is_preserved`` and ``_low_degree`` (a growth step's
-    check) leave, else ``is_preserved``'s; 2^k past the budget is refused.
+    the memo that ``is_preserved``, ``_low_degree`` and growth steps
+    leave, else ``is_preserved``'s; 2^k past the budget is refused.
     """
     _check_gate(code, gate)
     preserved = _recorded_verdict(code, gate)
