@@ -277,8 +277,11 @@ def code_to_json(code: CssCode) -> dict:
 def code_from_json(d: dict) -> CssCode:
     if not isinstance(d, dict) or "n" not in d:
         raise ValueError("code JSON: expected an object with key 'n'")
-    n = int(d["n"])
-    x = BitMat.from_strings(d.get("x_stabilizers", []), n) if d.get("x_stabilizers") else BitMat.empty(n)
-    z = BitMat.from_strings(d.get("z_stabilizers", []), n) if d.get("z_stabilizers") else BitMat.empty(n)
-    y = BitVec.from_string(d["y"]) if d.get("y") else BitVec.zeros(n)
+    try:
+        n = int(d["n"])
+        x = BitMat.from_strings(d.get("x_stabilizers", []), n) if d.get("x_stabilizers") else BitMat.empty(n)
+        z = BitMat.from_strings(d.get("z_stabilizers", []), n) if d.get("z_stabilizers") else BitMat.empty(n)
+        y = BitVec.from_string(d["y"]) if d.get("y") else BitVec.zeros(n)
+    except TypeError as exc:
+        raise ValueError(f"code JSON: {exc}") from None
     return CssCode(n, x, z, y)

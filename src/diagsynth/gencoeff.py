@@ -36,9 +36,10 @@ becomes an exact ring element only when it is read.
 
 Preservation (``is_preserved``) is the trivial row's norm while the row
 fits the row cap and the budget, and otherwise the low-degree test
-(``_low_degree``).  A growth step walks that test's points (``_walk``),
-from a preserved input only those its new row adds.  On a
-preserved code every coset is constant, so the induced logical diagonal
+(``_low_degree``), which also decides each growth step: from a preserved
+input it walks only the points the step's new row adds, and leaves the
+new code a complement of C2 in C1 that later walks read (``_complement``).
+On a preserved code every coset is constant, so the induced logical diagonal
 is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
 """
 
@@ -514,18 +515,28 @@ def _walk(
     return None
 
 
+def _complement(code: CssCode) -> list[int]:
+    """The rows of a complement of C2 in C1 that the walks read: the one a
+    growth step carried to the code, else the frame's X-logicals."""
+    rows = code._caches.get("complement")
+    return code.frame.x_logical_basis.row_ints() if rows is None else rows
+
+
 def _low_degree(
-    code: CssCode, gate: DiagonalGate, budget: int
+    code: CssCode,
+    gate: DiagonalGate,
+    budget: int,
+    step: tuple[CssCode, BitVec, int | None] | None = None,
 ) -> tuple[BitVec, BitVec] | None:
     """Exact preservation test on the span points of weight at most D:
     None when the code is preserved, else the first point that fails.
 
-    With C1 words y ^ sum_i a_i b_i over the span table's basis
-    (X-stabilizer rows, then X-logical rows) and e(a) the gate's exponent
-    mod 2^L, the code is preserved iff e is constant on every coset
-    x_beta + C2 + y, that is iff F(a) = e(a) - e(a') vanishes, where a'
-    keeps only the logical bits of a.  Any complement of C2 in C1 serves
-    as the logical rows; this test reads the frame's.
+    With C1 words y ^ sum_i a_i b_i over a basis of C1 (X-stabilizer rows,
+    then the rows of a complement of C2, ``_complement``) and e(a) the
+    gate's exponent mod 2^L, the code is preserved iff e is constant on
+    every coset x_beta + C2 + y, that is iff F(a) = e(a) - e(a') vanishes,
+    where a' keeps only the complement's bits of a.  Any complement of C2
+    in C1 serves.
 
     Degree: in a monomial c u_S of the gate's phase polynomial put
     u_q = (1 - s_q)/2 with s_q = +-prod_{i : b_iq = 1} (1 - 2 a_i).  Then
@@ -540,32 +551,52 @@ def _low_degree(
     points of weight <= D, so does every f_U with |U| <= D, the degree
     bound removes the rest, and F vanishes everywhere.
 
-    A growth step from a preserved code has F = b H, b the coordinate of
-    its new row: F vanishes at b = 0, where it is the parent's F, so
-    every f_U with U off b is zero.  Then H has degree at most D - 1 and
-    is decided on its points of weight at most D - 1 (``synth._verdict``).
-
     The points are the XORs of s-subsets of the basis rows, s = 1..D
     (``_walk``).  A failing point is returned as the words u = y ^ c and
-    v = y ^ c' of one coset, c' the logical part of c: u ^ v lies in C2
-    and the gate's exponents at u and v differ.  The verdict goes into the
-    code's memo (``_record_verdict``).  Refused when
-    sum_{s <= D} C(dim C1, s) exceeds the budget.
+    v = y ^ c' of one coset, c' the complement part of c: u ^ v lies in C2
+    and the gate's exponents at u and v differ.
+
+    ``step = (parent, word, j)`` names ``code`` as the parent less the
+    Z-stabilizer paired with ``word`` (j None), or with ``word`` added as
+    an X-stabilizer in place of the frame's X-logical row j.  From a
+    parent memoized as preserved F = b H, b the new row's coordinate,
+    since F vanishes at b = 0 (the parent's F); H has degree at most
+    D - 1, so its points of weight at most D - 1 decide.  A removal walks
+    u = y ^ w0 ^ c, v = y ^ w0 ^ c' over the parent's basis rows at
+    weights 1..D - 1.  An addition walks u = y ^ x0 ^ c, v = y ^ c over
+    L' (the frame's X-logical rows less row j) at weights 0..D - 1: e is
+    already constant on the parent's cosets, so H does not depend on the
+    stabilizer rows.  The code keeps its complement (the parent's plus
+    w0, or L') for later walks.  A step has no more points than the full
+    certificate: sum_{s<D} C(d, s) <= sum_{s<=D} C(d + 1, s) for a
+    removal, sum_{s<D} C(k - 1, s) <= sum_{1<=s<=D} C(dim C1, s) for an
+    addition.  The verdict goes into the code's memo (``_record_verdict``);
+    refused when the walk's point count exceeds the budget.
     """
     _check_gate(code, gate)
-    top = low_degree_bound(gate)
-    weights = range(1, top + 1)
-    points = _point_count(code.dim_c1, weights)
+    top, y = low_degree_bound(gate), code.y.bits
+    # the full certificate on code, whose complement is read past the budget
+    head, logical, u0, v0, weights = code.x_stab.row_ints(), None, y, y, range(1, top + 1)
+    if step is not None and _recorded_verdict(step[0], gate):
+        parent, word, j = step
+        u0 = v0 = y ^ word.bits
+        if j is None:
+            head, logical, weights = parent.x_stab.row_ints(), _complement(parent), range(1, top)
+        else:
+            head, logical, v0, weights = [], parent.frame.x_logical_basis.row_ints(), y, range(top)
+            del logical[j]
+    dim = code.dim_c1 if logical is None else len(head) + len(logical)
+    points = _point_count(dim, weights)
     if points > budget:
         raise BudgetExceeded(
-            f"low-degree certificate: {points} points of weight <= {top}",
+            f"low-degree certificate: {points} points of weight <= {weights.stop - 1}",
             required_log2=(points - 1).bit_length(),
         )
-    y = code.y.bits
-    point = _walk(
-        gate, code.n, code.x_stab.row_ints(),
-        code.frame.x_logical_basis.row_ints(), y, y, weights,
-    )
+    if logical is None:
+        point = _walk(gate, code.n, head, _complement(code), u0, v0, weights)
+    else:
+        point = _walk(gate, code.n, head, logical, u0, v0, weights)
+        code._caches["complement"] = logical + [word.bits] if j is None else logical
     _record_verdict(code, gate, point is None)
     return point
 
@@ -644,8 +675,8 @@ def induced_logical(
 
     The gate is constant on every coset x_beta + C2 + y of a preserved
     code, so entry beta is its exponent at y ^ x_beta.  The verdict is
-    the memo that ``is_preserved``, ``_low_degree`` and growth steps
-    leave, else ``is_preserved``'s; 2^k past the budget is refused.
+    the memo that ``is_preserved`` or ``_low_degree`` left, else
+    ``is_preserved``'s; 2^k past the budget is refused.
     """
     _check_gate(code, gate)
     preserved = _recorded_verdict(code, gate)

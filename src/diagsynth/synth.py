@@ -8,17 +8,11 @@ the coefficient table.  Either may break preservation, so both return the
 new code together with an exact admissibility verdict, decided at every
 k by one rule: whether the gate preserves the new code (``_verdict``;
 None only when no gate is given or the check is skipped).  One walk of
-low-degree points settles it: the step is admissible iff no point fails,
-and an inadmissible step names the first failing point as its witness,
-two words of one coset of the new code where the gate differs.
-
-The walk is the full certificate on the new code
-(``gencoeff._low_degree``) unless the input is memoized as preserved.
-Then the certificate's F is b H, with b the coordinate of the step's new
-row, because F vanishes at b = 0.  H has degree at most D - 1, so the
-step walks only H's points of weight at most D - 1.  Such a step stores
-the new code's complement of C2 in C1 next to its verdict, and the next
-step walks over that complement instead of a canonical logical frame.
+low-degree points settles it (``gencoeff._low_degree``, which walks only
+the points a step adds when the input is memoized as preserved): the step
+is admissible iff no point fails, and an inadmissible step names the
+first failing point as its witness, two words of one coset of the new
+code where the gate differs.
 """
 
 from __future__ import annotations
@@ -70,17 +64,8 @@ def _verdict(
     """Whether the gate preserves the code a step produces from ``code``,
     with the witness.  The step removes the Z-stabilizer paired with
     ``word``, or, given j, adds ``word`` as an X-stabilizer in place of
-    the frame's X-logical row j.
-
-    From a code memoized as preserved, one walk of H's points of weight
-    below D decides (module docstring).  A removal walks u = y ^ w0 ^ c,
-    v = y ^ w0 ^ c' over the code's basis rows at weights 1..D - 1.  An
-    addition walks u = y ^ x0 ^ c, v = y ^ c over the complement L' (the
-    X-logical rows less row j) at weights 0..D - 1: e is already constant
-    on the code's cosets, so H does not depend on the stabilizer rows.
-    The new code keeps its complement (the code's plus w0, or L').
-    Otherwise, or when that walk is over the budget, the full certificate
-    on the new code decides, and past the budget ``is_preserved`` does,
+    the frame's X-logical row j.  One low-degree walk decides
+    (``gencoeff._low_degree``); past the budget ``is_preserved`` does,
     with no witness.  ``check`` is "auto" or "skip"; the verdict is None
     when it is "skip" or no gate is given."""
     # a step's check comes from user scripts
@@ -88,28 +73,8 @@ def _verdict(
         raise ValueError(f'check must be "auto" or "skip", got {check!r}')
     if gate is None or check == "skip":
         return None, None
-    if gencoeff._recorded_verdict(code, gate):
-        gencoeff._check_gate(new_code, gate)
-        y = code.y.bits
-        if j is None:
-            head = code.x_stab.row_ints()
-            logical = code._caches.get("complement")
-            if logical is None:
-                logical = code.frame.x_logical_basis.row_ints()
-            u0 = v0 = y ^ word.bits
-            carried, low = logical + [word.bits], 1
-        else:
-            head, u0, v0, low = [], y ^ word.bits, y, 0
-            logical = carried = code.frame.x_logical_basis.row_ints()
-            del logical[j]
-        weights = range(low, gencoeff.low_degree_bound(gate))
-        if gencoeff._point_count(len(head) + len(logical), weights) <= budget:
-            point = gencoeff._walk(gate, code.n, head, logical, u0, v0, weights)
-            new_code._caches["complement"] = carried
-            gencoeff._record_verdict(new_code, gate, point is None)
-            return point is None, point
     try:
-        point = gencoeff._low_degree(new_code, gate, budget)
+        point = gencoeff._low_degree(new_code, gate, budget, (code, word, j))
     except BudgetExceeded:
         return gencoeff.is_preserved(new_code, gate, budget).preserved, None
     return point is None, point

@@ -431,6 +431,8 @@ class TestPipeline:
             ("gate", [{"kind": "transversal_zrot", "n": 7, "l": 2}], "expected an object"),
             ("script", [{"op": "remove_z", "w0": 5}], "not a bitstring: 5"),
             ("gate", {"kind": "qfd", "n": 2, "l": 2, "R": 5}, "not iterable"),
+            ("code", {"n": 4, "x_stabilizers": 5}, "code JSON: 'int' object is not iterable"),
+            ("code", {"n": [4]}, "code JSON: int()"),
         ],
     )
     def test_malformed_json_exit_2(self, steane_files, tmp_path, capsys, bad, data, key):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -459,6 +460,15 @@ def _rotation_forms(n, l):
     ]
 
 
+def assert_carried_complement(code):
+    """The X-stabilizer rows of a step-built code and the complement of C2
+    the step carried to it are dim C1 independent rows of C1."""
+    rows = code.x_stab.row_ints() + code._caches["complement"]
+    assert len(rows) == code.dim_c1
+    assert all(code.c1_reducer.contains_int(r) for r in rows)
+    assert gf2.Reducer(BitMat(code.n, [BitVec(code.n, r) for r in rows])).dim == code.dim_c1
+
+
 def _steane_step(code, addition):
     """add_x of Steane's X-logical, or remove_z of the word 1000000."""
     if addition:
@@ -522,20 +532,20 @@ class TestPointWitness:
         # follows the concatenations, so it walks the full certificate on
         # its new code; each later step walks exactly the points of weight
         # below D that hold its new row, and no step asks is_preserved
-        full, walked = [], []
+        calls, walked = [], []
         low_degree, walk, weight_class = gencoeff._low_degree, gencoeff._walk, gf2._weight_class
 
-        def counted_low_degree(code, gate, budget):
-            full.append(code)
-            return low_degree(code, gate, budget)
+        def counted_low_degree(code, gate, budget, step=None):
+            calls.append(code)
+            return low_degree(code, gate, budget, step)
 
         def counted_walk(*args):
-            walked.append(0)
+            walked.append([args[-1], 0])  # the weights, then the points
             return walk(*args)
 
         def counted_points(*args):
             for block in weight_class(*args):
-                walked[-1] += len(block)
+                walked[-1][1] += len(block)
                 yield block
 
         def refuse(*args, **kwargs):
@@ -547,10 +557,13 @@ class TestPointWitness:
         monkeypatch.setattr(gencoeff, "is_preserved", refuse)
         res = qrm_pipeline(1, 2)
         stepped = [s for s in res.steps if s.kind in ("remove_z", "add_x")]
-        assert len(stepped) == len(walked) == 25
+        assert len(stepped) == len(calls) == len(walked) == 25
         assert all(s.admissible for s in stepped)
-        assert [{"n": c.n, "k": c.k} for c in full] == [stepped[0].after]
         top, m = gencoeff.low_degree_bound(res.gate), res.pre_removal.dim_c2
+        # the full certificate walks weights 1..D, a step 1..D - 1 or 0..D - 1
+        full = [c for c, (weights, _) in zip(calls, walked) if weights == range(1, top + 1)]
+        assert [{"n": c.n, "k": c.k} for c in full] == [stepped[0].after]
+        assert full[0] is calls[0]
         want = [gencoeff._point_count(m + stepped[0].after["k"], range(1, top + 1))]
         for s in stepped[1:]:
             k = s.before["k"]
@@ -558,7 +571,7 @@ class TestPointWitness:
                 want.append(gencoeff._point_count(m + k, range(1, top)))
             else:
                 want.append(gencoeff._point_count(k - 1, range(top)))
-        assert walked == want
+        assert [points for _, points in walked] == want
         # the final code was certified on its carried complement
         assert "frame" not in vars(res.final)
 
@@ -614,6 +627,8 @@ class TestStepRoute:
             parent = gencoeff.is_preserved(code, gate).preserved
             res = (add_x if addition else remove_z)(code, gate, word)
             assert ("complement" in res.code._caches) == parent
+            if parent:
+                assert_carried_complement(res.code)
             assert res.admissible == gencoeff.is_preserved(res.code, gate).preserved
             if res.admissible:
                 assert res.witness is None
@@ -627,6 +642,11 @@ class TestStepRoute:
         # qrm(2,4) under rotations l = 1..3 in three forms
         rng = random.Random(5)
         res = qrm_pipeline(1, 2)
+        for code in (res.pre_addition, res.final):
+            assert_carried_complement(code)
+        # the final code (k = 15) is decided on its carried complement
+        assert gencoeff.is_preserved(res.final, res.gate).method == "low-degree"
+        assert "frame" not in vars(res.final)
         parents = [(c, res.gate) for c in (res.pre_removal, res.pre_addition, res.final)]
         for r, m in [(1, 3), (1, 4), (2, 4)]:
             for l in (1, 2, 3):
@@ -644,13 +664,39 @@ class TestStepRoute:
                     if code.c1_reducer.contains(word):
                         continue
                     step = remove_z(code, gate, word)
-                assert "complement" in step.code._caches
+                assert_carried_complement(step.code)
                 assert step.admissible == gencoeff.is_preserved(step.code, gate).preserved
                 if not step.admissible:
                     assert_point_witness(step.code, gate, step.witness)
                 kinds.add((type(gate).__name__, gate.weight_affine is None, step.admissible))
         # each form has admissible and inadmissible steps
         assert len(kinds) == 6
+
+    @given(codes_with_gates(min_k=1), st.booleans(), st.integers(0, 255), st.booleans())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    def test_step_points_within_the_certificate(self, cg, strip, bits, addition):
+        # a step from a preserved parent never counts more points than the
+        # full certificate on its new code, so when the step is over the
+        # budget the full certificate is too
+        code, gate = cg
+        if strip:
+            code = CssCode(code.n, BitMat.empty(code.n), code.z_stab, code.y)
+        assume(gencoeff.is_preserved(code, gate).preserved)
+        counted, point_count = [], gencoeff._point_count
+
+        def counting(dim, weights):
+            counted.append(point_count(dim, weights))
+            return counted[-1]
+
+        with mock.patch.object(gencoeff, "_point_count", counting):
+            res = _drawn_step(code, gate, bits, addition)
+        assert "complement" in res.code._caches and len(counted) == 1
+        top = gencoeff.low_degree_bound(gate)
+        assert counted[0] <= point_count(res.code.dim_c1, range(1, top + 1))
 
     def test_corrupted_gate_is_refused(self):
         # qrm(1,3) is memoized as preserved under T; a T with one qubit's
