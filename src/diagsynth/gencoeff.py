@@ -575,7 +575,7 @@ def _low_degree(
     """
     _check_gate(code, gate)
     top, y = low_degree_bound(gate), code.y.bits
-    # the full certificate on code, whose complement is read past the budget
+    # full certificate: its complement may build the frame, so it is read past the budget
     head, logical, u0, v0, weights = code.x_stab.row_ints(), None, y, y, range(1, top + 1)
     if step is not None and _recorded_verdict(step[0], gate):
         parent, word, j = step
