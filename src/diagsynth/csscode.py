@@ -69,6 +69,33 @@ class CssCode:
             raise CommutationViolation("dim C2 exceeds dim C1")
         self._caches: dict = {}
 
+    @classmethod
+    def _grown(
+        cls, parent: "CssCode", n: int, x_stab: BitMat, z_stab: BitMat, y: BitVec,
+        keep: tuple[str, ...] = (), **known,
+    ) -> "CssCode":
+        """The code a growth step (``synth``) builds from ``parent``, with
+        no validation; ``__init__`` stays the validating constructor for
+        user input, JSON and families.
+
+        Invariants the step guarantees, each proved where the step is:
+        - ``x_stab`` and ``z_stab`` are what ``gf2.rref`` returns for
+          them, so the code equals ``CssCode(n, x_stab, z_stab, y)``;
+        - the two stabilizer groups commute: a concatenation pairs
+          commuting rows, a removal shrinks the Z side, and an addition
+          adds an X row from C1, the dual of the Z side.
+
+        ``keep`` names the parent's cached properties to carry: only those
+        of the side the step leaves unchanged, so each equals what the
+        property computes on the new code, a function of that side's basis
+        alone.  ``known`` sets cached properties the step computed."""
+        code = cls.__new__(cls)
+        code.n, code.x_stab, code.z_stab, code.y, code._caches = n, x_stab, z_stab, y, {}
+        cached, carried = vars(code), vars(parent)
+        cached.update((name, carried[name]) for name in keep if name in carried)
+        cached.update(known)
+        return code
+
     # ------------------------------------------------------------------
     # derived structure
 
@@ -100,7 +127,8 @@ class CssCode:
 
     @property
     def dim_c1(self) -> int:
-        return self.c1.num_rows
+        # z_stab is canonical, so its rows are independent
+        return self.n - self.dim_c1perp
 
     @property
     def dim_c2(self) -> int:
@@ -115,8 +143,13 @@ class CssCode:
         return self.dim_c1 - self.dim_c2
 
     @cached_property
+    def _z_logicals(self) -> BitMat:
+        """The frame's Z side: the canonical basis of C2-perp mod C1-perp."""
+        return gf2.quotient_basis(self.c2perp, self.z_stab)
+
+    @cached_property
     def frame(self) -> LogicalFrame:
-        z_basis = gf2.quotient_basis(self.c2perp, self.z_stab)
+        z_basis = self._z_logicals
         x_raw = gf2.quotient_basis(self.c1, self.x_stab)
         k = z_basis.num_rows
         assert x_raw.num_rows == k, "logical quotients disagree"

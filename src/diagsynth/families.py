@@ -149,9 +149,10 @@ def _half_support_growth(
 def family_2l_l_2(l: int, budget: int = gf2.DEFAULT_BUDGET) -> FamilyBuild:
     """The [[2^l, l, 2]] chain built by repeated concatenation (with the
     half-angle rotation lift) and the canonical half-support removal.
-    Every removal is admissible and raises the logical level by one."""
-    if not 2 <= l <= 6:
-        raise ValueError("supported range is 2 <= l <= 6")
+    Every removal is admissible and raises the logical level by one; the
+    rotation's own bound (``transversal_zrot``) limits l from above."""
+    if l < 2:
+        raise ValueError("need l >= 2")
     res = _half_support_growth(four22_code(), transversal_zrot(4, 2), l - 2, budget)
     spec = FamilySpec(
         "two_l", (l,), 1 << l, l, 2,

@@ -522,11 +522,30 @@ def _complement(code: CssCode) -> list[int]:
     return code.frame.x_logical_basis.row_ints() if rows is None else rows
 
 
+def _replaced_row(code: CssCode, x0: BitVec) -> int:
+    """Index of the first row of ``_complement(code)`` in the expansion of
+    x0 (in C1, not in C2) modulo C2: x0 may replace that row in a basis of
+    C1.  Each reduced row carries its index as a tag above bit n, so one
+    elimination of the rows and one reduction of x0 leave x0's expansion
+    in the tag bits.  On the frame's X-logicals the expansion's bits are
+    x0's pairings with the frame's Z-logicals, so the row is the one that
+    mu0 pairs with."""
+    n, red = code.n, code.c2_reducer
+    tagged = (red.reduce_int(r) | 1 << (n + i) for i, r in enumerate(_complement(code)))
+    rows, pivots = gf2._rref_ints(tagged)
+    x = red.reduce_int(x0.bits)
+    for row, p in zip(rows, pivots):
+        if x >> p & 1:
+            x ^= row
+    tags = x >> n
+    return (tags & -tags).bit_length() - 1
+
+
 def _low_degree(
     code: CssCode,
     gate: DiagonalGate,
     budget: int,
-    step: tuple[CssCode, BitVec, int | None] | None = None,
+    step: tuple[CssCode, BitVec, bool] | None = None,
 ) -> tuple[BitVec, BitVec] | None:
     """Exact preservation test on the span points of weight at most D:
     None when the code is preserved, else the first point that fails.
@@ -556,15 +575,15 @@ def _low_degree(
     v = y ^ c' of one coset, c' the complement part of c: u ^ v lies in C2
     and the gate's exponents at u and v differ.
 
-    ``step = (parent, word, j)`` names ``code`` as the parent less the
-    Z-stabilizer paired with ``word`` (j None), or with ``word`` added as
-    an X-stabilizer in place of the frame's X-logical row j.  From a
-    parent memoized as preserved F = b H, b the new row's coordinate,
-    since F vanishes at b = 0 (the parent's F); H has degree at most
-    D - 1, so its points of weight at most D - 1 decide.  A removal walks
-    u = y ^ w0 ^ c, v = y ^ w0 ^ c' over the parent's basis rows at
-    weights 1..D - 1.  An addition walks u = y ^ x0 ^ c, v = y ^ c over
-    L' (the frame's X-logical rows less row j) at weights 0..D - 1: e is
+    ``step = (parent, word, added)`` names ``code`` as the parent less the
+    Z-stabilizer paired with ``word``, or, if ``added``, with ``word``
+    added as an X-stabilizer.  From a parent memoized as preserved
+    F = b H, b the new row's coordinate, since F vanishes at b = 0 (the
+    parent's F); H has degree at most D - 1, so its points of weight at
+    most D - 1 decide.  A removal walks u = y ^ w0 ^ c, v = y ^ w0 ^ c'
+    over the parent's basis rows at weights 1..D - 1.  An addition walks
+    u = y ^ x0 ^ c, v = y ^ c over L' (the parent's complement less the
+    row that x0 replaces, ``_replaced_row``) at weights 0..D - 1: e is
     already constant on the parent's cosets, so H does not depend on the
     stabilizer rows.  The code keeps its complement (the parent's plus
     w0, or L') for later walks.  A step has no more points than the full
@@ -578,13 +597,13 @@ def _low_degree(
     # full certificate: its complement may build the frame, so it is read past the budget
     head, logical, u0, v0, weights = code.x_stab.row_ints(), None, y, y, range(1, top + 1)
     if step is not None and _recorded_verdict(step[0], gate):
-        parent, word, j = step
+        parent, word, added = step
         u0 = v0 = y ^ word.bits
-        if j is None:
+        if not added:
             head, logical, weights = parent.x_stab.row_ints(), _complement(parent), range(1, top)
         else:
-            head, logical, v0, weights = [], parent.frame.x_logical_basis.row_ints(), y, range(top)
-            del logical[j]
+            head, logical, v0, weights = [], list(_complement(parent)), y, range(top)
+            del logical[_replaced_row(parent, word)]
     dim = code.dim_c1 if logical is None else len(head) + len(logical)
     points = _point_count(dim, weights)
     if points > budget:
@@ -596,7 +615,7 @@ def _low_degree(
         point = _walk(gate, code.n, head, _complement(code), u0, v0, weights)
     else:
         point = _walk(gate, code.n, head, logical, u0, v0, weights)
-        code._caches["complement"] = logical + [word.bits] if j is None else logical
+        code._caches["complement"] = logical if added else logical + [word.bits]
     _record_verdict(code, gate, point is None)
     return point
 

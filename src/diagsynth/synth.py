@@ -13,6 +13,12 @@ the points a step adds when the input is memoized as preserved): the step
 is admissible iff no point fails, and an inadmissible step names the
 first failing point as its witness, two words of one coset of the new
 code where the gate differs.
+
+Each step updates its code instead of rebuilding it: it writes the new
+canonical bases itself and builds the code with the unvalidated step
+constructor ``CssCode._grown``, carrying the parent's structures on the
+side it leaves unchanged.  Each step's docstring proves its bases
+canonical.
 """
 
 from __future__ import annotations
@@ -30,13 +36,23 @@ def concatenate(code: CssCode) -> CssCode:
     """The doubled code: X-stabilizers repeat each word on both halves,
     Z-stabilizers are the pairs summing into the old Z-stabilizer code, and
     the character vector repeats.  Logical count is unchanged; X-distance
-    doubles and Z-distance cannot drop."""
-    n = code.n
-    x_rows = [r.concat(r) for r in code.x_stab]
-    z_rows = [BitVec.unit(n, i).concat(BitVec.unit(n, i)) for i in range(n)]
-    z_rows += [BitVec.zeros(n).concat(r) for r in code.z_stab]
-    y2 = code.y.concat(code.y)
-    return CssCode(2 * n, BitMat(2 * n, x_rows), BitMat(2 * n, z_rows), y2)
+    doubles and Z-distance cannot drop.
+
+    The rows are canonical as written.  X row r | r << n keeps r's pivot
+    and gains bits only above n.  Z row i is 1<<i | (e_i ^ row_i) << n,
+    row_i the old Z row with pivot i (else 0): e_i ^ row_i has no bit at
+    an old Z pivot, so the row has none at a pivot n + p of the rows
+    r << n that follow."""
+    n, m = code.n, 2 * code.n
+    pivot_rows = {r & -r: r for r in code.z_stab.row_ints()}
+    x_rows = [r | r << n for r in code.x_stab.row_ints()]
+    z_rows = [1 << i | (1 << i ^ pivot_rows.get(1 << i, 0)) << n for i in range(n)]
+    z_rows += [r << n for r in code.z_stab.row_ints()]
+
+    def mat(rows: list[int]) -> BitMat:
+        return BitMat(m, [BitVec(m, r) for r in rows])
+
+    return CssCode._grown(code, m, mat(x_rows), mat(z_rows), BitVec(m, code.y.bits | code.y.bits << n))
 
 
 # two words of one coset of the new code, u ^ v in C2, where the gate's
@@ -59,12 +75,12 @@ def _verdict(
     check: str,
     budget: int,
     word: BitVec,
-    j: int | None = None,
+    added: bool = False,
 ) -> tuple[bool | None, Witness | None]:
     """Whether the gate preserves the code a step produces from ``code``,
     with the witness.  The step removes the Z-stabilizer paired with
-    ``word``, or, given j, adds ``word`` as an X-stabilizer in place of
-    the frame's X-logical row j.  One low-degree walk decides
+    ``word``, or, if ``added``, adds ``word`` as an X-stabilizer.  One
+    low-degree walk decides
     (``gencoeff._low_degree``); past the budget ``is_preserved`` does,
     with no witness.  ``check`` is "auto" or "skip"; the verdict is None
     when it is "skip" or no gate is given."""
@@ -74,7 +90,7 @@ def _verdict(
     if gate is None or check == "skip":
         return None, None
     try:
-        point = gencoeff._low_degree(new_code, gate, budget, (code, word, j))
+        point = gencoeff._low_degree(new_code, gate, budget, (code, word, added))
     except BudgetExceeded:
         return gencoeff.is_preserved(new_code, gate, budget).preserved, None
     return point is None, point
@@ -100,12 +116,16 @@ def remove_z(
 
     The new code always comes back; ``admissible`` reports whether the gate
     still preserves it, and ``witness`` where it fails (``_verdict``).
+    Its Z basis is ``gf2.restrict_to_hyperplane``'s, which is canonical;
+    the X rows stay, so C2-perp and the C2 and C2-perp reducers carry over.
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
-    new_code = CssCode(code.n, code.x_stab, new_z, code.y)
-    assert new_code.k == code.k + 1
+    new_code = CssCode._grown(
+        code, code.n, code.x_stab, new_z, code.y,
+        keep=("c2perp", "c2_reducer", "c2perp_reducer"),
+    )
     return RemovalResult(
         new_code, gamma0, *_verdict(code, new_code, gate, check, budget, w0)
     )
@@ -147,21 +167,36 @@ def add_x(
     an admissible addition needs a preserved input; only on one does the
     paper's half-row criterion (the induced diagonal's transform vanishes
     on the gamma that pair with x0) give the same verdict.
+
+    The new X basis is one rank-one update of the canonical rows: r0, x0
+    reduced mod C2, has no bit at an old pivot, so its lowest bit p0 is
+    the new pivot, and adding r0 to the rows with bit p0 clears it there
+    without touching their pivots (below p0) or any other pivot.  The Z
+    rows stay, so C1 and the C1 and C1-perp reducers carry over.  C2-perp
+    and the canonical Z-logical basis (C2-perp mod C1-perp) become their
+    parts orthogonal to x0, canonical from ``gf2.restrict_to_hyperplane``
+    (C1-perp is orthogonal to x0, so the quotient restricts with them).
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
-    if not code.c1_reducer.contains(x0) or code.c2_reducer.contains(x0):
+    # C1 = (C1-perp)-perp: x0 lies in C1 iff it pairs evenly with every Z row
+    r0 = code.c2_reducer.reduce_int(x0.bits)
+    if any((x0.bits & z).bit_count() & 1 for z in code.z_stab.row_ints()) or not r0:
         raise ValueError("x0 must lie in C1 but not in C2")
-    # the frame's pairing is the identity, so x0 has the X-logical row j in
-    # its expansion: x0 may replace that row in a basis of C1
-    j = next((j for j, row in enumerate(code.frame.z_logical_basis) if row.dot(x0)), None)
-    assert j is not None, "pairing is nondegenerate"
-    mu0 = code.frame.z_logical_basis.rows[j]
-    new_x = BitMat(code.n, list(code.x_stab.rows) + [x0])
-    new_code = CssCode(code.n, new_x, code.z_stab, code.y)
-    assert new_code.k == code.k - 1
+    # x0 lies in C1 less C2, so some row of the canonical Z-logical basis
+    # pairs with it
+    mu0 = next(row for row in code._z_logicals if row.dot(x0))
+    n, p0 = code.n, r0 & -r0
+    new_x = [BitVec(n, r.bits ^ r0) if r.bits & p0 else r for r in code.x_stab]
+    new_x.insert(sum(r.bits & -r.bits < p0 for r in new_x), BitVec(n, r0))
+    new_code = CssCode._grown(
+        code, n, BitMat(n, new_x), code.z_stab, code.y,
+        keep=("c1", "c1_reducer", "c1perp_reducer"),
+        c2perp=gf2.restrict_to_hyperplane(code.c2perp, x0)[0],
+        _z_logicals=gf2.restrict_to_hyperplane(code._z_logicals, x0)[0],
+    )
     return AdditionResult(
-        new_code, mu0, *_verdict(code, new_code, gate, check, budget, x0, j)
+        new_code, mu0, *_verdict(code, new_code, gate, check, budget, x0, True)
     )
 
 

@@ -51,6 +51,15 @@ class TestFamily:
         parsed = json.loads(text)
         assert (parsed["n"], parsed["k"]) == (16, 4)
 
+    def test_two_l_past_level_6(self, capsys):
+        rc, text = run(capsys, "family", "two_l", "7")
+        assert rc == 0
+        parsed = json.loads(text)
+        assert (parsed["n"], parsed["k"]) == (128, 7)
+        assert parsed["logical"] == "C^(6)Z up to logical Pauli Z"
+        assert main(["family", "two_l", "8"]) == 2
+        assert capsys.readouterr().err == "error: rotation index must be in 1..7\n"
+
     @pytest.mark.parametrize("name, param", [("two_l", 6), ("tri2", 2)])
     def test_budget_reaches_grown_families(self, capsys, name, param):
         # the CLI refuses as the builder does at the same budget

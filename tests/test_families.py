@@ -146,6 +146,21 @@ class TestTwoLFamily:
         assert m.pauli_z_mask == BitVec(2, 0b11)
 
 
+    def test_l7_past_the_old_cap(self):
+        # only the rotation's bound limits the family: [[128,7]] with T-type
+        # rotations at level 7 induces a level-7 logical
+        fb = family_2l_l_2(7)
+        assert (fb.code.n, fb.code.k) == (128, 7)
+        diag = induced_logical(fb.code, fb.gate)
+        assert level(phase_polynomial(list(diag.exps), 7, diag.level)) == 7
+
+    def test_l8_refused_by_the_rotation(self):
+        with pytest.raises(ValueError, match=r"^rotation index must be in 1\.\.7$"):
+            family_2l_l_2(8)
+        with pytest.raises(ValueError, match="need l >= 2"):
+            family_2l_l_2(1)
+
+
 class TestTriorthogonal:
     def test_tri2_2_is_14_2_2(self):
         fb = triorthogonal_2(2)

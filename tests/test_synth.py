@@ -12,7 +12,14 @@ from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE
 from diagsynth.errors import BudgetExceeded, InadmissibleStep, OddComponent
-from diagsynth.families import four22_code, qrm_code, qrm_pipeline, steane_code
+from diagsynth.families import (
+    family_2l_l_2,
+    four22_code,
+    qrm_code,
+    qrm_pipeline,
+    steane_code,
+    triorthogonal_2,
+)
 from diagsynth.gates import (
     LocalDiag,
     block_gate,
@@ -753,7 +760,162 @@ class TestStepRoute:
             step(code, transversal_zrot(8, 2), word)
 
 
+def assert_step_built(code):
+    """A step-built code equals the code that the validating constructor
+    builds from its bases: bases, k, every structure the step carried to
+    it (compared before any is computed), and the frame."""
+    direct = CssCode(code.n, code.x_stab, code.z_stab, code.y)
+    assert (code.x_stab, code.z_stab, code.y) == (direct.x_stab, direct.z_stab, direct.y)
+    assert code.k == direct.c1.num_rows - direct.x_stab.num_rows
+    carried = dict(vars(code))
+    for name in ("c1", "c2perp", "_z_logicals"):
+        if name in carried:
+            assert carried[name] == getattr(direct, name)
+    for name in ("c1_reducer", "c2_reducer", "c1perp_reducer", "c2perp_reducer"):
+        if name in carried:
+            got, want = carried[name], getattr(direct, name)
+            assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    if "complement" in code._caches:
+        assert_carried_complement(code)
+    return direct
+
+
+def _grown_families():
+    """Preserved seeds with their gates: qrm(1,3) under T, two_l 3, tri2 2."""
+    return [
+        (qrm_code(1, 3), transversal_zrot(8, 3)),
+        *((fb.code, fb.gate) for fb in (family_2l_l_2(3), triorthogonal_2(2))),
+    ]
+
+
+class TestStepConstructor:
+    """Growth steps build their code from bases they already know
+    (``CssCode._grown``) and carry the parent's structures they leave
+    unchanged."""
+
+    @given(
+        st.one_of(
+            st.tuples(css_codes(max_n=6), st.integers(1, 3)),
+            st.tuples(st.integers(0, 2), st.just(0)),
+        ),
+        st.lists(
+            st.tuples(st.sampled_from(["concat", "remove_z", "add_x"]), st.integers(0, 1 << 16), st.booleans()),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_step_built_code_is_the_direct_code(self, seed, steps):
+        # chains of all three steps on random codes under a rotation and on
+        # the grown families; a drawn flag builds the frame before a step,
+        # and with it C1, C2-perp and the Z-logicals, which the next step
+        # may carry
+        if isinstance(seed[0], CssCode):
+            code, gate = seed[0], transversal_zrot(seed[0].n, seed[1])
+        else:
+            code, gate = _grown_families()[seed[0]]
+        for op, bits, touch in steps:
+            direct = CssCode(code.n, code.x_stab, code.z_stab, code.y)
+            if touch:
+                assert code.frame == direct.frame
+                code.c1_reducer, code.c2_reducer, code.c1perp_reducer, code.c2perp_reducer
+            if op == "concat":
+                if code.n > 16:
+                    continue
+                code, gate = concatenate(code), lift(gate, "next_level_rotation")
+            elif op == "remove_z":
+                word = BitVec(code.n, random.Random(bits).getrandbits(code.n))
+                if direct.c1_reducer.contains(word):
+                    continue
+                code = remove_z(code, gate, word).code
+            else:
+                word = BitVec(code.n, 0)
+                for j, row in enumerate(direct.c1.rows):
+                    if bits >> j & 1:
+                        word ^= row
+                if direct.c2_reducer.contains(word):
+                    continue
+                code = add_x(code, gate, word).code
+            assert_step_built(code)
+        direct = assert_step_built(code)
+        assert code.frame == direct.frame
+
+    def test_pipeline_builds_two_codes_and_one_frame(self, monkeypatch):
+        # qrm_pipeline(1,2): the validating constructor builds the start and
+        # the direct code, and only the first removal's full certificate
+        # builds a frame; every step's code equals the direct construction
+        inits, frames, built = [], [], []
+        init, frame, grown = CssCode.__init__, CssCode.frame, CssCode._grown.__func__
+
+        def counted_init(self, *args):
+            inits.append(self)
+            init(self, *args)
+
+        def counted_frame(self):
+            frames.append(self)
+            return frame.func(self)
+
+        def counted_grown(cls, *args, **kwargs):
+            built.append(grown(cls, *args, **kwargs))
+            return built[-1]
+
+        prop = type(frame)(counted_frame)
+        prop.__set_name__(CssCode, "frame")
+        monkeypatch.setattr(CssCode, "__init__", counted_init)
+        monkeypatch.setattr(CssCode, "frame", prop)
+        monkeypatch.setattr(CssCode, "_grown", classmethod(counted_grown))
+        res = qrm_pipeline(1, 2)
+        assert len(inits) == 2 and len(frames) == 1
+        assert inits[0] is res.start and frames[0] is built[res.concat_count]
+        assert len(built) == len(res.steps)
+        for code in built:
+            assert_step_built(code)
+
+
+class TestAdditionWitness:
+    def test_witness_from_the_carried_complement(self):
+        # qrm(1,3) under the S rotation less the Z-stabilizer paired with
+        # 11011011: the admissible removal carries its complement, and the
+        # inadmissible addition of 10001110 walks it less the row x0
+        # replaces.  The frame-based walk of earlier versions named
+        # (11001100, 01000010) instead; both are valid witnesses
+        code, gate = qrm_code(1, 3), transversal_zrot(8, 2)
+        assert gencoeff.is_preserved(code, gate).preserved
+        removed = remove_z(code, gate, BitVec.from_string("11011011"))
+        assert removed.admissible and "complement" in removed.code._caches
+        res = add_x(removed.code, gate, BitVec.from_string("10001110"))
+        assert res.admissible is False
+        assert not gencoeff.is_preserved(res.code, gate).preserved
+        assert res.mu0 == BitVec.from_string("00001001")
+        assert [w.to01() for w in res.witness] == ["01010101", "11011011"]
+        assert_point_witness(res.code, gate, res.witness)
+
+    def test_frame_parent_keeps_the_paired_row(self):
+        # from a parent without a carried complement the replaced row is
+        # the frame's X-logical that mu0 pairs with
+        code = qrm_code(2, 4)
+        for a in range(1, 1 << code.k):
+            x0 = code.x_word(a)
+            j = gencoeff._replaced_row(code, x0)
+            mu0 = next(row for row in code.frame.z_logical_basis if row.dot(x0))
+            assert code.frame.z_logical_basis.rows[j] == mu0
+
+
 class TestDfsSwitch:
+    @pytest.mark.parametrize(
+        "seed",
+        [steane_code, four22_code, lambda: qrm_code(1, 3), lambda: qrm_code(2, 4)],
+        ids=["steane", "four22", "qrm13", "qrm24"],
+    )
+    def test_storage_words_have_one_weight(self, seed):
+        # the stored code sits in a decoherence-free subspace: every word of
+        # C1 + y_balanced of a concatenation has weight n/2, while C1 + y
+        # has several weights
+        code = concatenate(seed())
+        words = gf2.span_ints(code.c1.row_ints())
+        balanced = dfs_switch(code).y_balanced.bits
+        assert {(w ^ balanced).bit_count() for w in words} == {code.n // 2}
+        assert len({(w ^ code.y.bits).bit_count() for w in words}) > 1
+
     def test_14_1_3(self):
         code = concatenate(steane_code())
         sw = dfs_switch(code)
