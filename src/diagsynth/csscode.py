@@ -71,7 +71,7 @@ class CssCode:
 
     @classmethod
     def _grown(
-        cls, parent: "CssCode", n: int, x_stab: BitMat, z_stab: BitMat, y: BitVec,
+        cls, parent: "CssCode", x_stab: BitMat, z_stab: BitMat, y: BitVec,
         keep: tuple[str, ...] = (), **known,
     ) -> "CssCode":
         """The code a growth step (``synth``) builds from ``parent``, with
@@ -80,7 +80,7 @@ class CssCode:
 
         Invariants the step guarantees, each proved where the step is:
         - ``x_stab`` and ``z_stab`` are what ``gf2.rref`` returns for
-          them, so the code equals ``CssCode(n, x_stab, z_stab, y)``;
+          them, so the code equals ``CssCode(y.n, x_stab, z_stab, y)``;
         - the two stabilizer groups commute: a concatenation pairs
           commuting rows, a removal shrinks the Z side, and an addition
           adds an X row from C1, the dual of the Z side.
@@ -90,7 +90,7 @@ class CssCode:
         property computes on the new code, a function of that side's basis
         alone.  ``known`` sets cached properties the step computed."""
         code = cls.__new__(cls)
-        code.n, code.x_stab, code.z_stab, code.y, code._caches = n, x_stab, z_stab, y, {}
+        code.n, code.x_stab, code.z_stab, code.y, code._caches = y.n, x_stab, z_stab, y, {}
         cached, carried = vars(code), vars(parent)
         cached.update((name, carried[name]) for name in keep if name in carried)
         cached.update(known)

@@ -52,7 +52,8 @@ def concatenate(code: CssCode) -> CssCode:
     def mat(rows: list[int]) -> BitMat:
         return BitMat(m, [BitVec(m, r) for r in rows])
 
-    return CssCode._grown(code, m, mat(x_rows), mat(z_rows), BitVec(m, code.y.bits | code.y.bits << n))
+    y2 = BitVec(m, code.y.bits | code.y.bits << n)
+    return CssCode._grown(code, mat(x_rows), mat(z_rows), y2)
 
 
 # two words of one coset of the new code, u ^ v in C2, where the gate's
@@ -80,9 +81,8 @@ def _verdict(
     """Whether the gate preserves the code a step produces from ``code``,
     with the witness.  The step removes the Z-stabilizer paired with
     ``word``, or, if ``added``, adds ``word`` as an X-stabilizer.  One
-    low-degree walk decides
-    (``gencoeff._low_degree``); past the budget ``is_preserved`` does,
-    with no witness.  ``check`` is "auto" or "skip"; the verdict is None
+    low-degree walk decides (``gencoeff._low_degree``); past the budget
+    ``is_preserved`` does, with no witness.  ``check`` is "auto" or "skip"; the verdict is None
     when it is "skip" or no gate is given."""
     # a step's check comes from user scripts
     if check not in ("auto", "skip"):
@@ -123,7 +123,7 @@ def remove_z(
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
     new_code = CssCode._grown(
-        code, code.n, code.x_stab, new_z, code.y,
+        code, code.x_stab, new_z, code.y,
         keep=("c2perp", "c2_reducer", "c2perp_reducer"),
     )
     return RemovalResult(
@@ -190,7 +190,7 @@ def add_x(
     new_x = [BitVec(n, r.bits ^ r0) if r.bits & p0 else r for r in code.x_stab]
     new_x.insert(sum(r.bits & -r.bits < p0 for r in new_x), BitVec(n, r0))
     new_code = CssCode._grown(
-        code, n, BitMat(n, new_x), code.z_stab, code.y,
+        code, BitMat(n, new_x), code.z_stab, code.y,
         keep=("c1", "c1_reducer", "c1perp_reducer"),
         c2perp=gf2.restrict_to_hyperplane(code.c2perp, x0)[0],
         _z_logicals=gf2.restrict_to_hyperplane(code._z_logicals, x0)[0],
