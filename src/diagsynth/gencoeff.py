@@ -45,6 +45,7 @@ is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
@@ -495,15 +496,15 @@ def _walk(
     v = v0 ^ c' differ, as (u, v), else None.  c runs over the XORs of the
     s-subsets of the rows head + logical, s in ``weights``, and c' keeps
     the ``logical`` rows of c: each of them carries a copy of itself above
-    the word (``gf2._weight_class``)."""
+    the word.  The classes come from one enumerator
+    (``gf2._weight_classes``), in the order it lists them."""
     words = gf2._num_words(n)
     rows = head + [b | b << 64 * words for b in logical]
     exps = _word_exponents(gate)
     u0, v0 = gf2.int_words(u0, n), gf2.int_words(v0, n)
-    for s in weights:
-        if s > len(rows):
-            break
-        for block in gf2._weight_class(rows, [], s, 64 * words + n):
+    classes = gf2._weight_classes(rows, [], 64 * words + n)
+    for blocks in itertools.islice(classes, weights.start, weights.stop):
+        for block in blocks:
             u, v = block[:, :words] ^ u0, block[:, words:] ^ v0
             fails = exps(u) != exps(v)
             if fails.any():

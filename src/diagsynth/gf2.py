@@ -9,6 +9,10 @@ The distance search is one Brouwer-Zimmermann enumeration on such arrays
 at every n: rounds raise a lower bound until the lightest word meets it,
 the bound rounded up to the power of two 2^a that divides every weight
 (Ward's criterion on ANDs of basis rows, read a level at a time).
+The search and the low-degree certificate walk (``gencoeff._walk``) list
+their points through one weight-class enumerator per walk,
+``_weight_classes``: it yields the classes s = 0, 1, 2, ... in turn and
+builds each level of its subset table once, column-major.
 A canonical basis is the reduced echelon form with each pivot at its row's
 lowest bit; duals, hyperplane restrictions and reductions read their
 canonical output off that structure rather than eliminating again.
@@ -62,11 +66,7 @@ class BitVec:
     def from_string(cls, s: str) -> "BitVec":
         if not isinstance(s, str) or set(s) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {s!r}")
-        bits = 0
-        for q, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << q
-        return cls(len(s), bits)
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "BitVec":
@@ -108,7 +108,7 @@ class BitVec:
         return BitVec(self.n + other.n, self.bits | (other.bits << self.n))
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> q) & 1 else "0" for q in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __len__(self) -> int:
         return self.n
@@ -557,30 +557,45 @@ def _information_sets(rows: Sequence[int], n: int) -> list[tuple[list[int], int]
         free ^= sum(1 << p for p in pivots[:r])
 
 
-def _weight_class(head: list[int], tail: list[int], s: int, bits: int) -> Iterator[np.ndarray]:
-    """XORs of each s-subset of ``head`` with each subset of ``tail``, as
-    word arrays of at most 2^16 rows.  A block adds an (s - q)-subset prefix
-    and a Gray-code step in tail[c:] to a table of the q-subsets of head
-    times span(tail[:c]); ordered by falling first index, the table's
-    subsets past head row a are its first comb(r - a, q) << c rows."""
+def _weight_classes(head: list[int], tail: list[int], bits: int) -> Iterator[Iterator[np.ndarray]]:
+    """For s = 0, 1, 2, ... in turn, the XORs of each s-subset of ``head``
+    with each subset of ``tail`` (none past len(head)), as an iterator of
+    word arrays of at most 2^16 rows.  A block adds an (s - q)-subset
+    prefix and a Gray-code step in tail[c:] to a table of the q-subsets of
+    head times span(tail[:c]); ordered by falling first index, the table's
+    subsets past head row a are its first comb(r - a, q) << c rows.  The
+    table is column-major, so each word column is contiguous, and
+    read-only, since a block whose prefix word is 0 is a slice of it.
+    Level q is built from level q - 1 when a class first needs it, so each
+    level is built once."""
     r, c = len(head), min(len(tail), 16)
-    table = span_words(tail[:c], bits)
-    q = 0
-    while q < s and comb(r, q + 1) << c <= 1 << 16:
-        q += 1
-        table = np.concatenate([
-            int_words(head[i], bits) ^ table[: comb(r - 1 - i, q - 1) << c]
-            for i in range(r - 1, -1, -1)
-        ])
-    for prefix in itertools.combinations(range(r - q), s - q):
-        part = table[: comb(r - 1 - prefix[-1], q) << c] if prefix else table
-        base = 0
-        for i in prefix:
-            base ^= head[i]
-        for i in range(1 << (len(tail) - c)):
-            if i:
-                base ^= tail[c + (i & -i).bit_length() - 1]
-            yield part ^ int_words(base, bits)
+    head_words = int_rows(head, bits)
+    table, q = span_words(tail[:c], bits), 0
+
+    # a class reads the table it was yielded with, even after a later class builds the next
+    def blocks(table: np.ndarray, q: int, s: int) -> Iterator[np.ndarray]:
+        for prefix in itertools.combinations(range(r - q), s - q):
+            part = table[: comb(r - 1 - prefix[-1], q) << c] if prefix else table
+            base = 0
+            for i in prefix:
+                base ^= head[i]
+            for i in range(1 << (len(tail) - c)):
+                if i:
+                    base ^= tail[c + (i & -i).bit_length() - 1]
+                yield (part ^ int_words(base, bits)) if base else part
+
+    for s in itertools.count():
+        while q < min(s, r) and comb(r, q + 1) << c <= 1 << 16:
+            q += 1
+            new = np.empty((comb(r, q) << c, table.shape[1]), dtype=np.uint64, order="F")
+            at = 0
+            for i in range(r - 1, -1, -1):
+                size = comb(r - 1 - i, q - 1) << c
+                np.bitwise_xor(table[:size], head_words[i], out=new[at : at + size])
+                at += size
+            table = new
+        table.flags.writeable = False
+        yield blocks(table, q, s)
 
 
 def _divisor_levels(rows):
@@ -652,15 +667,15 @@ def min_weight_excluding(
         raise ValueError("empty difference: big and small span the same space")
     n, dim = big.n, red_big.dim
     shift = 64 * _num_words(n)  # a word's parities against checks sit above it
-    sets = [
-        ([g | sum(((g & h).bit_count() & 1) << i for i, h in enumerate(checks)) << shift
-          for g in gen], r)
-        for gen, r in _information_sets(red_big.rows, n)
-    ]
+    sets = []  # each set's classes s = 0, 1, ... on its pivot columns, read one a round
+    for gen, r in _information_sets(red_big.rows, n):
+        gen = [g | sum(((g & h).bit_count() & 1) << i for i, h in enumerate(checks)) << shift
+               for g in gen]
+        sets.append((_weight_classes(gen[:r], gen[r:], shift + len(checks)), r))
     best, bound, spent = n + 1, 0, 0
     levels, a = _divisor_levels(red_big.rows), 0  # 2^a divides every weight
     for t in itertools.count():
-        steps = [(gen, r, t - dim + r) for gen, r in sets if t >= dim - r]
+        steps = [(classes, r, t - dim + r) for classes, r in sets if t >= dim - r]
         words = sum(comb(r, s) << (dim - r) for _, r, s in steps)
         if bound > w_max and spent + words > budget:
             if 1 << dim > budget:
@@ -670,8 +685,8 @@ def min_weight_excluding(
         spent += words
         while comb(dim, a + 1) <= words and next(levels, None):
             a += 1
-        for gen, r, s in steps:
-            for block in _weight_class(gen[:r], gen[r:], s, shift + len(checks)):
+        for classes, r, s in steps:
+            for block in next(classes):
                 outside = block[:, shift // 64:].any(axis=1)
                 weights = word_weights(block[:, : shift // 64])
                 best = int(weights.min(initial=best, where=outside))

@@ -1,10 +1,11 @@
 """GF(2) core: row reduction, duals, cosets, minimum weight."""
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from diagsynth.errors import BudgetExceeded, LengthMismatch
@@ -40,6 +41,29 @@ class TestBitVec:
         assert v.support() == (1, 2)
         assert v.to01() == "0110"
         assert v.weight() == 2
+
+    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    @settings(max_examples=200)
+    def test_string_round_trip_matches_per_bit_reference(self, nb):
+        # qubit q is character q, as the per-bit loops read and wrote it
+        n, bits = nb
+        text = "".join("1" if (bits >> q) & 1 else "0" for q in range(n))
+        assert BitVec(n, bits).to01() == text
+        v = BitVec.from_string(text)
+        assert (v.n, v.bits) == (n, sum(1 << q for q, ch in enumerate(text) if ch == "1"))
+
+    @given(st.text(max_size=12) | st.sampled_from([" 01", "0_1", "0b1", "+1", "-1", "١"]))
+    def test_from_string_refuses_other_text(self, text):
+        if set(text) <= {"0", "1"}:
+            assert BitVec.from_string(text).to01() == text
+        else:
+            with pytest.raises(ValueError, match="not a bitstring"):
+                BitVec.from_string(text)
+
+    def test_from_string_refuses_non_strings(self):
+        for value in (b"01", 1, None, ["0", "1"]):
+            with pytest.raises(ValueError, match="not a bitstring"):
+                BitVec.from_string(value)
 
     def test_xor_and_dot(self):
         a = BitVec.from_string("110")
@@ -568,14 +592,17 @@ class TestWeightDivisor:
         from diagsynth.families import qrm_pipeline
 
         code = qrm_pipeline(1, 2).intermediate("add_x")
-        listed, plain = [0], gf2._weight_class
+        listed, plain = [0], gf2._weight_classes
 
-        def counting(*args):
-            for block in plain(*args):
+        def counted(blocks):
+            for block in blocks:
                 listed[0] += len(block)
                 yield block
 
-        with mock.patch.object(gf2, "_weight_class", counting):
+        def counting(*args):
+            return map(counted, plain(*args))
+
+        with mock.patch.object(gf2, "_weight_classes", counting):
             d_x = min_weight_excluding(code.c1, code.x_stab, 4)
         assert (code.n, code.k, d_x) == (64, 21, WeightResult(16, True))
         assert listed[0] <= 150_000
@@ -588,19 +615,82 @@ def test_weight_class_lists_each_word_once(r, d, s):
     import itertools
     import random
 
-    from diagsynth.gf2 import _weight_class, int_words
+    from diagsynth.gf2 import _weight_classes, int_words
 
     rng = random.Random(r * 100 + d)
     bits = 70
     head = [rng.getrandbits(bits) for _ in range(r)]
     tail = [rng.getrandbits(bits) for _ in range(d)]
-    got = np.concatenate(list(_weight_class(head, tail, s, bits)))
+    blocks = list(next(itertools.islice(_weight_classes(head, tail, bits), s, None)))
+    got = np.concatenate(blocks)
     want = np.concatenate([
         span_words(tail, bits) ^ int_words(sum_rows(head, sum(1 << i for i in combo)), bits)
         for combo in itertools.combinations(range(r), s)
     ])
-    assert all(len(block) <= 1 << 16 for block in _weight_class(head, tail, s, bits))
+    assert all(len(block) <= 1 << 16 for block in blocks)
     assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
+
+
+def ref_weight_class(head, tail, s, bits):
+    """The per-class construction that ``_weight_classes`` replaced: it
+    rebuilt its q-subset table on every call."""
+    import itertools
+    from math import comb
+
+    from diagsynth.gf2 import int_words
+
+    r, c = len(head), min(len(tail), 16)
+    table = span_words(tail[:c], bits)
+    q = 0
+    while q < s and comb(r, q + 1) << c <= 1 << 16:
+        q += 1
+        table = np.concatenate([
+            int_words(head[i], bits) ^ table[: comb(r - 1 - i, q - 1) << c]
+            for i in range(r - 1, -1, -1)
+        ])
+    for prefix in itertools.combinations(range(r - q), s - q):
+        part = table[: comb(r - 1 - prefix[-1], q) << c] if prefix else table
+        base = 0
+        for i in prefix:
+            base ^= head[i]
+        for i in range(1 << (len(tail) - c)):
+            if i:
+                base ^= tail[c + (i & -i).bit_length() - 1]
+            yield part ^ int_words(base, bits)
+
+
+@given(
+    r=st.integers(0, 12), d=st.integers(0, 18),
+    bits=st.sampled_from([3, 64, 70, 130]), seed=st.integers(0, 1 << 32),
+)
+@example(r=0, d=0, bits=70, seed=0)
+@example(r=0, d=17, bits=70, seed=1)
+@example(r=2, d=17, bits=70, seed=2)
+@example(r=4, d=14, bits=64, seed=3)
+@example(r=6, d=12, bits=130, seed=4)
+@settings(max_examples=60, deadline=None)
+def test_weight_classes_match_the_per_class_construction(r, d, bits, seed):
+    # classes 0..r + 2 read one after another from one enumerator list the
+    # same rows in the same order as the per-class construction, in blocks
+    # of at most 2^16 rows whose word columns are contiguous; past r they
+    # are empty.  Tables of more than one level, Gray-code steps past 16
+    # tail rows and r = 0 all occur.
+    from diagsynth.gf2 import _num_words, _weight_classes
+
+    assume(r + d <= 18)
+    rng = random.Random(seed)
+    head = [rng.getrandbits(bits) for _ in range(r)]
+    tail = [rng.getrandbits(bits) for _ in range(d)]
+    empty = np.empty((0, _num_words(bits)), dtype=np.uint64)
+    classes = _weight_classes(head, tail, bits)
+    for s in range(r + 3):
+        blocks = list(next(classes))
+        assert all(len(b) <= 1 << 16 and b.strides[0] == b.itemsize for b in blocks)
+        got = np.concatenate([empty, *blocks])
+        # (the per-class construction was never asked past r, and fails at r = 0)
+        want = np.concatenate([empty, *(ref_weight_class(head, tail, s, bits) if s <= r else ())])
+        assert np.array_equal(got, want)
+        assert len(got) == (comb(r, s) << d)
 
 
 def sum_rows(rows: list[int], mask: int) -> int:

@@ -540,7 +540,7 @@ class TestPointWitness:
         # its new code; each later step walks exactly the points of weight
         # below D that hold its new row, and no step asks is_preserved
         calls, walked = [], []
-        low_degree, walk, weight_class = gencoeff._low_degree, gencoeff._walk, gf2._weight_class
+        low_degree, walk, weight_classes = gencoeff._low_degree, gencoeff._walk, gf2._weight_classes
 
         def counted_low_degree(code, gate, budget, step=None):
             calls.append(code)
@@ -550,17 +550,20 @@ class TestPointWitness:
             walked.append([args[-1], 0])  # the weights, then the points
             return walk(*args)
 
-        def counted_points(*args):
-            for block in weight_class(*args):
+        def counted(blocks):
+            for block in blocks:
                 walked[-1][1] += len(block)
                 yield block
+
+        def counted_points(*args):
+            return map(counted, weight_classes(*args))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a step asked is_preserved")
 
         monkeypatch.setattr(gencoeff, "_low_degree", counted_low_degree)
         monkeypatch.setattr(gencoeff, "_walk", counted_walk)
-        monkeypatch.setattr(gf2, "_weight_class", counted_points)
+        monkeypatch.setattr(gf2, "_weight_classes", counted_points)
         monkeypatch.setattr(gencoeff, "is_preserved", refuse)
         res = qrm_pipeline(1, 2)
         stepped = [s for s in res.steps if s.kind in ("remove_z", "add_x")]
