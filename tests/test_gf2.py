@@ -635,7 +635,6 @@ def ref_weight_class(head, tail, s, bits):
     """The per-class construction that ``_weight_classes`` replaced: it
     rebuilt its q-subset table on every call."""
     import itertools
-    from math import comb
 
     from diagsynth.gf2 import int_words
 
