@@ -71,8 +71,7 @@ class CssCode:
 
     @classmethod
     def _grown(
-        cls, parent: "CssCode", x_stab: BitMat, z_stab: BitMat, y: BitVec,
-        keep: tuple[str, ...] = (), **known,
+        cls, parent: "CssCode", x_stab: BitMat, z_stab: BitMat, y: BitVec, **known
     ) -> "CssCode":
         """The code a growth step (``synth``) builds from ``parent``, with
         no validation; ``__init__`` stays the validating constructor for
@@ -85,19 +84,27 @@ class CssCode:
           commuting rows, a removal shrinks the Z side, and an addition
           adds an X row from C1, the dual of the Z side.
 
-        ``keep`` names the parent's cached properties to carry: only those
-        of the side the step leaves unchanged, so each equals what the
-        property computes on the new code, a function of that side's basis
-        alone.  ``known`` sets cached properties the step computed."""
+        A side whose basis is the parent's own object carries the parent's
+        cached structures of that side (``_X_SIDE`` or ``_Z_SIDE``): each is
+        a function of that basis alone, so it equals what the property
+        computes on the new code.  ``known`` sets cached properties the
+        step computed."""
         code = cls.__new__(cls)
         code.n, code.x_stab, code.z_stab, code.y, code._caches = y.n, x_stab, z_stab, y, {}
         cached, carried = vars(code), vars(parent)
-        cached.update((name, carried[name]) for name in keep if name in carried)
+        sides = ((x_stab, parent.x_stab, cls._X_SIDE), (z_stab, parent.z_stab, cls._Z_SIDE))
+        for basis, own, names in sides:
+            if basis is own:
+                cached.update((name, carried[name]) for name in names if name in carried)
         cached.update(known)
         return code
 
     # ------------------------------------------------------------------
     # derived structure
+
+    # the cached properties read from the X basis alone, and from the Z basis alone
+    _X_SIDE = ("c2perp", "c2_reducer", "c2perp_reducer")
+    _Z_SIDE = ("c1", "c1_reducer", "c1perp_reducer")
 
     @cached_property
     def c1(self) -> BitMat:
@@ -153,8 +160,6 @@ class CssCode:
         x_raw = gf2.quotient_basis(self.c1, self.x_stab)
         k = z_basis.num_rows
         assert x_raw.num_rows == k, "logical quotients disagree"
-        if k == 0:
-            return LogicalFrame(z_basis, x_raw)
         z_ints, x_ints = z_basis.row_ints(), x_raw.row_ints()
 
         def pairing(xs: list[int]) -> list[int]:
@@ -163,14 +168,11 @@ class CssCode:
                 for x in xs
             ]
 
-        inv = gf2.invert_matrix(pairing(x_ints), k)  # raises if degenerate
-        x_rows = []
-        for i in range(k):
-            acc = 0
-            for j in range(k):
-                if (inv[i] >> j) & 1:
-                    acc ^= x_ints[j]
-            x_rows.append(acc)
+        # One elimination of the rows P_i | x_i << k, P the pairing matrix:
+        # row i of the result is e_i | (P^-1 X)_i << k, the inverse being
+        # unique, so its high bits are the X-logical dual to z_i
+        tagged, _ = gf2._rref_ints(p | x << k for p, x in zip(pairing(x_ints), x_ints))
+        x_rows = [r >> k for r in tagged]
         assert pairing(x_rows) == [1 << i for i in range(k)]
         return LogicalFrame(z_basis, BitMat(self.n, [BitVec(self.n, r) for r in x_rows]))
 

@@ -742,7 +742,7 @@ def split_values(
     if gammas is None:
         gammas = _all_gammas(code)
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
-    split_code = CssCode(code.n, code.x_stab, new_z, code.y)
+    split_code = CssCode._grown(code, code.x_stab, new_z, code.y)
     svals = [g.bits for g in gammas]
     ints, denom = _row_ints(
         split_code, gate, svals + [s ^ gamma0.bits for s in svals], budget

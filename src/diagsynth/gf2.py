@@ -391,10 +391,9 @@ def int_words(x: int, n: int) -> np.ndarray:
 def int_rows(xs: Sequence[int], n: int) -> np.ndarray:
     """Length-n vectors as a (len(xs), ceil(n/64)) uint64 array: row r
     holds xs[r] in words, qubits 0..63 first."""
-    out = np.empty((len(xs), _num_words(n)), dtype=np.uint64)
-    for i, col in enumerate(out.T):
-        col[:] = [(x >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for x in xs]
-    return out
+    w = _num_words(n)
+    raw = bytearray().join(x.to_bytes(8 * w, "little") for x in xs)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(xs), w)
 
 
 def word_weights(words: np.ndarray) -> np.ndarray:
@@ -494,41 +493,33 @@ def signed_weight_counts(
 
 
 def restrict_to_hyperplane(m: BitMat, w0: BitVec) -> tuple[BitMat, BitVec]:
-    """Intersect the row space with the hyperplane orthogonal to w0.
+    """Intersect the row space of the canonical basis m with the hyperplane
+    orthogonal to w0.
 
     Returns the shrunk canonical basis together with the removed direction,
     reduced to its canonical representative modulo the shrunk basis.
-    Raises when every row is already orthogonal to w0.
+    Raises when every row is already orthogonal to w0.  m must be
+    canonical (as ``rref`` returns it); other input is not reduced first,
+    and its result is unspecified.
 
     On canonical rows, let H be the hot rows (odd pairing with w0) and h
     the top hot pivot.  A combination's lowest bit is its lowest pivot, and
     a combination in the hyperplane holds an even number of hot rows, so
     the hyperplane keeps every pivot but h.  Its canonical basis is the
     other rows with row_h added to each hot one, in pivot order; row_h has
-    no bit at any kept pivot, so it is its own reduction."""
+    no bit at any kept pivot, so it is its own reduction.  The rows that
+    pair evenly with w0 come back as the same objects."""
     if w0.n != m.n:
         raise LengthMismatch(f"length {w0.n} vs {m.n}")
-    rows, _ = _rref_ints(m.row_ints())
     w = w0.bits
-    hot = [(r & w).bit_count() & 1 for r in rows]
+    hot = [(r.bits & w).bit_count() & 1 for r in m.rows]
     if not any(hot):
         raise ValueError("row space is already orthogonal to w0")
     h = max(i for i, odd in enumerate(hot) if odd)
-    top = rows[h]
-    new_rows = [r ^ top if odd else r for r, odd in zip(rows, hot)]
+    top = m.rows[h]
+    new_rows = [BitVec(m.n, r.bits ^ top.bits) if odd else r for r, odd in zip(m.rows, hot)]
     del new_rows[h]
-    return BitMat(m.n, [BitVec(m.n, r) for r in new_rows]), BitVec(m.n, top)
-
-
-def invert_matrix(rows: Sequence[int], k: int) -> list[int]:
-    """Inverse of an invertible k x k GF(2) matrix given as row ints."""
-    if len(rows) != k:
-        raise ValueError("matrix must be square")
-    aug = [rows[i] | (1 << (k + i)) for i in range(k)]
-    reduced, pivots = _rref_ints(aug)
-    if list(pivots) != list(range(k)):
-        raise ValueError("matrix is singular")
-    return [reduced[i] >> k for i in range(k)]
+    return BitMat(m.n, new_rows), top
 
 
 @dataclass(frozen=True)

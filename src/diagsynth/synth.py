@@ -16,9 +16,9 @@ code where the gate differs.
 
 Each step updates its code instead of rebuilding it: it writes the new
 canonical bases itself and builds the code with the unvalidated step
-constructor ``CssCode._grown``, carrying the parent's structures on the
-side it leaves unchanged.  Each step's docstring proves its bases
-canonical.
+constructor ``CssCode._grown``, passing the parent's own basis for the
+side it leaves unchanged, so that side's cached structures carry over.
+Each step's docstring proves its bases canonical.
 """
 
 from __future__ import annotations
@@ -116,16 +116,14 @@ def remove_z(
 
     The new code always comes back; ``admissible`` reports whether the gate
     still preserves it, and ``witness`` where it fails (``_verdict``).
-    Its Z basis is ``gf2.restrict_to_hyperplane``'s, which is canonical;
-    the X rows stay, so C2-perp and the C2 and C2-perp reducers carry over.
+    Its Z basis is ``gf2.restrict_to_hyperplane``'s of the canonical Z
+    rows, which is canonical; the X basis stays, so C2-perp and the C2 and
+    C2-perp reducers carry over.
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
     new_z, gamma0 = _split_z_stab(code, w0)
-    new_code = CssCode._grown(
-        code, code.x_stab, new_z, code.y,
-        keep=("c2perp", "c2_reducer", "c2perp_reducer"),
-    )
+    new_code = CssCode._grown(code, code.x_stab, new_z, code.y)
     return RemovalResult(
         new_code, gamma0, *_verdict(code, new_code, gate, check, budget, w0)
     )
@@ -172,10 +170,12 @@ def add_x(
     reduced mod C2, has no bit at an old pivot, so its lowest bit p0 is
     the new pivot, and adding r0 to the rows with bit p0 clears it there
     without touching their pivots (below p0) or any other pivot.  The Z
-    rows stay, so C1 and the C1 and C1-perp reducers carry over.  C2-perp
-    and the canonical Z-logical basis (C2-perp mod C1-perp) become their
-    parts orthogonal to x0, canonical from ``gf2.restrict_to_hyperplane``
-    (C1-perp is orthogonal to x0, so the quotient restricts with them).
+    basis stays, so C1 and the C1 and C1-perp reducers carry over.  The
+    canonical Z-logical basis (C2-perp mod C1-perp), which the next
+    addition reads, becomes its part orthogonal to x0, canonical from
+    ``gf2.restrict_to_hyperplane`` (C1-perp is orthogonal to x0, so the
+    quotient restricts with C2-perp).  No step reads the new code's
+    C2-perp, so it is derived only if something asks for it.
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
@@ -191,8 +191,6 @@ def add_x(
     new_x.insert(sum(r.bits & -r.bits < p0 for r in new_x), BitVec(n, r0))
     new_code = CssCode._grown(
         code, BitMat(n, new_x), code.z_stab, code.y,
-        keep=("c1", "c1_reducer", "c1perp_reducer"),
-        c2perp=gf2.restrict_to_hyperplane(code.c2perp, x0)[0],
         _z_logicals=gf2.restrict_to_hyperplane(code._z_logicals, x0)[0],
     )
     return AdditionResult(

@@ -1,8 +1,9 @@
 """CSS code model: construction, frames, distances, encoding, JSON."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from diagsynth import gf2
 from diagsynth.csscode import (
     CssCode,
     code_from_json,
@@ -10,8 +11,16 @@ from diagsynth.csscode import (
     encode_basis_state,
 )
 from diagsynth.errors import CommutationViolation
-from diagsynth.families import four22_code, steane_code
+from diagsynth.families import (
+    family_2l_l_2,
+    four22_code,
+    punctured_qrm,
+    qrm_code,
+    steane_code,
+    triorthogonal_2,
+)
 from diagsynth.gf2 import BitMat, BitVec
+from diagsynth.synth import concatenate
 
 from conftest import css_codes
 
@@ -52,6 +61,61 @@ class TestConstruction:
             assert red.contains(r) and not code.c1perp_reducer.contains(r)
         for r in f.x_logical_basis:
             assert code.c1_reducer.contains(r) and not code.c2_reducer.contains(r)
+
+
+def frame_x_reference(code):
+    """The frame's X-logical rows as the invert-and-recombine construction
+    built them: invert the pairing matrix P of the raw quotient basis X,
+    then add up the rows of X that each row of P^-1 names."""
+    z_ints = code._z_logicals.row_ints()
+    x_ints = gf2.quotient_basis(code.c1, code.x_stab).row_ints()
+    k = len(z_ints)
+    pairing = [
+        sum(((x & z).bit_count() & 1) << j for j, z in enumerate(z_ints)) for x in x_ints
+    ]
+    aug = [pairing[i] | (1 << (k + i)) for i in range(k)]
+    reduced, pivots = gf2._rref_ints(aug)
+    assert list(pivots) == list(range(k)), "pairing is singular"
+    inv = [reduced[i] >> k for i in range(k)]
+    x_rows = []
+    for i in range(k):
+        acc = 0
+        for j in range(k):
+            if (inv[i] >> j) & 1:
+                acc ^= x_ints[j]
+        x_rows.append(acc)
+    return x_rows
+
+
+FRAME_CODES = {
+    "steane": steane_code,
+    "four22": four22_code,
+    "qrm13": lambda: qrm_code(1, 3),
+    "qrm24": lambda: qrm_code(2, 4),
+    "pqrm3": lambda: punctured_qrm(3),
+    "two_l3": lambda: family_2l_l_2(3).code,
+    "tri2_2": lambda: triorthogonal_2(2).code,
+    "concat_qrm13": lambda: concatenate(qrm_code(1, 3)),
+}
+
+
+class TestFrame:
+    """The frame's X side comes from one tagged elimination; it must equal
+    the invert-and-recombine construction row for row."""
+
+    @given(css_codes())
+    @example(CssCode(2, BitMat.from_strings(["11"]), BitMat.from_strings(["11"])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_invert_and_recombine(self, code):
+        frame = code.frame
+        assert frame.z_logical_basis == code._z_logicals
+        assert frame.x_logical_basis.row_ints() == frame_x_reference(code)
+        assert frame.x_logical_basis.n == code.n and frame.k == code.k
+
+    @pytest.mark.parametrize("name", FRAME_CODES)
+    def test_family_codes(self, name):
+        code = FRAME_CODES[name]()
+        assert code.frame.x_logical_basis.row_ints() == frame_x_reference(code)
 
 
 class TestDistances:

@@ -283,6 +283,8 @@ class TestStructuredKernels:
     @given(ranked_rows(), st.sampled_from(["first", "last", "every", "random"]), st.data())
     @settings(max_examples=200, deadline=None)
     def test_restrict_matches_elimination(self, case, hits, data):
+        # the input is the canonical basis, as restrict_to_hyperplane
+        # documents; the unreduced rows only set the reference's span
         n, canon, rows = case
         if not canon:
             return
@@ -298,13 +300,30 @@ class TestStructuredKernels:
         w = sum(1 << pivots[i] for i in range(r) if mask >> i & 1)
         w ^= sum_rows(dual, data.draw(st.integers(0, (1 << len(dual)) - 1)))
         new, removed = restrict_to_hyperplane(
-            BitMat(n, [BitVec(n, x) for x in rows]), BitVec(n, w)
+            BitMat(n, [BitVec(n, x) for x in canon]), BitVec(n, w)
         )
         want_rows, want_removed = _restrict_reference(rows, w)
         assert new.row_ints() == want_rows and removed.bits == want_removed
         assert (removed.bits & w).bit_count() & 1
         assert Reducer(new).reduce(removed) == removed
         assert all((x & w).bit_count() % 2 == 0 for x in new.row_ints())
+
+    @given(ranked_rows(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restrict_keeps_the_even_rows(self, case, data):
+        # rows that pair evenly with w0 come back as the caller's objects,
+        # and the removed direction is the top hot row itself
+        n, canon, _ = case
+        if not canon:
+            return
+        m = BitMat(n, [BitVec(n, x) for x in canon])
+        w = BitVec(n, data.draw(full_words(n)))
+        hot = [row for row in m if row.dot(w)]
+        assume(hot)
+        new, removed = restrict_to_hyperplane(m, w)
+        assert removed is hot[-1]
+        even = [row for row in m if not row.dot(w)]
+        assert [row for row in new if any(row is e for e in even)] == even
 
     @given(ranked_rows(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -792,6 +811,27 @@ class TestSpanWords:
         with pytest.raises(BudgetExceeded) as exc:
             span_words([1, 2, 4], 256, budget=4)
         assert exc.value.required_log2 == 3
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_int_rows_matches_per_column_reference(self, data):
+        # each word column filled from the rows, as the loop over columns
+        # wrote it
+        n = data.draw(st.sampled_from([1, 63, 64, 65, 512]))
+        xs = data.draw(st.lists(full_words(n) | st.just(0) | st.just((1 << n) - 1), max_size=20))
+        got = int_rows(xs, n)
+        want = np.empty((len(xs), -(-n // 64)), dtype=np.uint64)
+        for i, col in enumerate(want.T):
+            col[:] = [(x >> (64 * i)) & 0xFFFF_FFFF_FFFF_FFFF for x in xs]
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, want)
+
+    def test_int_rows_of_no_rows(self):
+        for n in (1, 63, 64, 65, 512):
+            got = int_rows([], n)
+            assert got.dtype == np.uint64 and got.shape == (0, -(-n // 64))
+            assert got.flags.c_contiguous and got.flags.writeable
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -842,6 +842,45 @@ class TestStepConstructor:
         direct = assert_step_built(code)
         assert code.frame == direct.frame
 
+    def test_each_step_carries_the_side_it_leaves(self):
+        # with every structure of the parent built, a concatenation carries
+        # none, a removal the X side and an addition the Z side and its
+        # restricted Z-logicals; no check runs, so nothing else is read
+        code = qrm_code(2, 4)
+        code.frame
+        for name in CssCode._X_SIDE + CssCode._Z_SIDE:
+            getattr(code, name)
+        base = {"n", "x_stab", "z_stab", "y", "_caches"}
+
+        def carried(child, side):
+            assert all(vars(child)[name] is vars(code)[name] for name in side)
+            return set(vars(child)) - base
+
+        assert carried(concatenate(code), ()) == set()
+        units = (BitVec.unit(code.n, q) for q in range(code.n))
+        w0 = next(w for w in units if not code.c1_reducer.contains(w))
+        assert carried(remove_z(code, None, w0).code, CssCode._X_SIDE) == set(CssCode._X_SIDE)
+        added = add_x(code, None, code.x_word(1)).code
+        assert carried(added, CssCode._Z_SIDE) == {*CssCode._Z_SIDE, "_z_logicals"}
+        # C2-perp is derived when read, and it is the direct code's
+        direct = CssCode(added.n, added.x_stab, added.z_stab, added.y)
+        assert added._z_logicals == direct._z_logicals
+        assert added.c2perp == direct.c2perp
+
+    def test_addition_child_derives_c2perp_when_read(self):
+        # qrm_pipeline(1,2)'s checked additions, replayed: neither the step
+        # nor its verdict reads the child's C2-perp, and reading it gives
+        # the direct code's
+        res = qrm_pipeline(1, 2)
+        code = res.pre_addition
+        for step in res.steps[-res.addition_count:]:
+            added = add_x(code, res.gate, BitVec.from_string(step.params["x0"]))
+            assert added.admissible and "c2perp" not in vars(added.code)
+            code = added.code
+            direct = CssCode(code.n, code.x_stab, code.z_stab, code.y)
+            assert code.c2perp == direct.c2perp
+        assert code == res.final
+
     def test_pipeline_builds_two_codes_and_one_frame(self, monkeypatch):
         # qrm_pipeline(1,2): the validating constructor builds the start and
         # the direct code, and only the first removal's full certificate
