@@ -155,18 +155,18 @@ class CssCode:
         return gf2.quotient_basis(self.c2perp, self.z_stab)
 
     @cached_property
+    def _x_logicals(self) -> BitMat:
+        """The canonical basis of C1 mod C2; it reads both bases, so no step carries it."""
+        return gf2.quotient_basis(self.c1, self.x_stab)
+
+    @cached_property
     def frame(self) -> LogicalFrame:
-        z_basis = self._z_logicals
-        x_raw = gf2.quotient_basis(self.c1, self.x_stab)
-        k = z_basis.num_rows
-        assert x_raw.num_rows == k, "logical quotients disagree"
-        z_ints, x_ints = z_basis.row_ints(), x_raw.row_ints()
+        z_ints, x_ints = self._z_logicals.row_ints(), self._x_logicals.row_ints()
+        k = len(z_ints)
+        assert len(x_ints) == k, "logical quotients disagree"
 
         def pairing(xs: list[int]) -> list[int]:
-            return [
-                sum(((x & z).bit_count() & 1) << j for j, z in enumerate(z_ints))
-                for x in xs
-            ]
+            return [sum(((x & z).bit_count() & 1) << j for j, z in enumerate(z_ints)) for x in xs]
 
         # One elimination of the rows P_i | x_i << k, P the pairing matrix:
         # row i of the result is e_i | (P^-1 X)_i << k, the inverse being
@@ -174,7 +174,7 @@ class CssCode:
         tagged, _ = gf2._rref_ints(p | x << k for p, x in zip(pairing(x_ints), x_ints))
         x_rows = [r >> k for r in tagged]
         assert pairing(x_rows) == [1 << i for i in range(k)]
-        return LogicalFrame(z_basis, BitMat(self.n, [BitVec(self.n, r) for r in x_rows]))
+        return LogicalFrame(self._z_logicals, BitMat(self.n, [BitVec(self.n, r) for r in x_rows]))
 
     def z_logical(self, alpha: int) -> BitVec:
         """Representative of the Z-logical labeled by the bits of alpha."""
@@ -211,17 +211,17 @@ class CssCode:
     def distances(
         self, w_max: int = 6, budget: int = gf2.DEFAULT_BUDGET
     ) -> tuple[WeightResult, WeightResult]:
-        """(X-distance over C1 minus C2, Z-distance over C2-perp minus
-        C1-perp).  Distances up to ``w_max`` are exact; a larger one is
-        exact if ``budget`` words settle it or hold the span, else bounded.
-        A search stops once the lightest word meets its bound rounded up
-        to the power of two that divides every weight of the space, so
-        Reed-Muller-type codes settle in fewer words; a bounded answer is
-        the unrounded bound (``gf2.min_weight_excluding``)."""
+        """(d_x, d_z): the least weight of a word of C1 (of C2-perp) that
+        pairs oddly with a Z-logical (an X-logical).  Up to ``w_max`` they
+        are exact; a larger one is exact if ``budget`` words settle it or
+        hold the span, else bounded.  A search stops once the lightest word
+        meets its bound rounded up to the power of two dividing every
+        weight, so Reed-Muller-type codes settle in fewer words; a bounded
+        answer is the unrounded bound (``gf2.min_weight_excluding``)."""
         if self.k == 0:
             raise ValueError("code has no logical qubits")
-        d_x = gf2.min_weight_excluding(self.c1, self.x_stab, w_max, budget)
-        d_z = gf2.min_weight_excluding(self.c2perp, self.z_stab, w_max, budget)
+        d_x = gf2.min_weight_excluding(self.c1, self._z_logicals, w_max, budget)
+        d_z = gf2.min_weight_excluding(self.c2perp, self._x_logicals, w_max, budget)
         return d_x, d_z
 
     def __eq__(self, other) -> bool:

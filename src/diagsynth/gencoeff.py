@@ -399,9 +399,8 @@ def _all_gammas(code: CssCode) -> list[BitVec]:
             f"full row has 2^{code.k} entries; pass an explicit gamma subset",
             required_log2=code.k,
         )
-    # binary order is frame order: bit a of the index selects basis row a
-    basis = code.frame.z_logical_basis.row_ints()
-    return [BitVec(code.n, g) for g in gf2.span_ints(basis)]
+    # the frame's Z side in binary order: bit a of the index selects row a
+    return [BitVec(code.n, g) for g in gf2.span_ints(code._z_logicals.row_ints())]
 
 
 def coefficient(

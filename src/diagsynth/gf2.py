@@ -6,9 +6,9 @@ leftmost character: ``BitVec.from_string("0110")`` has support {1, 2}.
 Python ints give free wide XOR and popcount; enumeration-heavy kernels
 hold a span as numpy uint64 words, ceil(n/64) per element, at every n.
 The distance search is one Brouwer-Zimmermann enumeration on such arrays
-at every n: rounds raise a lower bound until the lightest word meets it,
-the bound rounded up to the power of two 2^a that divides every weight
-(Ward's criterion on ANDs of basis rows, read a level at a time).
+at every n over the words pairing oddly with given check rows: rounds
+raise a lower bound until the lightest such word meets it, rounded up to
+the 2^a dividing every weight (Ward's criterion on ANDs of rows, by level).
 The search and the low-degree certificate walk (``gencoeff._walk``) list
 their points through one weight-class enumerator per walk,
 ``_weight_classes``: it yields the classes s = 0, 1, 2, ... in turn and
@@ -64,7 +64,7 @@ class BitVec:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
-        if not isinstance(s, str) or set(s) - {"0", "1"}:
+        if not isinstance(s, str) or s.strip("01"):
             raise ValueError(f"not a bitstring: {s!r}")
         return cls(len(s), int(s[::-1], 2) if s else 0)
 
@@ -609,11 +609,14 @@ def _divisor_levels(rows):
 
 def min_weight_excluding(
     big: BitMat,
-    small: BitMat,
+    checks: BitMat,
     w_max: int = 6,
     budget: int = DEFAULT_BUDGET,
 ) -> WeightResult:
-    """Minimum Hamming weight over rowspace(big) \\ rowspace(small).
+    """Minimum Hamming weight over the words of rowspace(big) that pair
+    oddly with some row of ``checks``: with checks spanning dual(S) modulo
+    dual(big), S in big, the words of big outside S.  So C1 with the
+    Z-logicals as checks gives d_x, C2-perp with the X-logicals d_z.
 
     Brouwer-Zimmermann enumeration (Grassl, "Searching for linear codes
     with large minimum distance", 2006): big, of dimension K, gets
@@ -621,13 +624,12 @@ def min_weight_excluding(
     Round t lists, on each set with t >= K - r_j, the words of weight
     t - (K - r_j) on its pivot columns; every word not yet listed then
     weighs at least ``sum_j max(0, t + 1 - (K - r_j))``, and the search
-    stops, exact, once the lightest word outside small meets that bound.
-    Words carry their parities against dual(small) modulo dual(big), which
-    all vanish iff the word lies in small.  A round whose entering bound is
-    at most ``w_max`` always runs; a later one runs if it fits ``budget``
-    with the words listed so far.  If not, the first set is listed to
-    weight K (the whole span) when 2^K fits the budget; else the entering
-    bound, above w_max, comes back with ``exact=False``.
+    stops, exact, once the lightest word with an odd check parity meets
+    that bound.  A round whose entering bound is at most ``w_max`` always
+    runs; a later one runs if it fits ``budget`` with the words listed so
+    far.  If not, the first set is listed to weight K (the whole span)
+    when 2^K fits the budget; else the entering bound, above w_max, comes
+    back with ``exact=False``.
 
     Divisible codes: if 2^a divides every weight of big, a word not yet
     listed weighs at least the bound rounded up to a multiple of 2^a, so
@@ -650,21 +652,19 @@ def min_weight_excluding(
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
-    red_big = Reducer(big)
-    if not all(red_big.contains_int(r) for r in small.row_ints()):
-        raise ValueError("small is not contained in big")
-    checks = quotient_basis(dual_basis(small), dual_basis(big)).row_ints()
+    checks = checks.row_ints()
     if not checks:
-        raise ValueError("empty difference: big and small span the same space")
-    n, dim = big.n, red_big.dim
+        raise ValueError("empty difference: no check rows")
+    rows, _ = _rref_ints(big.row_ints())
+    n, dim = big.n, len(rows)
     shift = 64 * _num_words(n)  # a word's parities against checks sit above it
     sets = []  # each set's classes s = 0, 1, ... on its pivot columns, read one a round
-    for gen, r in _information_sets(red_big.rows, n):
+    for gen, r in _information_sets(rows, n):
         gen = [g | sum(((g & h).bit_count() & 1) << i for i, h in enumerate(checks)) << shift
                for g in gen]
         sets.append((_weight_classes(gen[:r], gen[r:], shift + len(checks)), r))
     best, bound, spent = n + 1, 0, 0
-    levels, a = _divisor_levels(red_big.rows), 0  # 2^a divides every weight
+    levels, a = _divisor_levels(rows), 0  # 2^a divides every weight
     for t in itertools.count():
         steps = [(classes, r, t - dim + r) for classes, r in sets if t >= dim - r]
         words = sum(comb(r, s) << (dim - r) for _, r, s in steps)

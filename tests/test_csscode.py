@@ -124,6 +124,22 @@ class TestDistances:
         assert (d_x.value, d_x.exact) == (3, True)
         assert (d_z.value, d_z.exact) == (3, True)
 
+    def test_reads_the_codes_own_bases(self, monkeypatch):
+        # a fresh code derives C1, C2-perp and its two logical quotients once
+        # each; a code whose frame is built has them all and derives nothing
+        fresh, framed = qrm_code(2, 6), qrm_code(2, 6)
+        framed.frame
+        calls = []
+        for name in ("dual_basis", "quotient_basis"):
+            plain = getattr(gf2, name)
+            monkeypatch.setattr(gf2, name, lambda *a, name=name, plain=plain: calls.append(name) or plain(*a))
+        d = fresh.distances(4)
+        assert sorted(calls) == ["dual_basis"] * 2 + ["quotient_basis"] * 2
+        assert {"c1", "c2perp", "_z_logicals", "_x_logicals"} <= set(vars(fresh))
+        calls.clear()
+        assert framed.distances(4) == d and calls == []
+        assert d[1] == gf2.WeightResult(4, True)
+
     def test_zero_logicals_rejected(self):
         rep = BitMat.from_strings(["11"])
         code = CssCode(2, rep, rep)

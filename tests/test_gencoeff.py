@@ -355,6 +355,18 @@ class TestBudget:
         code, _ = cg
         assert gencoeff._all_gammas(code) == [code.z_logical(a) for a in range(1 << code.k)]
 
+    def test_z_side_row_builds_no_frame(self):
+        # qrm(2,4) has dim C1 = 11 > dim C1-perp = 5, so the row is summed
+        # on the Z side, which reads the Z-logicals and never the frame
+        code, gate = qrm_code(2, 4), transversal_zrot(16, 2)
+        assert code.dim_c1 > code.dim_c1perp
+        row = trivial_row(code, gate)
+        assert "frame" not in vars(code)
+        code.frame
+        again = trivial_row(code, gate)
+        assert row.gammas == again.gammas and row.denom == again.denom
+        assert row.ints.tolist() == again.ints.tolist()
+
     def test_row_cap_refusal(self):
         # 13 logicals: one past the row cap
         n = 13

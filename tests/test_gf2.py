@@ -35,6 +35,12 @@ from conftest import bitmats, full_words
 STEANE_H = ["1111000", "1100110", "1010101"]
 
 
+def checks(big, small):
+    """Check rows whose odd pairings mark the words of big outside small:
+    the canonical basis of dual(small) modulo dual(big)."""
+    return quotient_basis(dual_basis(small), dual_basis(big))
+
+
 class TestBitVec:
     def test_string_round_trip(self):
         v = BitVec.from_string("0110")
@@ -53,7 +59,14 @@ class TestBitVec:
         assert (v.n, v.bits) == (n, sum(1 << q for q, ch in enumerate(text) if ch == "1"))
 
     @given(st.text(max_size=12) | st.sampled_from([" 01", "0_1", "0b1", "+1", "-1", "١"]))
+    @example("\uff101")
+    @example("1_0")
+    @example(" 1")
+    @example("+1")
+    @example("0b1")
+    @example("1\n")
     def test_from_string_refuses_other_text(self, text):
+        # reference: a bitstring is text whose characters all lie in {0, 1}
         if set(text) <= {"0", "1"}:
             assert BitVec.from_string(text).to01() == text
         else:
@@ -398,37 +411,38 @@ class TestMinWeight:
     def test_422_dz(self):
         sup = dual_basis(BitMat.from_strings(["1111"]))
         sub = BitMat.from_strings(["1111"])
-        assert min_weight_excluding(sup, sub) == WeightResult(2, True)
+        assert min_weight_excluding(sup, checks(sup, sub)) == WeightResult(2, True)
 
     def test_steane_dz(self):
         h = BitMat.from_strings(STEANE_H)
-        assert min_weight_excluding(dual_basis(h), h) == WeightResult(3, True)
+        assert min_weight_excluding(dual_basis(h), checks(dual_basis(h), h)) == WeightResult(3, True)
 
     def test_empty_difference(self):
         m = BitMat.from_strings(["11"])
         with pytest.raises(ValueError, match="empty difference"):
-            min_weight_excluding(m, m)
+            min_weight_excluding(m, checks(m, m))
 
     def test_bounded_mode_flag(self):
         # a tiny budget leaves only the rounds that w_max guarantees
         big = BitMat.identity(10)
         small = BitMat.from_strings(["1111111111"])
-        res = min_weight_excluding(big, small, w_max=1, budget=4)
+        res = min_weight_excluding(big, checks(big, small), w_max=1, budget=4)
         assert res == WeightResult(1, True)
         # parity code minus the repetition code has minimum weight 2: the
         # round that w_max=1 guarantees already lifts the bound to 2
         par = dual_basis(BitMat.from_strings(["1111111111"]))
         rep = BitMat.from_strings(["1111111111"])
-        res2 = min_weight_excluding(par, rep, w_max=1, budget=4)
+        res2 = min_weight_excluding(par, checks(par, rep), w_max=1, budget=4)
         assert res2 == WeightResult(2, True)
-        res3 = min_weight_excluding(par, rep, w_max=3, budget=4)
+        res3 = min_weight_excluding(par, checks(par, rep), w_max=3, budget=4)
         assert res3 == WeightResult(2, True)
         # first-order Reed-Muller minus the repetition code has minimum
         # weight 8; the budget stops the search after the rounds w_max=1
         # guarantees, so only the lower bound comes back
         from diagsynth.families import rm_generator
 
-        res4 = min_weight_excluding(rm_generator(1, 4), BitMat.from_strings(["1" * 16]),
+        rm14 = rm_generator(1, 4)
+        res4 = min_weight_excluding(rm14, checks(rm14, BitMat.from_strings(["1" * 16])),
                                     w_max=1, budget=2)
         assert res4 == WeightResult(2, False)
 
@@ -439,7 +453,7 @@ class TestMinWeight:
         if big_c.num_rows < 2:
             return
         small = BitMat(8, big_c.rows[: min(cut, big_c.num_rows - 1)])
-        res = min_weight_excluding(big_c, small)
+        res = min_weight_excluding(big_c, checks(big_c, small))
         red = Reducer(small)
         brute = min(
             v.bit_count()
@@ -464,7 +478,7 @@ class TestMinWeight:
         ])
         w_max = data.draw(st.integers(1, 6))
         budget = data.draw(st.sampled_from([1, 4, 64, 1 << 10, 1 << 26]))
-        res = min_weight_excluding(big, small, w_max, budget)
+        res = min_weight_excluding(big, checks(big, small), w_max, budget)
         red = Reducer(small)
         brute = min(
             v.bit_count() for v in span_ints(big.row_ints()) if not red.contains_int(v)
@@ -482,7 +496,7 @@ class TestMinWeight:
         rows = [1 | (((1 << 30) - 1) << 18)] + [1 << i for i in range(1, 18)]
         big = BitMat(n, [BitVec(n, r) for r in rows])
         small = BitMat(n, [BitVec(n, r) for r in rows[1:]])
-        assert min_weight_excluding(big, small) == WeightResult(31, True)
+        assert min_weight_excluding(big, checks(big, small)) == WeightResult(31, True)
 
 
 class TestWeightDivisor:
@@ -554,9 +568,9 @@ class TestWeightDivisor:
         small = BitMat(n, [BitVec(n, sum_rows(big.row_ints(), mask)) for mask in combos])
         w_max = data.draw(st.integers(1, 6))
         budget = data.draw(st.sampled_from([1, 4, 64, 1 << 10, 1 << 26]))
-        res = min_weight_excluding(big, small, w_max, budget)
+        res = min_weight_excluding(big, checks(big, small), w_max, budget)
         with mock.patch.object(gf2, "_divisor_levels", lambda rows: iter(())):
-            plain = min_weight_excluding(big, small, w_max, budget)
+            plain = min_weight_excluding(big, checks(big, small), w_max, budget)
         red = Reducer(small)
         brute = min(
             v.bit_count() for v in span_ints(big.row_ints()) if not red.contains_int(v)
@@ -589,7 +603,7 @@ class TestWeightDivisor:
 
         assert list(plain(big.row_ints())) == [1, 2]
         with mock.patch.object(gf2, "_divisor_levels", recording):
-            assert min_weight_excluding(big, small) == WeightResult(4, True)
+            assert min_weight_excluding(big, checks(big, small)) == WeightResult(4, True)
         assert read == [1]
 
     def test_bound_flips_to_exact(self):
@@ -622,7 +636,7 @@ class TestWeightDivisor:
             return map(counted, plain(*args))
 
         with mock.patch.object(gf2, "_weight_classes", counting):
-            d_x = min_weight_excluding(code.c1, code.x_stab, 4)
+            d_x = min_weight_excluding(code.c1, checks(code.c1, code.x_stab), 4)
         assert (code.n, code.k, d_x) == (64, 21, WeightResult(16, True))
         assert listed[0] <= 150_000
 
@@ -734,7 +748,7 @@ class TestQrmDistances:
         from diagsynth.families import qrm_code
 
         code = qrm_code(2, 8)
-        assert min_weight_excluding(code.c2perp, code.z_stab) == WeightResult(4, True)
+        assert min_weight_excluding(code.c2perp, checks(code.c2perp, code.z_stab)) == WeightResult(4, True)
 
     def test_128_qubits_under_a_small_budget(self):
         # [[128,21]] used to hang in a C(128, w) search; a 2^20 budget
@@ -856,7 +870,7 @@ def test_exact_mode_at_dimension_12():
     rows = [BitVec(n, rng.getrandbits(n) | 1) for _ in range(12)]
     big, _ = rref(BitMat(n, rows))
     small = BitMat(n, big.rows[:2])
-    res = min_weight_excluding(big, small)
+    res = min_weight_excluding(big, checks(big, small))
     red = Reducer(small)
     brute = min(
         v.bit_count()
@@ -872,10 +886,10 @@ def test_bounded_search_finds_weight_exactly():
 
     rm24 = rm_generator(2, 4)
     rep = BitMat.from_strings(["1" * 16])
-    res = min_weight_excluding(rm24, rep, w_max=6, budget=2)
+    res = min_weight_excluding(rm24, checks(rm24, rep), w_max=6, budget=2)
     assert res == WeightResult(4, True)
     # the first-order code (min weight 8): the rounds w_max=6 guarantees
     # lift the bound past 8, so the minimum comes back exact
     rm14 = rm_generator(1, 4)
-    res2 = min_weight_excluding(rm14, rep, w_max=6, budget=2)
+    res2 = min_weight_excluding(rm14, checks(rm14, rep), w_max=6, budget=2)
     assert res2 == WeightResult(8, True)

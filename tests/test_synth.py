@@ -771,7 +771,7 @@ def assert_step_built(code):
     assert (code.x_stab, code.z_stab, code.y) == (direct.x_stab, direct.z_stab, direct.y)
     assert code.k == direct.c1.num_rows - direct.x_stab.num_rows
     carried = dict(vars(code))
-    for name in ("c1", "c2perp", "_z_logicals"):
+    for name in ("c1", "c2perp", "_z_logicals", "_x_logicals"):
         if name in carried:
             assert carried[name] == getattr(direct, name)
     for name in ("c1_reducer", "c2_reducer", "c1perp_reducer", "c2perp_reducer"):
@@ -911,6 +911,10 @@ class TestStepConstructor:
         assert len(built) == len(res.steps)
         for code in built:
             assert_step_built(code)
+        # the checkpoints' distances, read from their own logical bases
+        for code in (res.pre_removal, res.pre_addition):
+            direct = CssCode(code.n, code.x_stab, code.z_stab, code.y)
+            assert code.distances(4) == direct.distances(4)
 
 
 class TestAdditionWitness:
