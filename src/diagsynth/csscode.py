@@ -81,8 +81,10 @@ class CssCode:
         - ``x_stab`` and ``z_stab`` are what ``gf2.rref`` returns for
           them, so the code equals ``CssCode(y.n, x_stab, z_stab, y)``;
         - the two stabilizer groups commute: a concatenation pairs
-          commuting rows, a removal shrinks the Z side, and an addition
-          adds an X row from C1, the dual of the Z side.
+          commuting rows, a removal shrinks the Z side and an X removal
+          the X side, an addition adds an X row from C1, the dual of the
+          Z side, and a Z addition a Z row from C2-perp, the dual of the
+          X side.
 
         A side whose basis is the parent's own object carries the parent's
         cached structures of that side (``_X_SIDE`` or ``_Z_SIDE``): each is

@@ -77,23 +77,15 @@ def shortened_rm(r: int, m: int) -> BitMat:
     delete the coordinate, and list the survivors in descending point
     order (qubit q holds old coordinate 2^m - 1 - q), which reproduces the
     textbook Hamming layout at (r, m) = (1, 3)."""
-    base = rm_generator(r, m)
-    red = gf2.Reducer(base)
-    kept: list[int] = []
-    # at most one RREF row has a 1 in position 0 (its pivot); drop it
-    for row in red.rows:
-        if row & 1:
-            continue
-        kept.append(row >> 1)
     n = (1 << m) - 1
-    reversed_rows = []
-    for row in kept:
-        rev = 0
-        for q in range(n):
-            if (row >> q) & 1:
-                rev |= 1 << (n - 1 - q)
-        reversed_rows.append(rev)
-    mat, _ = gf2.rref(BitMat(n, [BitVec(n, x) for x in reversed_rows]))
+    # rm_generator's rows are canonical, so at most one has a 1 in
+    # position 0 (its pivot); drop it, and reverse the others' n bits
+    rows = [
+        BitVec(n, int(format(row >> 1, f"0{n}b")[::-1], 2))
+        for row in rm_generator(r, m).row_ints()
+        if not row & 1
+    ]
+    mat, _ = gf2.rref(BitMat(n, rows))
     return mat
 
 

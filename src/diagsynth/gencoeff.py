@@ -733,7 +733,8 @@ def split_values(
     _check_gate(code, gate)
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
-    if code.c1_reducer.contains(w0):
+    # C1 = (C1-perp)-perp: w0 lies in C1 iff it pairs evenly with every Z row
+    if not any((w0.bits & z).bit_count() & 1 for z in code.z_stab.row_ints()):
         raise ValueError("w0 lies in C1: removal would not create a new logical")
     for g in gammas or ():
         if not code.c2perp_reducer.contains(g):

@@ -14,8 +14,9 @@ their points through one weight-class enumerator per walk,
 ``_weight_classes``: it yields the classes s = 0, 1, 2, ... in turn and
 builds each level of its subset table once, column-major.
 A canonical basis is the reduced echelon form with each pivot at its row's
-lowest bit; duals, hyperplane restrictions and reductions read their
-canonical output off that structure rather than eliminating again.
+lowest bit; duals, row insertions, hyperplane restrictions and reductions
+read their canonical output off that structure rather than eliminating
+again.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class BitVec:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
-        if not isinstance(s, str) or s.strip("01"):
+        if not isinstance(s, str) or s.count("0") + s.count("1") != len(s):
             raise ValueError(f"not a bitstring: {s!r}")
         return cls(len(s), int(s[::-1], 2) if s else 0)
 
@@ -490,6 +491,19 @@ def signed_weight_counts(
             cnt = np.bincount(idx.reshape(-1), minlength=len(block) * bins)
             counts[o : o + per] += cnt.reshape(-1, bins)
     return counts[:, 0::2] - counts[:, 1::2]
+
+
+def insert_reduced(m: BitMat, r0: int) -> BitMat:
+    """The canonical basis of rowspace(m) + r0, for a canonical m and a
+    nonzero r0 reduced modulo m (other input gives an unspecified result).
+
+    r0 has no bit at a pivot of m, so its lowest bit p0 is the new pivot;
+    adding r0 to the rows with bit p0 clears it there without touching
+    their pivots (below p0) or any other pivot."""
+    n, p0 = m.n, r0 & -r0
+    rows = [BitVec(n, r.bits ^ r0) if r.bits & p0 else r for r in m.rows]
+    rows.insert(sum(r.bits & -r.bits < p0 for r in rows), BitVec(n, r0))
+    return BitMat(n, rows)
 
 
 def restrict_to_hyperplane(m: BitMat, w0: BitVec) -> tuple[BitMat, BitVec]:

@@ -1,4 +1,4 @@
-"""The three code transformations and the pipeline executor.
+"""The three code transformations, two inverses and the pipeline executor.
 
 Concatenation doubles the qubits (pairing qubit i with i+n) and is always
 admissible for any gate whose doubled diagonal restricts correctly on the
@@ -14,10 +14,11 @@ is admissible iff no point fails, and an inadmissible step names the
 first failing point as its witness, two words of one coset of the new
 code where the gate differs.
 
-Each step updates its code instead of rebuilding it: it writes the new
-canonical bases itself and builds the code with the unvalidated step
-constructor ``CssCode._grown``, passing the parent's own basis for the
-side it leaves unchanged, so that side's cached structures carry over.
+Each step and inverse updates its code instead of rebuilding it: it
+writes the new canonical bases itself (``gf2.insert_reduced`` or
+``gf2.restrict_to_hyperplane``) and builds the code with the unvalidated
+step constructor ``CssCode._grown``, passing the parent's own basis for
+the side it leaves unchanged, so that side's cached structures carry over.
 Each step's docstring proves its bases canonical.
 """
 
@@ -131,13 +132,15 @@ def remove_z(
 
 def add_z(code: CssCode, gamma0: BitVec) -> CssCode:
     """Inverse of remove_z: adjoin gamma0 as a Z-stabilizer, grouping the
-    split coefficients back together."""
-    if code.c1perp_reducer.contains(gamma0):
+    split coefficients back together.  The Z basis gains gamma0 reduced
+    mod C1-perp (``gf2.insert_reduced``); the X side carries over."""
+    r0 = code.c1perp_reducer.reduce(gamma0).bits
+    if not r0:
         raise ValueError("gamma0 is already a Z-stabilizer")
-    if not code.c2perp_reducer.contains(gamma0):
+    # gamma0 lies in C2-perp iff it pairs evenly with every X row
+    if any((gamma0.bits & x).bit_count() & 1 for x in code.x_stab.row_ints()):
         raise ValueError("gamma0 must commute with the X-stabilizers")
-    rows = list(code.z_stab.rows) + [gamma0]
-    return CssCode(code.n, code.x_stab, BitMat(code.n, rows), code.y)
+    return CssCode._grown(code, code.x_stab, gf2.insert_reduced(code.z_stab, r0), code.y)
 
 
 @dataclass
@@ -166,16 +169,14 @@ def add_x(
     paper's half-row criterion (the induced diagonal's transform vanishes
     on the gamma that pair with x0) give the same verdict.
 
-    The new X basis is one rank-one update of the canonical rows: r0, x0
-    reduced mod C2, has no bit at an old pivot, so its lowest bit p0 is
-    the new pivot, and adding r0 to the rows with bit p0 clears it there
-    without touching their pivots (below p0) or any other pivot.  The Z
-    basis stays, so C1 and the C1 and C1-perp reducers carry over.  The
-    canonical Z-logical basis (C2-perp mod C1-perp), which the next
-    addition reads, becomes its part orthogonal to x0, canonical from
-    ``gf2.restrict_to_hyperplane`` (C1-perp is orthogonal to x0, so the
-    quotient restricts with C2-perp).  No step reads the new code's
-    C2-perp, so it is derived only if something asks for it.
+    The new X basis is the canonical rows with x0 reduced mod C2 inserted
+    (``gf2.insert_reduced``).  The Z basis stays, so C1 and the C1 and
+    C1-perp reducers carry over.  The canonical Z-logical basis (C2-perp
+    mod C1-perp), which the next addition reads, becomes its part
+    orthogonal to x0, canonical from ``gf2.restrict_to_hyperplane``
+    (C1-perp is orthogonal to x0, so the quotient restricts with C2-perp).
+    No step reads the new code's C2-perp, so it is derived only if
+    something asks for it.
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
@@ -186,11 +187,8 @@ def add_x(
     # x0 lies in C1 less C2, so some row of the canonical Z-logical basis
     # pairs with it
     mu0 = next(row for row in code._z_logicals if row.dot(x0))
-    n, p0 = code.n, r0 & -r0
-    new_x = [BitVec(n, r.bits ^ r0) if r.bits & p0 else r for r in code.x_stab]
-    new_x.insert(sum(r.bits & -r.bits < p0 for r in new_x), BitVec(n, r0))
     new_code = CssCode._grown(
-        code, BitMat(n, new_x), code.z_stab, code.y,
+        code, gf2.insert_reduced(code.x_stab, r0), code.z_stab, code.y,
         _z_logicals=gf2.restrict_to_hyperplane(code._z_logicals, x0)[0],
     )
     return AdditionResult(
@@ -200,31 +198,17 @@ def add_x(
 
 def remove_x(code: CssCode, x0: BitVec) -> CssCode:
     """Inverse of add_x: drop x0 from the X-stabilizer group, keeping the
-    deterministic index-two subgroup that avoids it."""
-    red = code.c2_reducer
-    if not red.contains(x0) or not x0:
+    stabilizers that vanish on x0's lowest qubit p.
+
+    x0's lowest bit is the pivot of the first canonical row of its
+    expansion, and no other row has bit p, so these stabilizers form an
+    index-two subgroup that avoids x0, with the other rows as canonical
+    basis (``gf2.restrict_to_hyperplane`` with the unit vector at p); the
+    Z side carries over."""
+    if not code.c2_reducer.contains(x0) or not x0:
         raise ValueError("x0 must be a nonzero X-stabilizer")
-    rows = list(code.x_stab.row_ints())
-    # positions of basis rows entering x0's expansion
-    combo = []
-    rem = x0.bits
-    for i, (row, p) in enumerate(zip(red.rows, red.pivots)):
-        if (rem >> p) & 1:
-            combo.append(i)
-            rem ^= row
-    assert rem == 0
-    j_star = combo[0]
-    new_rows = []
-    for i, row in enumerate(rows):
-        if i == j_star:
-            continue
-        new_rows.append(row ^ rows[j_star] if i in combo else row)
-    return CssCode(
-        code.n,
-        BitMat(code.n, [BitVec(code.n, r) for r in new_rows]),
-        code.z_stab,
-        code.y,
-    )
+    new_x, _ = gf2.restrict_to_hyperplane(code.x_stab, BitVec(code.n, x0.bits & -x0.bits))
+    return CssCode._grown(code, new_x, code.z_stab, code.y)
 
 
 def half_support_remove_z(
@@ -243,7 +227,7 @@ def half_support_remove_z(
     if rot is None or rot[0] != code.n:
         raise ValueError("expected a transversal rotation on the doubled code")
     w0 = BitVec.ones(n).concat(BitVec.zeros(n))
-    if code.c1_reducer.contains(w0):
+    if not any((w0.bits & z).bit_count() & 1 for z in code.z_stab.row_ints()):
         raise ValueError("the half-support word is already an X-logical or stabilizer")
     return remove_z(code, gate, w0, budget=budget)
 

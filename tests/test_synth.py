@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 from diagsynth import gencoeff, gf2
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE
-from diagsynth.errors import BudgetExceeded, InadmissibleStep, OddComponent
+from diagsynth.errors import BudgetExceeded, InadmissibleStep, LengthMismatch, OddComponent
 from diagsynth.families import (
     family_2l_l_2,
     four22_code,
@@ -34,6 +34,7 @@ from diagsynth.synth import (
     add_z,
     concatenate,
     dfs_switch,
+    half_support_remove_z,
     remove_x,
     remove_z,
     run_pipeline,
@@ -182,6 +183,18 @@ class TestRemoveZ:
         with pytest.raises(ValueError):
             remove_z(four22_code(), None, BitVec.from_string("1100"))
 
+    def test_c1_membership_reads_the_z_rows(self):
+        # w0 lies in C1 iff it pairs evenly with every Z row, so neither
+        # call derives C1; the half-support word of qrm(2,4) lies in C1
+        gate = transversal_zrot(16, 2)
+        code = qrm_code(2, 4)
+        gencoeff.split_values(code, gate, BitVec.unit(16, 0))
+        assert "c1" not in vars(code)
+        code = qrm_code(2, 4)
+        with pytest.raises(ValueError, match="already an X-logical or stabilizer"):
+            half_support_remove_z(code, gate)
+        assert "c1" not in vars(code)
+
     def test_removal_then_add_z_restores(self):
         code = steane_code()
         res = remove_z(code, None, BitVec.from_string("1000000"), check="skip")
@@ -255,6 +268,33 @@ class TestAddX:
         assert not removed.c2_reducer.contains(x0)
         readded = add_x(removed, None, x0, check="skip").code
         assert readded == added
+
+    @pytest.mark.parametrize("code", [steane_code(), qrm_code(1, 4), qrm_code(2, 4), qrm_code(1, 5)])
+    def test_remove_x_drops_x0(self, code):
+        # for every nonzero stabilizer x0: x0's lowest bit is the pivot of
+        # one canonical row, and the result keeps the other rows, so it
+        # avoids x0 whatever the length of x0's expansion
+        for x0 in gf2.span_ints(code.x_stab.row_ints())[1:]:
+            removed = remove_x(code, BitVec(code.n, x0))
+            assert not removed.c2_reducer.contains_int(x0)
+            assert removed.dim_c2 == code.dim_c2 - 1
+            kept = tuple(r for r in code.x_stab if r.bits & -r.bits != x0 & -x0)
+            assert removed.x_stab.rows == kept
+            assert removed.z_stab is code.z_stab
+
+    def test_inverse_refusals(self):
+        # a wrong length is refused first, then each message as before
+        code = steane_code()
+        for inverse in (remove_x, add_z):
+            with pytest.raises(LengthMismatch):
+                inverse(code, BitVec.zeros(8))
+        for x0 in (BitVec.zeros(7), BitVec.unit(7, 0)):
+            with pytest.raises(ValueError, match="x0 must be a nonzero X-stabilizer"):
+                remove_x(code, x0)
+        with pytest.raises(ValueError, match="gamma0 is already a Z-stabilizer"):
+            add_z(code, code.z_stab.rows[0] ^ code.z_stab.rows[1])
+        with pytest.raises(ValueError, match="gamma0 must commute with the X-stabilizers"):
+            add_z(code, BitVec.unit(7, 0))
 
     @given(codes_with_gates(max_n=6, min_k=1))
     @settings(max_examples=300, deadline=None)
@@ -791,6 +831,15 @@ def _grown_families():
     ]
 
 
+def _combination(basis, bits):
+    """The sum of the rows of basis that the bits of bits select."""
+    word = BitVec(basis.n, 0)
+    for j, row in enumerate(basis.rows):
+        if bits >> j & 1:
+            word ^= row
+    return word
+
+
 class TestStepConstructor:
     """Growth steps build their code from bases they already know
     (``CssCode._grown``) and carry the parent's structures they leave
@@ -802,16 +851,20 @@ class TestStepConstructor:
             st.tuples(st.integers(0, 2), st.just(0)),
         ),
         st.lists(
-            st.tuples(st.sampled_from(["concat", "remove_z", "add_x"]), st.integers(0, 1 << 16), st.booleans()),
+            st.tuples(
+                st.sampled_from(["concat", "remove_z", "add_x", "remove_x", "add_z"]),
+                st.integers(0, 1 << 16),
+                st.booleans(),
+            ),
             min_size=1, max_size=5,
         ),
     )
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_step_built_code_is_the_direct_code(self, seed, steps):
-        # chains of all three steps on random codes under a rotation and on
-        # the grown families; a drawn flag builds the frame before a step,
-        # and with it C1, C2-perp and the Z-logicals, which the next step
-        # may carry
+        # chains of the three steps and the two inverses on random codes
+        # under a rotation and on the grown families; a drawn flag builds
+        # the frame before a step, and with it C1, C2-perp and the
+        # Z-logicals, which the next step may carry
         if isinstance(seed[0], CssCode):
             code, gate = seed[0], transversal_zrot(seed[0].n, seed[1])
         else:
@@ -830,14 +883,21 @@ class TestStepConstructor:
                 if direct.c1_reducer.contains(word):
                     continue
                 code = remove_z(code, gate, word).code
-            else:
-                word = BitVec(code.n, 0)
-                for j, row in enumerate(direct.c1.rows):
-                    if bits >> j & 1:
-                        word ^= row
+            elif op == "add_x":
+                word = _combination(direct.c1, bits)
                 if direct.c2_reducer.contains(word):
                     continue
                 code = add_x(code, gate, word).code
+            elif op == "remove_x":
+                word = _combination(direct.x_stab, bits)
+                if not word:
+                    continue
+                code = remove_x(code, word)
+            else:
+                word = _combination(direct.c2perp, bits)
+                if direct.c1perp_reducer.contains(word):
+                    continue
+                code = add_z(code, word)
             assert_step_built(code)
         direct = assert_step_built(code)
         assert code.frame == direct.frame
@@ -866,6 +926,23 @@ class TestStepConstructor:
         direct = CssCode(added.n, added.x_stab, added.z_stab, added.y)
         assert added._z_logicals == direct._z_logicals
         assert added.c2perp == direct.c2perp
+
+    def test_inverses_call_no_validating_constructor(self, monkeypatch):
+        code = steane_code()
+        res = remove_z(code, None, BitVec.from_string("1000000"), check="skip")
+        init, inits = CssCode.__init__, []
+
+        def counted_init(self, *args):
+            inits.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(CssCode, "__init__", counted_init)
+        restored = add_z(res.code, res.gamma0)
+        shrunk = remove_x(code, code.x_stab.rows[0])
+        assert inits == []
+        monkeypatch.undo()
+        assert restored == code
+        assert_step_built(shrunk)
 
     def test_addition_child_derives_c2perp_when_read(self):
         # qrm_pipeline(1,2)'s checked additions, replayed: neither the step
