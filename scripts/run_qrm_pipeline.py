@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the Reed-Muller growth pipeline end to end and print the certified
-summary: [[4,2,2]] -> [[64,2,2]] -> [[64,21,2]] -> [[64,15,4]].
+summary: [[4,2,2]] -> [[64,2,2]] -> [[64,21,2]] -> [[64,15,4]] for the
+default (1, 2), and qrm(r, m) -> qrm(r+1, m+h) in general.
 
 Usage: python scripts/run_qrm_pipeline.py [r m] [--out FILE]
 
-Exit codes: 0 certified, 1 a check failed, 2 the certificate was refused
-by the enumeration budget (as for (1, 3), whose 2^28 logical words exceed
-it).
+Exit codes: 0 certified (the final code is preserved and induces the
+family's form, ``family_form``), 1 a check failed, 2 the certificate was
+refused by the enumeration budget.
 """
 
 import argparse
@@ -57,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(cert, indent=2, default=str))
     ok = (
         pres.preserved
-        and cert["ccz_product_form"]
+        and cert["family_form"]
         and cert["coefficients_match_prediction"]
         and cert["syndrome_pairs_zero"]
     )

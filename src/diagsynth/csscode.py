@@ -106,7 +106,7 @@ class CssCode:
 
     # the cached properties read from the X basis alone, and from the Z basis alone
     _X_SIDE = ("c2perp", "c2_reducer", "c2perp_reducer")
-    _Z_SIDE = ("c1", "c1_reducer", "c1perp_reducer")
+    _Z_SIDE = ("c1", "c1perp_reducer")
 
     @cached_property
     def c1(self) -> BitMat:
@@ -117,10 +117,6 @@ class CssCode:
     def c2perp(self) -> BitMat:
         """Basis of C2-perp = dual of the X-stabilizer code."""
         return gf2.dual_basis(self.x_stab)
-
-    @cached_property
-    def c1_reducer(self) -> Reducer:
-        return Reducer(self.c1)
 
     @cached_property
     def c2_reducer(self) -> Reducer:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from . import gencoeff, gf2, synth
 from .csscode import CssCode
@@ -203,6 +203,8 @@ class QrmPipelineResult:
     concat_count: int
     removal_count: int
     addition_count: int
+    r: int  # the start code is qrm_code(r, m)
+    m: int
 
     def intermediate(self, kind: str) -> CssCode | None:
         """Last code state before the first step of the given kind."""
@@ -247,7 +249,7 @@ def qrm_pipeline(r: int, m: int, budget: int = gf2.DEFAULT_BUDGET) -> QrmPipelin
     return QrmPipelineResult(
         start, pre, inter, code, gate,
         grown.steps + removed.steps + added.steps,
-        h, len(removed.steps), len(added.steps),
+        h, len(removed.steps), len(added.steps), r, m,
     )
 
 
@@ -260,10 +262,17 @@ def qrm_pipeline_certificate(
 ) -> dict:
     """Exact-full preservation certificate for the pipeline's final code.
 
-    Reads the induced logical diagonal, which requires the exact verdict
-    (``gencoeff.induced_logical``), and checks that it is a product of
-    fully-controlled-Z factors on logical triples (up to global phase and
-    Pauli-Z).  The transform over C1 is H_k (x) H_m on the coset rows, so
+    Reads the induced logical's phase polynomial, which requires the exact
+    verdict (``gencoeff.induced_logical``), and checks the family's form.
+    Under the rotation of index t = m/r + 1 the final code qrm(r', m') =
+    qrm(r + 1, m + h), m' = r' t, induces level t (``family_level``): one
+    C^(t-1)Z factor per partition of the m' Reed-Muller coordinates into t
+    blocks of r', so m'!/((r'!)^t t!) degree-t monomials with coefficient
+    2^(L-1) (``family_factor_count`` of ``family_factors_expected``), and
+    no other term but the phase and Pauli-Z (``family_form``).  For (1, 2)
+    that is ``ccz_product_form``: fully-controlled-Z factors on logical
+    triples, up to global phase and Pauli-Z, ``ccz_factor_count`` of them.
+    The transform over C1 is H_k (x) H_m on the coset rows, so
     the table vanishes off the trivial syndrome iff every coset is
     constant (``syndrome_pairs_zero``), and then coset beta sums to
     2^m zeta^exps[beta], so the trivial row is the diagonal's transform
@@ -274,28 +283,37 @@ def qrm_pipeline_certificate(
     """
     import random
 
-    from .hierarchy import level as poly_level, phase_polynomial
+    from .hierarchy import level as poly_level
 
     code, gate = result.final, result.gate
-    k = code.k
-    diag = gencoeff.induced_logical(code, gate, budget=budget)
-    poly = phase_polynomial(diag.exps, k, gate.level)
+    k, t, r2 = code.k, result.m // result.r + 1, result.r + 1
+    poly = gencoeff.induced_logical(code, gate, budget=budget).poly
     half = 1 << (gate.level - 1)
-    cubic = [mask for mask, c in poly.coeffs if mask.bit_count() == 3 and c == half]
-    bad = [
-        (mask, c)
-        for mask, c in poly.coeffs
-        if mask.bit_count() not in (0, 1, 3)
-        or (mask.bit_count() == 1 and c not in (0, half))
-        or (mask.bit_count() == 3 and c != half)
-    ]
+
+    def factors(deg: int) -> list[int]:
+        return [mask for mask, c in poly.coeffs if mask.bit_count() == deg and c == half]
+
+    def others(deg: int) -> list[tuple[int, int]]:
+        """The terms besides the phase, Pauli-Z and degree-deg factors."""
+        return [
+            (mask, c) for mask, c in poly.coeffs
+            if mask and (c != half or mask.bit_count() not in (1, deg))
+        ]
+
+    lvl = poly_level(poly)
+    expected = factorial(r2 * t) // (factorial(r2) ** t * factorial(t))
+    bad = others(3)
     rng = random.Random(seed)
     draws = {rng.randrange(1, 1 << k) for _ in range(n_gamma)}
     return {
-        "logical_level": poly_level(poly),
-        "ccz_factor_count": len(cubic),
+        "logical_level": lvl,
+        "ccz_factor_count": len(factors(3)),
         "ccz_product_form": not bad,
         "unexpected_monomials": bad,
+        "family_level": t,
+        "family_factor_count": len(factors(t)),
+        "family_factors_expected": expected,
+        "family_form": lvl == t and len(factors(t)) == expected and not others(t),
         "sampled_gamma_count": len(draws | {1 << i for i in range(k)}),
         "coefficients_match_prediction": True,
         "syndrome_pairs_zero": True,

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import gf2
-from .cyclo import LEVEL_CAP, Cyclo
+from .cyclo import LEVEL_CAP, ONE, Cyclo
 from .errors import BudgetExceeded, LengthMismatch
 from .gf2 import BitVec
 
@@ -313,6 +313,21 @@ def _block_pauli_table(local: LocalDiag) -> tuple[Cyclo, ...]:
             counts[k] += 1
         out.append(Cyclo.from_root_counts(local.level, counts, local.b))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _rot_table(local, n: int) -> tuple[np.ndarray, int]:
+    """f0^(n-w) f1^w, w = 0..n, for the Pauli coefficients f0, f1 of a
+    uniform rotation block: (n + 1, 2^(L-1)) Python integers over 2^top."""
+    f0, f1 = _block_pauli_table(local)
+    p0, p1 = [ONE], [ONE]
+    for _ in range(n):
+        p0.append(p0[-1] * f0)
+        p1.append(p1[-1] * f1)
+    terms = [(p0[n - w] * p1[w]).promote(local.level) for w in range(n + 1)]
+    top = max(t.denom_exp for t in terms)
+    rows = [[c << (top - t.denom_exp) for c in t.coeffs] for t in terms]
+    return np.array(rows, dtype=object), top
 
 
 def pauli_coeff(gate: DiagonalGate, v: BitVec) -> Cyclo:

@@ -39,15 +39,15 @@ fits the row cap and the budget, and otherwise the low-degree test
 (``_low_degree``), which also decides each growth step: from a preserved
 input it walks only the points the step's new row adds, and leaves the
 new code a complement of C2 in C1 that later walks read (``_complement``).
-On a preserved code every coset is constant, so the induced logical diagonal
-is the gate read at the 2^k words y ^ x_beta (``induced_logical``).
+On a preserved code every coset is constant, so the induced logical is
+read at the words y ^ x_beta, beta of weight <= D (``induced_logical``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -63,7 +63,7 @@ from .gates import (
     pauli_factors,
     residue_channels,
     span_exponents,
-    _block_pauli_table,
+    _rot_table,
     _word_exponents,
 )
 from .gf2 import BitVec
@@ -72,25 +72,6 @@ from .gf2 import BitVec
 # row of 2^(L-1) integers per factor product
 _PY_SPAN_CAP = 1 << 16
 _ROW_CAP = 1 << 12  # above this, is_preserved asks the low-degree test
-
-
-# ----------------------------------------------------------------------
-# cached powers
-
-
-@lru_cache(maxsize=None)
-def _rot_table(local, n: int) -> tuple[np.ndarray, int]:
-    """f0^(n-w) f1^w, w = 0..n, for the Pauli coefficients f0, f1 of a
-    uniform rotation block: (n + 1, 2^(L-1)) Python integers over 2^top."""
-    f0, f1 = _block_pauli_table(local)
-    p0, p1 = [ONE], [ONE]
-    for _ in range(n):
-        p0.append(p0[-1] * f0)
-        p1.append(p1[-1] * f1)
-    terms = [(p0[n - w] * p1[w]).promote(local.level) for w in range(n + 1)]
-    top = max(t.denom_exp for t in terms)
-    rows = [[c << (top - t.denom_exp) for c in t.coeffs] for t in terms]
-    return np.array(rows, dtype=object), top
 
 
 # ----------------------------------------------------------------------
@@ -291,10 +272,6 @@ def _sum_z_rows(
     return out.astype(np.int64 if width <= 62 else object, copy=False), width
 
 
-def _side_order(code: CssCode) -> list[str]:
-    return ["x", "z"] if code.dim_c1 <= code.dim_c1perp else ["z", "x"]
-
-
 def _row_ints(
     code: CssCode, gate: DiagonalGate, svals: Sequence[int], budget: int
 ) -> tuple[np.ndarray, int]:
@@ -304,7 +281,7 @@ def _row_ints(
     if not svals:
         return np.zeros((0, 1 << (gate.level - 1)), dtype=np.int64), 0
     last_exc: BudgetExceeded | None = None
-    for side in _side_order(code):
+    for side in "xz" if code.dim_c1 <= code.dim_c1perp else "zx":
         try:
             if side == "x":
                 return _sum_x_side(code, gate, svals, budget)
@@ -487,6 +464,16 @@ def _point_count(dim: int, weights: range) -> int:
     return sum(comb(dim, s) for s in weights)
 
 
+def _check_points(dim: int, weights: range, budget: int, what: str) -> None:
+    """Refuse more points (``_point_count``) than the budget."""
+    points = _point_count(dim, weights)
+    if points > budget:
+        raise BudgetExceeded(
+            f"{what}: {points} points of weight <= {weights.stop - 1}",
+            required_log2=(points - 1).bit_length(),
+        )
+
+
 def _walk(
     gate: DiagonalGate, n: int, head: list[int], logical: list[int],
     u0: int, v0: int, weights: range,
@@ -605,12 +592,7 @@ def _low_degree(
             head, logical, v0, weights = [], list(_complement(parent)), y, range(top)
             del logical[_replaced_row(parent, word)]
     dim = code.dim_c1 if logical is None else len(head) + len(logical)
-    points = _point_count(dim, weights)
-    if points > budget:
-        raise BudgetExceeded(
-            f"low-degree certificate: {points} points of weight <= {weights.stop - 1}",
-            required_log2=(points - 1).bit_length(),
-        )
+    _check_points(dim, weights, budget, "low-degree certificate")
     if logical is None:
         point = _walk(gate, code.n, head, _complement(code), u0, v0, weights)
     else:
@@ -675,13 +657,18 @@ def is_preserved(
 
 @dataclass(frozen=True)
 class LogicalDiagonal:
-    """Diagonal of the trivial-syndrome logical operator in the code's
-    logical frame: entry at beta is zeta_{2^level}^exps[beta]."""
+    """The trivial-syndrome logical operator in the code's logical frame:
+    entry beta is zeta_{2^level}^E(beta), E = ``poly``."""
 
     k: int
     level: int
-    exps: tuple[int, ...]
+    poly: hierarchy.PhasePolynomial
     frame: LogicalFrame
+
+    @cached_property
+    def exps(self) -> tuple[int, ...]:
+        """E at every beta, built when read."""
+        return tuple(self.poly.exponents())
 
 
 def induced_logical(
@@ -689,13 +676,14 @@ def induced_logical(
     gate: DiagonalGate,
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> LogicalDiagonal:
-    """The logical diagonal induced on a preserved code, with exact
-    root-of-unity entries in the code's logical frame.
+    """The logical diagonal induced on a preserved code, in its frame.
 
     The gate is constant on every coset x_beta + C2 + y of a preserved
-    code, so entry beta is its exponent at y ^ x_beta.  The verdict is
-    the memo that ``is_preserved`` or ``_low_degree`` left, else
-    ``is_preserved``'s; 2^k past the budget is refused.
+    code, so E(beta) is its exponent at y ^ x_beta.  By the degree proof of
+    ``_low_degree`` E has degree at most D (both read ``low_degree_bound``),
+    so the beta of weight <= D fix its ANF.  The verdict is the memo that
+    ``is_preserved`` or ``_low_degree`` left, else ``is_preserved``'s; more
+    points than the budget are refused.
     """
     _check_gate(code, gate)
     preserved = _recorded_verdict(code, gate)
@@ -703,11 +691,15 @@ def induced_logical(
         preserved = is_preserved(code, gate, budget).preserved
     if not preserved:
         raise NotPreserved("code is not preserved")
-    k = code.k
-    if 1 << k > budget:
-        raise BudgetExceeded(f"2^{k} logical diagonal", required_log2=k)
-    exps = span_exponents(gate, code.frame.x_logical_basis.row_ints(), code.y.bits)
-    return LogicalDiagonal(k, gate.level, tuple(exps.tolist()), code.frame)
+    k, top, words = code.k, low_degree_bound(gate), gf2._num_words(code.n)
+    _check_points(k, range(top + 1), budget, "induced logical")
+    rows = enumerate(code.frame.x_logical_basis.row_ints())
+    tagged = [b | 1 << (64 * words + i) for i, b in rows]
+    classes = gf2._weight_classes(tagged, [], 64 * words + k)
+    pts = np.concatenate([b for c in itertools.islice(classes, top + 1) for b in c])
+    exps = _word_exponents(gate)(pts[:, :words] ^ gf2.int_words(code.y.bits, code.n))
+    poly = hierarchy.low_degree_phase_polynomial(pts[:, words:], exps, k, gate.level)
+    return LogicalDiagonal(k, gate.level, poly, code.frame)
 
 
 # ----------------------------------------------------------------------

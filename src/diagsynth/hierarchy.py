@@ -86,6 +86,39 @@ def phase_polynomial(exps: Sequence[int], k: int, level: int) -> PhasePolynomial
     return PhasePolynomial.from_dict(k, level, {m: c for m, c in enumerate(a) if c})
 
 
+def low_degree_phase_polynomial(
+    masks: np.ndarray, exps: np.ndarray, k: int, level: int
+) -> PhasePolynomial:
+    """ANF of an exponent function from its values on a down-set: row j of
+    the uint64 word array ``masks`` names a subset U of the k variables
+    (variable i is bit i % 64 of word i // 64) and exps[j] is the function
+    at 1_U, and every U minus one variable is a row too.  The finite
+    differences of ``phase_polynomial`` run axis by axis over the rows,
+    g[U] -= g[U \\ {i}], each U \\ {i} found by a search in the rows sorted
+    as byte strings, so any k fits.  On the subsets of weight at most D
+    this is the ANF of the full table when the function has degree at
+    most D, since the coefficient on U reads only the subsets of U."""
+    mod = 1 << level
+    g = np.asarray(exps, dtype=np.int64) % mod
+    masks = np.ascontiguousarray(masks, dtype=np.uint64)
+    if k:
+        key = f"V{8 * masks.shape[1]}"
+        order = np.argsort(masks.view(key).ravel())
+        keys = masks.view(key).ravel()[order]
+    for i in range(k):
+        word, bit = i >> 6, np.uint64(1 << (i & 63))
+        has = np.flatnonzero(masks[:, word] & bit)
+        below = masks[has]
+        below[:, word] ^= bit
+        g[has] = (g[has] - g[order[np.searchsorted(keys, below.view(key).ravel())]]) % mod
+    nz = np.flatnonzero(g)
+    coeffs = {
+        sum(w << 64 * j for j, w in enumerate(row)): c
+        for row, c in zip(masks[nz].tolist(), g[nz].tolist())
+    }
+    return PhasePolynomial.from_dict(k, level, coeffs)
+
+
 def _v2(x: int, level: int) -> int:
     if x % (1 << level) == 0:
         return level

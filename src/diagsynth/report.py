@@ -24,11 +24,10 @@ def logical_summary(code: CssCode, gate: DiagonalGate, budget: int) -> dict[str,
         diag = gencoeff.induced_logical(code, gate, budget=budget)
     except BudgetExceeded as exc:
         return {"available": False, "reason": str(exc)}
-    poly = hierarchy.phase_polynomial(list(diag.exps), diag.k, diag.level)
     out: dict[str, Any] = {
         "available": True,
-        "level": hierarchy.level(poly),
-        "description": hierarchy.describe(poly),
+        "level": hierarchy.level(diag.poly),
+        "description": hierarchy.describe(diag.poly),
     }
     if diag.k <= hierarchy.BASIS_CHANGE_MAX_K:
         m = hierarchy.identify(list(diag.exps), diag.k, diag.level)

@@ -44,7 +44,14 @@ from diagsynth.hierarchy import (
 from diagsynth.oracle import crosscheck
 from diagsynth.synth import concatenate, dfs_switch, remove_z, half_support_remove_z
 
-from conftest import assert_point_witness, block_gates, codes_with_gates, x_side, z_side
+from conftest import (
+    assert_point_witness,
+    block_gates,
+    c1_reducer,
+    codes_with_gates,
+    x_side,
+    z_side,
+)
 
 
 def row_matches_up_to_phase(values, target):
@@ -274,7 +281,7 @@ def test_criterion_7_oracle_equivalence():
 def _split_identity_suite(cg, w0_bits):
     code, gate = cg
     w0 = BitVec(code.n, w0_bits & ((1 << code.n) - 1))
-    assume(not code.c1_reducer.contains(w0))
+    assume(not c1_reducer(code).contains(w0))
     res = remove_z(code, None, w0, check="skip")
     mu = code.syndrome_reps()[-1]
     gamma = code.z_logical((1 << code.k) - 1)

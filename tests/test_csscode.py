@@ -22,7 +22,7 @@ from diagsynth.families import (
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate
 
-from conftest import css_codes
+from conftest import c1_reducer, css_codes
 
 STEANE_H = ["1111000", "1100110", "1010101"]
 
@@ -60,7 +60,7 @@ class TestConstruction:
         for r in f.z_logical_basis:
             assert red.contains(r) and not code.c1perp_reducer.contains(r)
         for r in f.x_logical_basis:
-            assert code.c1_reducer.contains(r) and not code.c2_reducer.contains(r)
+            assert c1_reducer(code).contains(r) and not code.c2_reducer.contains(r)
 
 
 def frame_x_reference(code):

@@ -1,5 +1,6 @@
 """Built-in code families and the Reed-Muller growth pipeline."""
 
+import dataclasses
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from diagsynth.families import (
     qrm_code,
     qrm_gate,
     qrm_pipeline,
+    qrm_pipeline_certificate,
     rm_generator,
     shortened_rm,
     steane_code,
@@ -24,6 +26,8 @@ from diagsynth.gates import transversal_zrot
 from diagsynth.gencoeff import induced_logical, is_preserved, trivial_row
 from diagsynth.gf2 import BitVec
 from diagsynth.hierarchy import identify, level, phase_polynomial
+
+from conftest import c1_reducer
 
 
 class TestReedMuller:
@@ -221,7 +225,7 @@ class TestQrmPipelineSmall:
         for v in singles:
             assert red1.contains(v)
         for v in basis:
-            assert inter.c1_reducer.contains(v)
+            assert c1_reducer(inter).contains(v)
             assert not inter.c2_reducer.contains(v)
         span = gf2.span_words([v.bits for v in basis], 64)[:, 0]
         allones = np.uint64((1 << 64) - 1)
@@ -292,3 +296,24 @@ class TestQrmPipelineSmall:
         h = r + m // r + 1
         assert comb(m + h, r + 1) + comb(m + h, r) - comb(m, r) == 19
         assert comb(m + h, r) == 6
+
+
+class TestPipelineCertificate:
+    @pytest.mark.parametrize("r, m, t, factors", [(1, 2, 3, 15), (1, 3, 4, 105), (2, 4, 3, 280)])
+    def test_family_form(self, r, m, t, factors):
+        # qrm(r+1, m+h) under the rotation of index t = m/r + 1 induces one
+        # C^(t-1)Z factor per partition of its m+h coordinates into t
+        # blocks; (1, 3)'s 2^28 logical words were past the default budget
+        cert = qrm_pipeline_certificate(qrm_pipeline(r, m))
+        assert cert["family_form"] and cert["logical_level"] == cert["family_level"] == t
+        assert cert["family_factor_count"] == cert["family_factors_expected"] == factors
+        assert cert["ccz_product_form"] == (t == 3)
+        assert cert["ccz_factor_count"] == (factors if t == 3 else 0)
+
+    def test_other_family_is_refused(self):
+        # read as the (1, 3) pipeline, the (1, 2) code lacks its 105
+        # degree-4 factors
+        cert = qrm_pipeline_certificate(dataclasses.replace(qrm_pipeline(1, 2), m=3))
+        assert (cert["family_level"], cert["family_factors_expected"]) == (4, 105)
+        assert cert["family_factor_count"] == 0 and not cert["family_form"]
+        assert cert["ccz_product_form"]

@@ -1,5 +1,7 @@
 """Generator-coefficient engine: values, preservation, splits, logicals."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
@@ -8,12 +10,22 @@ from diagsynth import gencoeff, report
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
 from diagsynth.errors import BudgetExceeded, NotPreserved
-from diagsynth.families import four22_code, qrm_code, qrm_gate, steane_code
+from diagsynth.families import (
+    FAMILIES,
+    build_family,
+    four22_code,
+    qrm_code,
+    qrm_gate,
+    qrm_pipeline,
+    steane_code,
+)
 from diagsynth.gates import (
     LocalDiag,
     block_gate,
     elementary_ckz,
+    entry_exponent_int,
     qfd_gate,
+    span_exponents,
     transversal_zrot,
 )
 from diagsynth.gencoeff import (
@@ -25,6 +37,7 @@ from diagsynth.gencoeff import (
     trivial_row,
 )
 from diagsynth.gf2 import BitMat, BitVec
+from diagsynth.hierarchy import level, phase_polynomial
 
 from conftest import codes_with_gates, x_side, z_side
 
@@ -264,10 +277,13 @@ class TestDiagonalRoutes:
         assert is_preserved(code, gate).method == "low-degree"
 
     def test_logical_diagonal_budget(self):
-        # the verdict is memoized, so only the 2^k read meets the budget
+        # the verdict is memoized, so only the logical's points meet the
+        # budget: the C(2, <= 2) = 4 subsets of its two X-logicals, D = 2
         code, gate = four22_code(), transversal_zrot(4, 2)
         assert is_preserved(code, gate).preserved
-        with pytest.raises(BudgetExceeded, match="2\\^2 logical diagonal") as exc:
+        with pytest.raises(
+            BudgetExceeded, match="induced logical: 4 points of weight <= 2"
+        ) as exc:
             induced_logical(code, gate, budget=3)
         assert exc.value.required_log2 == 2
         assert induced_logical(code, gate, budget=4) == induced_logical(code, gate)
@@ -439,10 +455,91 @@ class TestLowDegreeCertificate:
         assert not is_preserved(code, transversal_zrot(code.n, m // r + 1)).preserved
 
     def test_logical_past_the_budget(self):
-        # [[256,28]] is certified preserved; its 2^28 logical words are not
-        # read at the default budget of 2^26
+        # [[256,28]] is certified preserved; its 2^28 logical words are past
+        # the default budget of 2^26, its C(28, <= 4) = 24,158 points are
+        # not: level 4, one C^3Z factor per partition of the 8 coordinates
+        # into 4 pairs
         code, gate = qrm_code(2, 8), qrm_gate(2, 8)
-        assert report.logical_summary(code, gate, 1 << 26) == {
-            "available": False,
-            "reason": "2^28 logical diagonal",
-        }
+        summary = report.logical_summary(code, gate, 1 << 26)
+        assert sorted(summary) == ["available", "description", "level"]
+        assert summary["available"] and summary["level"] == 4
+        factors = summary["description"].split(" * ")
+        assert len(factors) == 105 and all(f.startswith("CCCZ[") for f in factors)
+
+
+def dense_logical(code, gate):
+    """The reference route: the ANF of the gate at all 2^k logical words."""
+    rows = code.frame.x_logical_basis.row_ints()
+    exps = span_exponents(gate, rows, code.y.bits)
+    return phase_polynomial(exps, code.k, gate.level)
+
+
+FAMILY_PARAMS = {
+    "steane": [[]],
+    "four22": [[]],
+    "two_l": [[2], [3], [4], [5]],
+    "tri2": [[2], [3]],
+    "pqrm": [[2], [3], [4]],
+    "qrm": [[1, 3], [1, 4], [2, 4], [1, 5], [1, 6], [2, 6]],
+}
+
+
+class TestLowDegreeLogical:
+    """The induced logical read at its C(k, <= D) low-weight points equals
+    the ANF of its 2^k words."""
+
+    def test_every_family_covered(self):
+        assert set(FAMILY_PARAMS) == set(FAMILIES)
+
+    @pytest.mark.parametrize(
+        "name, params", [(name, p) for name, ps in FAMILY_PARAMS.items() for p in ps]
+    )
+    def test_family_builds(self, name, params):
+        fb = build_family(name, params)
+        assert induced_logical(fb.code, fb.gate).poly == dense_logical(fb.code, fb.gate)
+
+    def test_qrm_pipeline_final_code(self):
+        res = qrm_pipeline(1, 2)
+        diag = induced_logical(res.final, res.gate)
+        assert diag.k == 15 and diag.poly == dense_logical(res.final, res.gate)
+
+    @given(codes_with_gates(max_n=8))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_preserved_codes(self, cg):
+        # a code the gate does not preserve loses its X-stabilizers: with
+        # C2 = 0 every coset is one word, so any diagonal preserves it
+        code, gate = cg
+        if not is_preserved(code, gate).preserved:
+            code = CssCode(code.n, BitMat.empty(code.n), code.z_stab, code.y)
+        diag = induced_logical(code, gate)
+        assert diag.poly == dense_logical(code, gate)
+        rows = code.frame.x_logical_basis.row_ints()
+        assert diag.exps == tuple(span_exponents(gate, rows, code.y.bits).tolist())
+
+    @pytest.mark.parametrize("gate", [transversal_zrot(2, 3), qfd_gate(2, 3, [[1, 3], [3, 2]])])
+    @pytest.mark.parametrize("z_rows", [["10", "01"], ["11"], []])
+    def test_k_at_most_d(self, gate, z_rows):
+        # k = 0, 1, 2 under gates with D = 3 >= k
+        z_stab = BitMat.from_strings(z_rows) if z_rows else BitMat.empty(2)
+        code = CssCode(2, BitMat.empty(2), z_stab)
+        assert gencoeff.low_degree_bound(gate) >= code.k == 2 - len(z_rows)
+        assert induced_logical(code, gate).poly == dense_logical(code, gate)
+
+    def test_past_one_word_of_logicals(self):
+        # qrm(4,8) has k = 70: level 2, one CZ factor per partition of the
+        # 8 coordinates into two blocks of 4, and the polynomial agrees
+        # with the gate at drawn logical words
+        code, gate = qrm_code(4, 8), qrm_gate(4, 8)
+        diag = induced_logical(code, gate)
+        assert diag.k == 70 and level(diag.poly) == 2
+        half = 1 << (gate.level - 1)
+        assert [(m.bit_count(), c) for m, c in diag.poly.coeffs if m] == [(2, half)] * 35
+        rows = code.frame.x_logical_basis.row_ints()
+        rng = random.Random(0)
+        for _ in range(100):
+            beta = rng.getrandbits(70)
+            word = code.y.bits
+            for i, row in enumerate(rows):
+                if beta >> i & 1:
+                    word ^= row
+            assert diag.poly.evaluate(beta) == entry_exponent_int(gate, word)

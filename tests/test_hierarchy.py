@@ -1,22 +1,27 @@
 """Phase polynomials, hierarchy levels, template matching."""
 
 import functools
+import itertools
+import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from diagsynth import gencoeff
 from diagsynth.errors import BudgetExceeded
 from diagsynth.families import build_family
-from diagsynth.gf2 import BitVec
+from diagsynth.gf2 import BitVec, int_rows
 from diagsynth.hierarchy import (
     GateMatch,
+    PhasePolynomial,
     _apply_basis_change,
     describe,
     identify,
     level,
     level_recursive,
+    low_degree_phase_polynomial,
     match,
     phase_polynomial,
     standard_templates,
@@ -170,6 +175,33 @@ class TestAnf:
         exps, k, lvl = table
         p = phase_polynomial(exps, k, lvl)
         assert p.exponents() == exps
+
+    @given(
+        st.integers(0, 80), st.integers(0, 3), st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 1 << 80), st.integers(1, 15)), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_low_degree_points_fix_the_polynomial(self, k, top, lvl, terms):
+        # a polynomial of degree <= top on up to 80 variables, read back
+        # from its values at the subsets of weight <= top, listed in
+        # shuffled order
+        coeffs = {}
+        for mask, c in terms:
+            mask &= (1 << k) - 1
+            while mask.bit_count() > top:
+                mask &= mask - 1
+            coeffs[mask] = coeffs.get(mask, 0) + c
+        p = PhasePolynomial.from_dict(k, lvl, coeffs)
+        subsets = [
+            sum(1 << i for i in sub)
+            for s in range(top + 1) for sub in itertools.combinations(range(k), s)
+        ]
+        random.Random(k).shuffle(subsets)
+        masks = int_rows(subsets, max(k, 1))
+        exps = np.array([p.evaluate(u) for u in subsets])
+        assert low_degree_phase_polynomial(masks, exps, k, lvl) == p
+        if k <= 8:
+            assert p == phase_polynomial(p.exponents(), k, lvl)
 
 
 class TestLevel:

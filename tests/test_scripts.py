@@ -46,12 +46,12 @@ def test_run_qrm_pipeline(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "final [[64,15]]: preserved=True" in text
     cert = json.loads(text[text.index("{"):])
-    assert cert["ccz_product_form"]
+    assert cert["ccz_product_form"] and cert["family_form"]
     assert json.loads(out.read_text())["n"] == 64
 
 
 def test_run_qrm_pipeline_certificate_refused(tmp_path, monkeypatch, capsys):
-    # the refusal that (1, 3) meets at the default budget, without its run
+    # a certificate refused by the budget, without a run that meets one
     script = load("run_qrm_pipeline")
 
     def refuse(res):

@@ -42,6 +42,7 @@ from diagsynth.synth import concatenate, remove_z
 
 from conftest import (
     assert_point_witness,
+    c1_reducer,
     full_words,
     seeded_gates,
     table_coefficient,
@@ -287,7 +288,7 @@ class TestPastOneWord:
         code, gate = case
         assume(code.k <= 5 and code.dim_c1perp > 0)
         w0 = BitVec(code.n, data.draw(full_words(code.n)))
-        assume(not code.c1_reducer.contains(w0))
+        assume(not c1_reducer(code).contains(w0))
         res = remove_z(code, gate, w0)
         norm = Cyclo.zero()
         for a_idx in range(1 << code.k):
@@ -401,7 +402,7 @@ class TestRemovalNorm:
         code, gate = case
         assume(code.k <= 5 and code.dim_c1perp > 0)
         w0 = BitVec(code.n, data.draw(st.integers(1, (1 << code.n) - 1)))
-        assume(not code.c1_reducer.contains(w0))
+        assume(not c1_reducer(code).contains(w0))
         res = remove_z(code, gate, w0)
         # split identity: each old coefficient a and its split value s give
         # the two new coefficients (a + s)/2 and (a - s)/2
@@ -464,7 +465,7 @@ class TestGenericGates:
         gate = qfd_gate(n, 3, rows)
         w0 = BitVec(n, rng.getrandbits(n))
         assert (code.dim_c1, code.dim_c1perp, code.k) == (12, 12, 2)
-        assert not code.c1_reducer.contains(w0)
+        assert not c1_reducer(code).contains(w0)
         res = remove_z(code, gate, w0)
         svals = gencoeff.split_values(code, gate, w0)
         assert res.code.dim_c1 == 13
@@ -591,7 +592,7 @@ class TestRowReads:
         assert row.norm() == old_norm(want)
         # the split values subtract two such rows
         w0 = BitVec(n, data.draw(full_words(n)))
-        assume(not code.c1_reducer.contains(w0))
+        assume(not c1_reducer(code).contains(w0))
         new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
         split = CssCode(n, code.x_stab, new_z, code.y)
         assert gencoeff.split_values(code, gate, w0, gammas=gammas) == {
@@ -604,7 +605,7 @@ class TestRowReads:
     def test_split_values_match_per_entry_reads(self, case, data):
         code, gate = case
         w0 = BitVec(code.n, data.draw(full_words(code.n)))
-        assume(not code.c1_reducer.contains(w0))
+        assume(not c1_reducer(code).contains(w0))
         new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)
         read = old_reader(CssCode(code.n, code.x_stab, new_z, code.y), gate)
         gammas = [code.z_logical(a) for a in range(1 << code.k)]
