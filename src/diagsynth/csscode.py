@@ -81,10 +81,8 @@ class CssCode:
         - ``x_stab`` and ``z_stab`` are what ``gf2.rref`` returns for
           them, so the code equals ``CssCode(y.n, x_stab, z_stab, y)``;
         - the two stabilizer groups commute: a concatenation pairs
-          commuting rows, a removal shrinks the Z side and an X removal
-          the X side, an addition adds an X row from C1, the dual of the
-          Z side, and a Z addition a Z row from C2-perp, the dual of the
-          X side.
+          commuting rows, a removal shrinks the Z side, and an addition
+          adds an X row from C1, the dual of the Z side.
 
         A side whose basis is the parent's own object carries the parent's
         cached structures of that side (``_X_SIDE`` or ``_Z_SIDE``): each is
@@ -105,8 +103,8 @@ class CssCode:
     # derived structure
 
     # the cached properties read from the X basis alone, and from the Z basis alone
-    _X_SIDE = ("c2perp", "c2_reducer", "c2perp_reducer")
-    _Z_SIDE = ("c1", "c1perp_reducer")
+    _X_SIDE = ("c2perp", "c2_reducer")
+    _Z_SIDE = ("c1",)
 
     @cached_property
     def c1(self) -> BitMat:
@@ -121,14 +119,6 @@ class CssCode:
     @cached_property
     def c2_reducer(self) -> Reducer:
         return Reducer(self.x_stab)
-
-    @cached_property
-    def c1perp_reducer(self) -> Reducer:
-        return Reducer(self.z_stab)
-
-    @cached_property
-    def c2perp_reducer(self) -> Reducer:
-        return Reducer(self.c2perp)
 
     @property
     def dim_c1(self) -> int:

@@ -87,6 +87,8 @@ class BlockProductGate:
     )
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         seen: set[int] = set()
         for qubits, local in self.blocks:
             if len(qubits) != local.b:
@@ -130,6 +132,8 @@ class QfdGate:
     )
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if not 1 <= self.level <= LEVEL_CAP:
             raise ValueError(f"level must be in 1..{LEVEL_CAP}")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
@@ -145,7 +149,7 @@ class QfdGate:
 
     def _weight_affine(self) -> tuple[int, int, int] | None:
         # R = c*I
-        diag = self.rows[0][0] if self.n else 0
+        diag = self.rows[0][0]
         for i in range(self.n):
             for j in range(self.n):
                 if i == j:

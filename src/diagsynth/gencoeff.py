@@ -56,7 +56,7 @@ import numpy as np
 from . import gf2, hierarchy
 from .csscode import CssCode, LogicalFrame
 from .cyclo import ONE, Cyclo
-from .errors import BudgetExceeded, NotPreserved
+from .errors import BudgetExceeded, LengthMismatch, NotPreserved
 from .gates import (
     BlockProductGate,
     DiagonalGate,
@@ -369,6 +369,18 @@ def _check_gate(code: CssCode, gate: DiagonalGate) -> None:
         raise ValueError(f"gate on {gate.n} qubits vs code on {code.n}")
 
 
+def _check_gammas(code: CssCode, gammas: Sequence[BitVec] | None) -> None:
+    """Refuse a gamma of the wrong length, then one outside C2-perp, the
+    words that pair evenly with every X row.  The length comes first: with
+    no X rows no pairing would notice it."""
+    x_rows = code.x_stab.row_ints()
+    for g in gammas or ():
+        if g.n != code.n:
+            raise LengthMismatch(f"length {g.n} vs {code.n}")
+        if any((g.bits & x).bit_count() & 1 for x in x_rows):
+            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
+
+
 def _all_gammas(code: CssCode) -> list[BitVec]:
     """Every Z-logical in frame order, refused above the row cap."""
     if 1 << code.k > _ROW_CAP:
@@ -392,7 +404,7 @@ def coefficient(
     _check_gate(code, gate)
     if mu.n != code.n or gamma.n != code.n:
         raise ValueError("mu and gamma must have length n")
-    if not code.c2perp_reducer.contains(gamma):
+    if any((gamma.bits & x).bit_count() & 1 for x in code.x_stab.row_ints()):
         raise ValueError("gamma is not a Z-logical representative (not in C2-perp)")
     return _coefficient_int(code, gate, mu.bits ^ gamma.bits, budget)
 
@@ -419,9 +431,7 @@ def syndrome_row(
     _check_gate(code, gate)
     if mu.n != code.n:
         raise ValueError("mu must have length n")
-    for g in gammas or ():
-        if not code.c2perp_reducer.contains(g):
-            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
+    _check_gammas(code, gammas)
     exactness = "exact-full" if gammas is None else "exact-sampled"
     gammas = list(dict.fromkeys(_all_gammas(code) if gammas is None else gammas))
     ints, denom = _row_ints(code, gate, [mu.bits ^ g.bits for g in gammas], budget)
@@ -728,9 +738,7 @@ def split_values(
     # C1 = (C1-perp)-perp: w0 lies in C1 iff it pairs evenly with every Z row
     if not any((w0.bits & z).bit_count() & 1 for z in code.z_stab.row_ints()):
         raise ValueError("w0 lies in C1: removal would not create a new logical")
-    for g in gammas or ():
-        if not code.c2perp_reducer.contains(g):
-            raise ValueError(f"gamma {g.to01()} is not in C2-perp")
+    _check_gammas(code, gammas)
     if gammas is None:
         gammas = _all_gammas(code)
     new_z, gamma0 = gf2.restrict_to_hyperplane(code.z_stab, w0)

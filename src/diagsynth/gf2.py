@@ -299,11 +299,6 @@ class Reducer:
         return self.contains_int(v.bits)
 
 
-def contains(space: BitMat, v: BitVec) -> bool:
-    """True iff v lies in the row space of ``space``."""
-    return Reducer(space).contains(v)
-
-
 def _free_columns(rows: Sequence[int], pivots: Sequence[int], n: int) -> list[int]:
     """v_f = 1<<f | sum{1<<p : row p has bit f} for each non-pivot column
     f, ascending, from a reduced echelon form (either end) of m: v_f is

@@ -130,17 +130,6 @@ def compare_block_with_row(
     return max_diag, float(np.abs(off).max())
 
 
-def float_block(
-    code: CssCode, gate: DiagonalGate, tol: float = DEFAULT_TOL
-) -> tuple[LogicalBlock, bool]:
-    """The float half of the crosscheck: the logical block and whether it
-    is unitary within tol."""
-    block = logical_block(code, gate)
-    m = block.matrix
-    gram = m.conj().T @ m
-    return block, bool(np.abs(gram - np.eye(1 << block.k)).max() <= tol)
-
-
 def compare_with_engine(
     code: CssCode,
     gate: DiagonalGate,
@@ -148,13 +137,16 @@ def compare_with_engine(
     tol: float = DEFAULT_TOL,
     budget: int = gf2.DEFAULT_BUDGET,
 ) -> CrosscheckReport:
-    """Build the float half and compare it with the engine's verdict and
-    exact-full trivial row (``pres.row``).  A verdict without a row (past
+    """Build the float half, the logical block and whether it is unitary
+    within tol, and compare it with the engine's verdict and exact-full
+    trivial row (``pres.row``).  A verdict without a row (past
     the row cap or the budget) had its row refused, and asking again raises
     that refusal; the block's own size check comes first."""
     _check_block_size(code, gate)
     row = pres.row or gencoeff.trivial_row(code, gate, budget=budget)
-    block, unitary = float_block(code, gate, tol)
+    block = logical_block(code, gate)
+    gram = block.matrix.conj().T @ block.matrix
+    unitary = bool(np.abs(gram - np.eye(1 << block.k)).max() <= tol)
     max_diag, max_off = compare_block_with_row(block, row)
     return CrosscheckReport(
         preserved_exact=pres.preserved,

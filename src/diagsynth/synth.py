@@ -1,4 +1,4 @@
-"""The three code transformations, two inverses and the pipeline executor.
+"""The three code transformations and the pipeline executor.
 
 Concatenation doubles the qubits (pairing qubit i with i+n) and is always
 admissible for any gate whose doubled diagonal restricts correctly on the
@@ -14,8 +14,8 @@ is admissible iff no point fails, and an inadmissible step names the
 first failing point as its witness, two words of one coset of the new
 code where the gate differs.
 
-Each step and inverse updates its code instead of rebuilding it: it
-writes the new canonical bases itself (``gf2.insert_reduced`` or
+Each step updates its code instead of rebuilding it: it writes the new
+canonical bases itself (``gf2.insert_reduced`` or
 ``gf2.restrict_to_hyperplane``) and builds the code with the unvalidated
 step constructor ``CssCode._grown``, passing the parent's own basis for
 the side it leaves unchanged, so that side's cached structures carry over.
@@ -118,8 +118,8 @@ def remove_z(
     The new code always comes back; ``admissible`` reports whether the gate
     still preserves it, and ``witness`` where it fails (``_verdict``).
     Its Z basis is ``gf2.restrict_to_hyperplane``'s of the canonical Z
-    rows, which is canonical; the X basis stays, so C2-perp and the C2 and
-    C2-perp reducers carry over.
+    rows, which is canonical; the X basis stays, so C2-perp and the C2
+    reducer carry over.
     """
     if w0.n != code.n:
         raise ValueError("w0 must have length n")
@@ -128,19 +128,6 @@ def remove_z(
     return RemovalResult(
         new_code, gamma0, *_verdict(code, new_code, gate, check, budget, w0)
     )
-
-
-def add_z(code: CssCode, gamma0: BitVec) -> CssCode:
-    """Inverse of remove_z: adjoin gamma0 as a Z-stabilizer, grouping the
-    split coefficients back together.  The Z basis gains gamma0 reduced
-    mod C1-perp (``gf2.insert_reduced``); the X side carries over."""
-    r0 = code.c1perp_reducer.reduce(gamma0).bits
-    if not r0:
-        raise ValueError("gamma0 is already a Z-stabilizer")
-    # gamma0 lies in C2-perp iff it pairs evenly with every X row
-    if any((gamma0.bits & x).bit_count() & 1 for x in code.x_stab.row_ints()):
-        raise ValueError("gamma0 must commute with the X-stabilizers")
-    return CssCode._grown(code, code.x_stab, gf2.insert_reduced(code.z_stab, r0), code.y)
 
 
 @dataclass
@@ -170,13 +157,12 @@ def add_x(
     on the gamma that pair with x0) give the same verdict.
 
     The new X basis is the canonical rows with x0 reduced mod C2 inserted
-    (``gf2.insert_reduced``).  The Z basis stays, so C1 and the C1 and
-    C1-perp reducers carry over.  The canonical Z-logical basis (C2-perp
-    mod C1-perp), which the next addition reads, becomes its part
-    orthogonal to x0, canonical from ``gf2.restrict_to_hyperplane``
-    (C1-perp is orthogonal to x0, so the quotient restricts with C2-perp).
-    No step reads the new code's C2-perp, so it is derived only if
-    something asks for it.
+    (``gf2.insert_reduced``).  The Z basis stays, so C1 carries over.
+    The canonical Z-logical basis (C2-perp mod C1-perp), which the next
+    addition reads, becomes its part orthogonal to x0, canonical from
+    ``gf2.restrict_to_hyperplane`` (C1-perp is orthogonal to x0, so the
+    quotient restricts with C2-perp).  No step reads the new code's
+    C2-perp, so it is derived only if something asks for it.
     """
     if x0.n != code.n:
         raise ValueError("x0 must have length n")
@@ -194,21 +180,6 @@ def add_x(
     return AdditionResult(
         new_code, mu0, *_verdict(code, new_code, gate, check, budget, x0, True)
     )
-
-
-def remove_x(code: CssCode, x0: BitVec) -> CssCode:
-    """Inverse of add_x: drop x0 from the X-stabilizer group, keeping the
-    stabilizers that vanish on x0's lowest qubit p.
-
-    x0's lowest bit is the pivot of the first canonical row of its
-    expansion, and no other row has bit p, so these stabilizers form an
-    index-two subgroup that avoids x0, with the other rows as canonical
-    basis (``gf2.restrict_to_hyperplane`` with the unit vector at p); the
-    Z side carries over."""
-    if not code.c2_reducer.contains(x0) or not x0:
-        raise ValueError("x0 must be a nonzero X-stabilizer")
-    new_x, _ = gf2.restrict_to_hyperplane(code.x_stab, BitVec(code.n, x0.bits & -x0.bits))
-    return CssCode._grown(code, new_x, code.z_stab, code.y)
 
 
 def half_support_remove_z(
@@ -254,7 +225,7 @@ def dfs_switch(code: CssCode) -> DfsSwitch:
     verts = sorted({q for r in code.x_stab for q in r.support()})
     # an edge {i, j} means e_i = e_j mod C1perp, an equivalence: the
     # components are the classes of the reduced unit vectors
-    red = code.c1perp_reducer
+    red = gf2.Reducer(code.z_stab)
     comps: dict[int, list[int]] = {}
     for v in verts:
         comps.setdefault(red.reduce_int(1 << v), []).append(v)

@@ -46,6 +46,16 @@ def c1_reducer(code):
     return gf2.Reducer(code.c1)
 
 
+def c1perp_reducer(code):
+    """A membership oracle for C1-perp, the Z-stabilizer words."""
+    return gf2.Reducer(code.z_stab)
+
+
+def c2perp_reducer(code):
+    """A membership oracle for C2-perp, built from the code's basis of it."""
+    return gf2.Reducer(code.c2perp)
+
+
 def assert_point_witness(code, gate, witness):
     """Re-check a point witness by direct gate evaluation: two words u, v
     of one coset x_beta + C2 + y of ``code`` (u ^ y in C1, u ^ v in C2)

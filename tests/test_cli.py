@@ -131,6 +131,21 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "--code", str(bad), "--gate", str(bad))
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"kind": "blocks", "n": 0, "blocks": []},
+            {"kind": "blocks", "n": -1, "blocks": []},
+            {"kind": "qfd", "n": 0, "l": 2, "R": []},
+        ],
+    )
+    def test_gate_without_qubits_exit_2(self, steane_files, tmp_path, capsys, gate):
+        # refused as a gate, with no traceback, not later as a size mismatch
+        gate_path = tmp_path / "g.json"
+        gate_path.write_text(json.dumps(gate))
+        assert main(["verify", "--code", str(steane_files[0]), "--gate", str(gate_path)]) == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+
     def test_identity_gate_low_degree_exit_0(self, tmp_path, capsys):
         # 15 logicals, past the row cap: the low-degree test decides, and
         # for the identity (D = 0) it has no point to evaluate

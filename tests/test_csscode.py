@@ -22,7 +22,7 @@ from diagsynth.families import (
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate
 
-from conftest import c1_reducer, css_codes
+from conftest import c1_reducer, c1perp_reducer, c2perp_reducer, css_codes
 
 STEANE_H = ["1111000", "1100110", "1010101"]
 
@@ -45,7 +45,7 @@ class TestConstruction:
     @settings(max_examples=300)
     def test_derived_structure(self, code):
         # C1-perp inside C2-perp and the dimension gap is k
-        red = code.c2perp_reducer
+        red = c2perp_reducer(code)
         for z in code.z_stab:
             assert red.contains(z)
         assert code.c2perp.num_rows - code.dim_c1perp == code.k
@@ -58,7 +58,7 @@ class TestConstruction:
                 )
         # logical representatives live in the right quotients
         for r in f.z_logical_basis:
-            assert red.contains(r) and not code.c1perp_reducer.contains(r)
+            assert red.contains(r) and not c1perp_reducer(code).contains(r)
         for r in f.x_logical_basis:
             assert c1_reducer(code).contains(r) and not code.c2_reducer.contains(r)
 

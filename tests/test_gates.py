@@ -13,6 +13,7 @@ from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
 from diagsynth.gates import (
     BlockProductGate,
     LocalDiag,
+    QfdGate,
     block_gate,
     elementary_ckz,
     entry_exponent,
@@ -77,6 +78,13 @@ class TestConstructors:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             transversal_zrot(2, 8)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_gate_needs_a_qubit(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            BlockProductGate(n, ())
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            QfdGate(n, 2, ())
 
 
 class TestEntries:

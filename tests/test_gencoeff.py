@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from diagsynth import gencoeff, report
 from diagsynth.csscode import CssCode
 from diagsynth.cyclo import ONE, Cyclo, cos_pi_over, minus_i_sin_pi_over
-from diagsynth.errors import BudgetExceeded, NotPreserved
+from diagsynth.errors import BudgetExceeded, LengthMismatch, NotPreserved
 from diagsynth.families import (
     FAMILIES,
     build_family,
@@ -39,7 +39,7 @@ from diagsynth.gencoeff import (
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.hierarchy import level, phase_polynomial
 
-from conftest import codes_with_gates, x_side, z_side
+from conftest import c2perp_reducer, codes_with_gates, x_side, z_side
 
 
 def isin(level):
@@ -127,9 +127,43 @@ class TestPaperValues:
     def test_syndrome_row_refuses_a_gamma_outside_c2perp(self):
         code = steane_code()
         gamma = BitVec.from_string("1000000")
-        assert not code.c2perp_reducer.contains(gamma)
+        assert not c2perp_reducer(code).contains(gamma)
         with pytest.raises(ValueError, match="not in C2-perp"):
             syndrome_row(code, transversal_zrot(7, 2), BitVec.zeros(7), [gamma])
+
+    @pytest.mark.parametrize("no_x_rows", [False, True])
+    def test_gamma_refusals(self, no_x_rows):
+        # each gamma in turn: a wrong length first, also where no X row
+        # could pair with it, then a gamma outside C2-perp, by name
+        if no_x_rows:
+            n = 4
+            code = CssCode(n, BitMat.empty(n), BitMat(n, [BitVec.ones(n)]))
+        else:
+            code = steane_code()
+            n = code.n
+        gate, zeros, w0 = transversal_zrot(n, 2), BitVec.zeros(n), BitVec.unit(n, 0)
+        calls = (
+            lambda gs: trivial_row(code, gate, gs),
+            lambda gs: syndrome_row(code, gate, zeros, gs),
+            lambda gs: split_values(code, gate, w0, gs),
+        )
+        long, outside = BitVec.zeros(n + 1), BitVec.unit(n, 0)
+        for call in calls:
+            with pytest.raises(LengthMismatch, match=f"length {n + 1} vs {n}"):
+                call([zeros, long])
+            if not no_x_rows:
+                msg = f"gamma {outside.to01()} is not in C2-perp"
+                with pytest.raises(ValueError, match=msg):
+                    call([zeros, outside, long])
+                with pytest.raises(LengthMismatch):
+                    call([long, outside])
+        with pytest.raises(ValueError, match="mu and gamma must have length n"):
+            coefficient(code, gate, zeros, long)
+        with pytest.raises(ValueError, match="mu and gamma must have length n"):
+            coefficient(code, gate, BitVec.zeros(n - 1), zeros)
+        if not no_x_rows:
+            with pytest.raises(ValueError, match="not a Z-logical representative"):
+                coefficient(code, gate, zeros, outside)
 
 
 class TestSplitValues:
@@ -162,7 +196,7 @@ class TestSplitValues:
     def test_gamma_outside_c2perp_rejected(self):
         code = steane_code()
         w0, gamma = BitVec.from_string("1000000"), BitVec(7, 1)
-        assert not code.c2perp_reducer.contains(gamma)
+        assert not c2perp_reducer(code).contains(gamma)
         with pytest.raises(ValueError, match="not in C2-perp"):
             split_values(code, transversal_zrot(7, 2), w0, [gamma])
 

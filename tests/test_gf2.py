@@ -17,7 +17,6 @@ from diagsynth.gf2 import (
     _rref_ints,
     apply_parity_map,
     coset_reps,
-    contains,
     dual_basis,
     int_rows,
     min_weight_excluding,
@@ -350,12 +349,12 @@ class TestStructuredKernels:
 
 class TestContains:
     def test_examples(self):
-        assert contains(BitMat.from_strings(["11"]), BitVec.from_string("11"))
-        assert not contains(BitMat.from_strings(["11"]), BitVec.from_string("01"))
+        assert Reducer(BitMat.from_strings(["11"])).contains(BitVec.from_string("11"))
+        assert not Reducer(BitMat.from_strings(["11"])).contains(BitVec.from_string("01"))
 
     def test_422_logical(self):
         c2perp = dual_basis(BitMat.from_strings(["1111"]))
-        assert contains(c2perp, BitVec.from_string("0110"))
+        assert Reducer(c2perp).contains(BitVec.from_string("0110"))
 
 
 class TestCosetReps:
