@@ -18,6 +18,7 @@ from typing import Mapping
 from . import gf2
 from .cyclo import Cyclo
 from .errors import BudgetExceeded, CommutationViolation, LengthMismatch
+from .gates import _json_int
 from .gf2 import BitMat, BitVec, Reducer, WeightResult
 
 
@@ -143,26 +144,22 @@ class CssCode:
         return gf2.quotient_basis(self.c2perp, self.z_stab)
 
     @cached_property
-    def _x_logicals(self) -> BitMat:
-        """The canonical basis of C1 mod C2; it reads both bases, so no step carries it."""
-        return gf2.quotient_basis(self.c1, self.x_stab)
-
-    @cached_property
     def frame(self) -> LogicalFrame:
-        z_ints, x_ints = self._z_logicals.row_ints(), self._x_logicals.row_ints()
+        z_ints = self._z_logicals.row_ints()
         k = len(z_ints)
-        assert len(x_ints) == k, "logical quotients disagree"
-
-        def pairing(xs: list[int]) -> list[int]:
-            return [sum(((x & z).bit_count() & 1) << j for j, z in enumerate(z_ints)) for x in xs]
-
-        # One elimination of the rows P_i | x_i << k, P the pairing matrix:
-        # row i of the result is e_i | (P^-1 X)_i << k, the inverse being
-        # unique, so its high bits are the X-logical dual to z_i
-        tagged, _ = gf2._rref_ints(p | x << k for p, x in zip(pairing(x_ints), x_ints))
-        x_rows = [r >> k for r in tagged]
-        assert pairing(x_rows) == [1 << i for i in range(k)]
-        return LogicalFrame(self._z_logicals, BitMat(self.n, [BitVec(self.n, r) for r in x_rows]))
+        # One elimination of the C1 rows c tagged P(c) | c << k, P(c) the
+        # pairing with the z_j.  The tagged rows with P = 0 are C2 << k, so
+        # the rows past the first k are C2's canonical rows shifted, and row
+        # i is e_i | x_i << k: x_i lies in C1, pairs as e_i and has no bit at
+        # a pivot of C2, which fixes it (two such differ by a word of C2 with
+        # no bit at its pivots, so by 0).
+        tagged, pivots = gf2._rref_ints(
+            sum(((c & z).bit_count() & 1) << j for j, z in enumerate(z_ints)) | c << k
+            for c in self.c1.row_ints()
+        )
+        assert pivots[:k] == list(range(k)), "logical quotients disagree"
+        x_rows = BitMat(self.n, [BitVec(self.n, r >> k) for r in tagged[:k]])
+        return LogicalFrame(self._z_logicals, x_rows)
 
     def z_logical(self, alpha: int) -> BitVec:
         """Representative of the Z-logical labeled by the bits of alpha."""
@@ -209,7 +206,7 @@ class CssCode:
         if self.k == 0:
             raise ValueError("code has no logical qubits")
         d_x = gf2.min_weight_excluding(self.c1, self._z_logicals, w_max, budget)
-        d_z = gf2.min_weight_excluding(self.c2perp, self._x_logicals, w_max, budget)
+        d_z = gf2.min_weight_excluding(self.c2perp, self.frame.x_logical_basis, w_max, budget)
         return d_x, d_z
 
     def __eq__(self, other) -> bool:
@@ -301,7 +298,7 @@ def code_from_json(d: dict) -> CssCode:
     if not isinstance(d, dict) or "n" not in d:
         raise ValueError("code JSON: expected an object with key 'n'")
     try:
-        n = int(d["n"])
+        n = _json_int(d["n"], "n")
         x = BitMat.from_strings(d.get("x_stabilizers", []), n) if d.get("x_stabilizers") else BitMat.empty(n)
         z = BitMat.from_strings(d.get("z_stabilizers", []), n) if d.get("z_stabilizers") else BitMat.empty(n)
         y = BitVec.from_string(d["y"]) if d.get("y") else BitVec.zeros(n)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -51,7 +52,7 @@ class LocalDiag:
         if len(self.exps) != 1 << self.b:
             raise ValueError("need 2^b exponents")
         mod = 1 << self.level
-        object.__setattr__(self, "exps", tuple(e % mod for e in self.exps))
+        object.__setattr__(self, "exps", tuple(index(e) % mod for e in self.exps))
 
 
 def elementary_ckz(controls: int, root: int, dagger: bool = False) -> LocalDiag:
@@ -139,7 +140,7 @@ class QfdGate:
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError("R must be n x n")
         mod = 1 << self.level
-        reduced = tuple(tuple(v % mod for v in r) for r in self.rows)
+        reduced = tuple(tuple(index(v) % mod for v in r) for r in self.rows)
         for i in range(self.n):
             for j in range(self.n):
                 if reduced[i][j] != reduced[j][i]:
@@ -521,30 +522,49 @@ def gate_to_json(gate: DiagonalGate) -> dict:
     return {"kind": "qfd", "n": gate.n, "l": gate.level, "R": [list(r) for r in gate.rows]}
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer: an int that is not a bool (JSON true or false)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def gate_from_json(d: dict) -> DiagonalGate:
     if not isinstance(d, dict):
         raise ValueError("gate JSON: expected an object")
     try:
         kind = d["kind"]
         if kind == "transversal_zrot":
-            return transversal_zrot(int(d["n"]), int(d["l"]))
+            return transversal_zrot(_json_int(d["n"], "n"), _json_int(d["l"], "l"))
         if kind == "blocks":
             blocks = []
             for b in d["blocks"]:
                 g = b["gate"]
                 if g["type"] == "CkZ":
-                    local = elementary_ckz(int(g["controls"]), int(g["root"]), bool(g.get("dagger", False)))
+                    dagger = g.get("dagger", False)
+                    if not isinstance(dagger, bool):
+                        raise TypeError(f"dagger must be a boolean, got {dagger!r}")
+                    controls, root = _json_int(g["controls"], "controls"), _json_int(g["root"], "root")
+                    local = elementary_ckz(controls, root, dagger)
                 elif g["type"] == "diag":
-                    exps = [int(x) for x in g["exps"]]
+                    exps = [_json_int(x, "an exponent") for x in _json_list(g["exps"], "exps")]
                     size = len(exps)
                     bsz = size.bit_length() - 1
-                    local = LocalDiag(bsz, int(g["level"]), tuple(exps))
+                    local = LocalDiag(bsz, _json_int(g["level"], "level"), tuple(exps))
                 else:
                     raise ValueError(f"unknown local gate type {g['type']!r}")
-                blocks.append((tuple(int(q) for q in b["qubits"]), local))
-            return BlockProductGate(int(d["n"]), tuple(blocks))
+                qubits = tuple(_json_int(q, "a qubit") for q in _json_list(b["qubits"], "qubits"))
+                blocks.append((qubits, local))
+            return BlockProductGate(_json_int(d["n"], "n"), tuple(blocks))
         if kind == "qfd":
-            return qfd_gate(int(d["n"]), int(d["l"]), d["R"])
+            rows = [[_json_int(v, "an R entry") for v in _json_list(r, "an R row")] for r in d["R"]]
+            return qfd_gate(_json_int(d["n"], "n"), _json_int(d["l"], "l"), rows)
     except KeyError as exc:
         raise ValueError(f"gate JSON: missing key {exc}") from None
     except TypeError as exc:

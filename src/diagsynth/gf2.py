@@ -14,9 +14,9 @@ their points through one weight-class enumerator per walk,
 ``_weight_classes``: it yields the classes s = 0, 1, 2, ... in turn and
 builds each level of its subset table once, column-major.
 A canonical basis is the reduced echelon form with each pivot at its row's
-lowest bit; duals, row insertions, hyperplane restrictions and reductions
-read their canonical output off that structure rather than eliminating
-again.
+lowest bit; duals, quotients, row insertions, hyperplane restrictions and
+reductions read their canonical output off that structure rather than
+eliminating again.
 """
 
 from __future__ import annotations
@@ -337,26 +337,29 @@ def dual_basis(m: BitMat) -> BitMat:
 
 
 def quotient_basis(sup: BitMat, sub: BitMat) -> BitMat:
-    """Canonical complement basis of rowspace(sup) modulo rowspace(sub).
+    """Canonical complement basis of rowspace(sup) modulo rowspace(sub):
+    sup's own rows whose pivot is not a pivot of sub.  sup and sub must be
+    canonical (as ``rref`` and ``dual_basis`` return them; other input
+    gives an unspecified result), and sub must lie in sup.
 
-    Every returned row is already in canonical coset form (reduced against
-    sub), and any GF(2) combination of the rows stays canonical.
-    """
-    red = Reducer(sub)
+    A combination of canonical rows has its lowest pivot as its lowest
+    bit, so each pivot of sub is one of sup.  A row of sup has no bit at
+    another pivot of sup, so the kept rows are reduced against sub, as is
+    any combination of them, and they are dim sup - dim sub rows
+    independent modulo sub."""
     sup_red = Reducer(sup)
     for r in sub.row_ints():
         if not sup_red.contains_int(r):
             raise ValueError("sub is not contained in sup")
-    reduced = [red.reduce_int(r) for r in sup_red.rows]
-    rows, _ = _rref_ints([r for r in reduced if r])
-    return BitMat(sup.n, [BitVec(sup.n, r) for r in rows])
+    pivots = {r.bits & -r.bits for r in sub.rows}
+    return BitMat(sup.n, [r for r in sup.rows if r.bits & -r.bits not in pivots])
 
 
 def coset_reps(sup: BitMat, sub: BitMat, budget: int = DEFAULT_BUDGET) -> list[BitVec]:
     """One canonical representative per coset of rowspace(sub) in
-    rowspace(sup), ordered by binary counting over the complement basis.
-    The representative is the reduction of the coset against sub's RREF;
-    the first entry is always 0."""
+    rowspace(sup), for canonical sup and sub, ordered by binary counting
+    over ``quotient_basis``: the reduction of the coset against sub.  The
+    first entry is always 0."""
     reps = span_ints(quotient_basis(sup, sub).row_ints(), budget)
     return [BitVec(sup.n, r) for r in reps]
 

@@ -22,6 +22,17 @@ from diagsynth.gates import (
 from diagsynth.gf2 import BitMat, BitVec
 
 
+# parameters of the family builds that tests walk, for every family
+FAMILY_PARAMS = {
+    "steane": [[]],
+    "four22": [[]],
+    "two_l": [[2], [3], [4], [5]],
+    "tri2": [[2], [3]],
+    "pqrm": [[2], [3], [4]],
+    "qrm": [[1, 3], [1, 4], [2, 4], [1, 5], [1, 6], [2, 6]],
+}
+
+
 def full_words(n: int) -> st.SearchStrategy[int]:
     """Nonzero n-bit words with every bit equally likely.  Hypothesis' own
     wide integers favour small values, which would leave the bits above
@@ -54,6 +65,16 @@ def c1perp_reducer(code):
 def c2perp_reducer(code):
     """A membership oracle for C2-perp, built from the code's basis of it."""
     return gf2.Reducer(code.c2perp)
+
+
+def quotient_reference(sup, sub):
+    """The canonical basis of rowspace(sup) modulo rowspace(sub), for sub
+    inside sup, by reduction and elimination: reduce sup's canonical rows
+    against sub and take the canonical basis of what is left."""
+    red = gf2.Reducer(sub)
+    reduced = [red.reduce_int(r) for r in gf2.Reducer(sup).rows]
+    rows, _ = gf2._rref_ints([r for r in reduced if r])
+    return BitMat(sup.n, [BitVec(sup.n, r) for r in rows])
 
 
 def assert_point_witness(code, gate, witness):

@@ -456,7 +456,28 @@ class TestPipeline:
             ("script", [{"op": "remove_z", "w0": 5}], "not a bitstring: 5"),
             ("gate", {"kind": "qfd", "n": 2, "l": 2, "R": 5}, "not iterable"),
             ("code", {"n": 4, "x_stabilizers": 5}, "code JSON: 'int' object is not iterable"),
-            ("code", {"n": [4]}, "code JSON: int()"),
+            ("code", {"n": [4]}, "code JSON: n must be an integer"),
+            ("code", {"n": 4.7}, "code JSON: n must be an integer, got 4.7"),
+            # bool("false") is true: this was read as CS-dagger
+            ("gate", {"kind": "blocks", "n": 7, "blocks": [{"qubits": [0, 1], "gate": {
+                "type": "CkZ", "controls": 1, "root": 1, "dagger": "false"}}]},
+             "gate JSON: dagger must be a boolean, got 'false'"),
+            ("gate", {"kind": "transversal_zrot", "n": 7, "l": 2.7}, "gate JSON: l must be an integer, got 2.7"),
+            ("gate", {"kind": "transversal_zrot", "n": 7, "l": True}, "gate JSON: l must be an integer, got True"),
+            ("gate", {"kind": "blocks", "n": 7, "blocks": [{"qubits": [0.5], "gate": {
+                "type": "diag", "level": 2, "exps": [0, 1]}}]}, "gate JSON: a qubit must be an integer, got 0.5"),
+            ("gate", {"kind": "blocks", "n": 7, "blocks": [{"qubits": [0], "gate": {
+                "type": "diag", "level": 2, "exps": "01"}}]}, "gate JSON: exps must be a list, got '01'"),
+            ("gate", {"kind": "blocks", "n": 7, "blocks": [{"qubits": [0], "gate": {
+                "type": "diag", "level": 2, "exps": [0, 1.9]}}]}, "gate JSON: an exponent must be an integer, got 1.9"),
+            ("gate", {"kind": "blocks", "n": 7, "blocks": [{"qubits": "01", "gate": {
+                "type": "CkZ", "controls": 1, "root": 1}}]}, "gate JSON: qubits must be a list, got '01'"),
+            # a float entry was reduced as a float and echoed back, and the
+            # verdict computed on a truncated form
+            ("gate", {"kind": "qfd", "n": 7, "l": 2, "R": [[1.5] + [0] * 6] + [[0] * 7] * 6},
+             "gate JSON: an R entry must be an integer, got 1.5"),
+            ("gate", {"kind": "qfd", "n": 7, "l": 2, "R": ["1000000"] + [[0] * 7] * 6},
+             "gate JSON: an R row must be a list, got '1000000'"),
         ],
     )
     def test_malformed_json_exit_2(self, steane_files, tmp_path, capsys, bad, data, key):

@@ -1,5 +1,7 @@
 """CSS code model: construction, frames, distances, encoding, JSON."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -12,17 +14,19 @@ from diagsynth.csscode import (
 )
 from diagsynth.errors import CommutationViolation
 from diagsynth.families import (
+    build_family,
     family_2l_l_2,
     four22_code,
     punctured_qrm,
     qrm_code,
+    qrm_pipeline,
     steane_code,
     triorthogonal_2,
 )
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.synth import concatenate
 
-from conftest import c1_reducer, c1perp_reducer, c2perp_reducer, css_codes
+from conftest import FAMILY_PARAMS, c1_reducer, c1perp_reducer, c2perp_reducer, css_codes
 
 STEANE_H = ["1111000", "1100110", "1010101"]
 
@@ -87,6 +91,11 @@ def frame_x_reference(code):
     return x_rows
 
 
+@lru_cache(maxsize=None)
+def _pipeline12():
+    return qrm_pipeline(1, 2)
+
+
 FRAME_CODES = {
     "steane": steane_code,
     "four22": four22_code,
@@ -96,6 +105,9 @@ FRAME_CODES = {
     "two_l3": lambda: family_2l_l_2(3).code,
     "tri2_2": lambda: triorthogonal_2(2).code,
     "concat_qrm13": lambda: concatenate(qrm_code(1, 3)),
+    "pipeline12_pre_removal": lambda: _pipeline12().pre_removal,
+    "pipeline12_pre_addition": lambda: _pipeline12().pre_addition,
+    "pipeline12_final": lambda: _pipeline12().final,
 }
 
 
@@ -125,8 +137,9 @@ class TestDistances:
         assert (d_z.value, d_z.exact) == (3, True)
 
     def test_reads_the_codes_own_bases(self, monkeypatch):
-        # a fresh code derives C1, C2-perp and its two logical quotients once
-        # each; a code whose frame is built has them all and derives nothing
+        # a fresh code derives C1, C2-perp, its Z-logical quotient and its
+        # frame once each; a code whose frame is built has them all and
+        # derives nothing
         fresh, framed = qrm_code(2, 6), qrm_code(2, 6)
         framed.frame
         calls = []
@@ -134,11 +147,29 @@ class TestDistances:
             plain = getattr(gf2, name)
             monkeypatch.setattr(gf2, name, lambda *a, name=name, plain=plain: calls.append(name) or plain(*a))
         d = fresh.distances(4)
-        assert sorted(calls) == ["dual_basis"] * 2 + ["quotient_basis"] * 2
-        assert {"c1", "c2perp", "_z_logicals", "_x_logicals"} <= set(vars(fresh))
+        assert sorted(calls) == ["dual_basis"] * 2 + ["quotient_basis"]
+        assert {"c1", "c2perp", "_z_logicals", "frame"} <= set(vars(fresh))
         calls.clear()
         assert framed.distances(4) == d and calls == []
         assert d[1] == gf2.WeightResult(4, True)
+
+    @given(css_codes(min_k=1))
+    @settings(max_examples=200, deadline=None)
+    def test_dz_reads_any_x_logical_basis(self, code):
+        # the frame's X-logicals and the canonical basis of C1 mod C2 mark
+        # the same words of C2-perp as odd
+        assert code.distances(4)[1] == gf2.min_weight_excluding(
+            code.c2perp, gf2.quotient_basis(code.c1, code.x_stab), 4
+        )
+
+    @pytest.mark.parametrize(
+        "name, params", [(name, p) for name, ps in FAMILY_PARAMS.items() for p in ps]
+    )
+    def test_dz_of_the_families(self, name, params):
+        code = build_family(name, params).code
+        assert code.distances()[1] == gf2.min_weight_excluding(
+            code.c2perp, gf2.quotient_basis(code.c1, code.x_stab)
+        )
 
     def test_zero_logicals_rejected(self):
         rep = BitMat.from_strings(["11"])

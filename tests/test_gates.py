@@ -86,6 +86,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match="n must be >= 1"):
             QfdGate(n, 2, ())
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0])
+    def test_entries_must_be_integers(self, entry):
+        # a float entry used to be reduced as a float and kept
+        with pytest.raises(TypeError):
+            qfd_gate(2, 2, [[entry, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            LocalDiag(1, 2, (0, entry))
+
 
 class TestEntries:
     def test_qfd_pp(self):

@@ -39,7 +39,7 @@ from diagsynth.gencoeff import (
 from diagsynth.gf2 import BitMat, BitVec
 from diagsynth.hierarchy import level, phase_polynomial
 
-from conftest import c2perp_reducer, codes_with_gates, x_side, z_side
+from conftest import FAMILY_PARAMS, c2perp_reducer, codes_with_gates, x_side, z_side
 
 
 def isin(level):
@@ -506,16 +506,6 @@ def dense_logical(code, gate):
     rows = code.frame.x_logical_basis.row_ints()
     exps = span_exponents(gate, rows, code.y.bits)
     return phase_polynomial(exps, code.k, gate.level)
-
-
-FAMILY_PARAMS = {
-    "steane": [[]],
-    "four22": [[]],
-    "two_l": [[2], [3], [4], [5]],
-    "tri2": [[2], [3]],
-    "pqrm": [[2], [3], [4]],
-    "qrm": [[1, 3], [1, 4], [2, 4], [1, 5], [1, 6], [2, 6]],
-}
 
 
 class TestLowDegreeLogical:

@@ -1,7 +1,9 @@
 """GF(2) core: row reduction, duals, cosets, minimum weight."""
 
 import random
+from functools import reduce
 from math import comb
+from operator import xor
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from diagsynth.gf2 import (
     span_words,
 )
 
-from conftest import bitmats, full_words
+from conftest import bitmats, full_words, quotient_reference
 
 STEANE_H = ["1111000", "1100110", "1010101"]
 
@@ -400,10 +402,36 @@ class TestCosetReps:
             assert red.reduce_int(v) in {r.bits for r in reps}
 
 
+@st.composite
+def nested_canonical(draw):
+    """Canonical sup and sub with sub inside sup: sub is 0, all of sup or
+    the span of drawn combinations of sup's rows.  Rows reach past 64 bits."""
+    n = draw(st.sampled_from([3, 8, 70]))
+    sup, _ = rref(BitMat(n, [BitVec(n, w) for w in draw(st.lists(full_words(n), max_size=8))]))
+    rows = sup.row_ints()
+    kind = draw(st.sampled_from(["zero", "all", "span"]))
+    if kind != "span":
+        return sup, BitMat.empty(n) if kind == "zero" else sup
+    masks = draw(st.lists(st.integers(0, (1 << len(rows)) - 1), max_size=len(rows)))
+    combos = [reduce(xor, (r for j, r in enumerate(rows) if m >> j & 1), 0) for m in masks]
+    return sup, rref(BitMat(n, [BitVec(n, c) for c in combos]))[0]
+
+
 class TestQuotientBasis:
     def test_not_contained_raises(self):
         with pytest.raises(ValueError):
             quotient_basis(BitMat.from_strings(["10"]), BitMat.from_strings(["01"]))
+
+    @given(nested_canonical())
+    @settings(max_examples=300)
+    def test_reads_sups_own_rows(self, pair):
+        # equal, row for row, to reducing sup against sub and eliminating,
+        # and made of sup's own row objects
+        sup, sub = pair
+        got = quotient_basis(sup, sub)
+        assert got.row_ints() == quotient_reference(sup, sub).row_ints()
+        assert got.num_rows == sup.num_rows - sub.num_rows
+        assert all(any(r is s for s in sup.rows) for r in got.rows)
 
 
 class TestMinWeight:

@@ -770,7 +770,7 @@ def assert_step_built(code):
     assert (code.x_stab, code.z_stab, code.y) == (direct.x_stab, direct.z_stab, direct.y)
     assert code.k == direct.c1.num_rows - direct.x_stab.num_rows
     carried = dict(vars(code))
-    for name in ("c1", "c2perp", "_z_logicals", "_x_logicals"):
+    for name in ("c1", "c2perp", "_z_logicals"):
         if name in carried:
             assert carried[name] == getattr(direct, name)
     if "c2_reducer" in carried:
